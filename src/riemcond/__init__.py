@@ -29,6 +29,7 @@ from .errors import (
     DomainEscape,
     EmptyInput,
     InvalidGeometry,
+    NonFinite,
     NotNormal,
     NotSPD,
     OutsideDomain,
@@ -70,7 +71,6 @@ from .multiview import (
     CameraRig,
     as_parametrization,
     mv_domain_check,
-    mv_frame,
     mv_jacobian,
     mv_kappa,
     mv_project,

@@ -2,8 +2,8 @@
 numbers, sweeps/validation runs, and a minimal SVG plotter.
 
 Exit codes: 0 success, 1 domain errors (ill-posed result requested as a
-finite number, degenerate geometry), 2 I/O or parse errors. Diagnostics
-go to stderr; bulk data is written to files atomically.
+finite number, degenerate geometry), 2 I/O or parse errors, including
+non-finite input numbers. Diagnostics go to stderr; bulk data is written to files atomically.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .condition import ill_posedness_certificate, kappa_cpp_from_weingarten
 from .curvature import weingarten_data
-from .errors import RiemcondError
+from .errors import NonFinite, RiemcondError
 from .experiments import (
     RigSpec,
     experiment_sweep,
@@ -554,7 +554,7 @@ def main(argv=None) -> int:
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, csv.Error, UnicodeDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, csv.Error, UnicodeDecodeError, NonFinite) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RiemcondError as exc:

@@ -56,3 +56,7 @@ class DomainEscape(RiemcondError):
 
 class EmptyInput(RiemcondError):
     """An aggregate was requested over an empty collection."""
+
+
+class NonFinite(RiemcondError):
+    """An input holds a NaN or an infinity."""

@@ -8,8 +8,6 @@ triangulation, and compares the observed amplification with the theory.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -17,16 +15,15 @@ import numpy as np
 import scipy.linalg
 import scipy.signal
 
-from .condition import kappa_bounds
 from .errors import EmptyInput, InvalidGeometry, RiemcondError
 from .linalg import compact_qr
 from .multiview import (
     Camera,
     CameraRig,
+    _condition_report,
     mv_jacobian,
     mv_project,
     mv_weingarten,
-    kappa_from_factors,
 )
 from .solver import SolverOptions, triangulate
 
@@ -140,44 +137,22 @@ def log_grid(lo: float, hi: float, count: int, two_sided: bool = True):
     return np.concatenate([-pos[::-1], pos])
 
 
-def _resolve_workers(workers: Optional[int]) -> int:
-    if workers is None:
-        workers = int(os.environ.get("RIEMCOND_THREADS", "1") or "1")
-    return max(1, int(workers))
-
-
-def _grid_map(fn, grid, workers):
-    workers = _resolve_workers(workers)
-    if workers == 1:
-        return [fn(t) for t in grid]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, grid))  # map preserves grid order
-
-
 def _theory_record(rig, y, eta, t_rel, x_norm) -> tuple[SweepRecord, np.ndarray, np.ndarray]:
     """Sweep record at offset t_rel plus the frame Q and worst direction u."""
     eta_t = t_rel * x_norm * np.asarray(eta, dtype=float)
     Q, R, _, S = mv_weingarten(rig, y, eta_t)
-    kappa, ill, u, s = kappa_from_factors(R, S)
-    sR = scipy.linalg.svdvals(R)
-    kappa_S = 1.0 / float(sR[2])
-    eta_norm = abs(t_rel) * x_norm
-    if eta_norm > 0:
-        curv = np.sort(scipy.linalg.eigvalsh(S)) / eta_norm
-    else:
-        curv = np.empty(0)
-    lo, hi = kappa_bounds(kappa_S, curv, eta_norm)
+    report = _condition_report(R, S, abs(t_rel) * x_norm)
     rec = SweepRecord(
         t_rel=float(t_rel),
-        kappa=float(kappa),
-        bounds=(float(lo), float(hi)),
-        sigma3=float(s[2]),
-        ill_posed=ill,
+        kappa=float(report.kappa),
+        bounds=(float(report.bounds_lo), float(report.bounds_hi)),
+        sigma3=report.components["sigma3"],
+        ill_posed=report.ill_posed,
     )
-    return rec, Q, u
+    return rec, Q, report.worst_input_direction
 
 
-def experiment_sweep(rig: CameraRig, y, eta, t_grid: Sequence[float], workers: Optional[int] = None):
+def experiment_sweep(rig: CameraRig, y, eta, t_grid: Sequence[float]):
     """Theoretical condition numbers along a(t) = x + t ||x|| eta over t_grid."""
     y = np.asarray(y, dtype=float)
     x = mv_project(rig, y)
@@ -190,7 +165,7 @@ def experiment_sweep(rig: CameraRig, y, eta, t_grid: Sequence[float], workers: O
             return _error_record(t_rel, exc)
         return rec
 
-    return _grid_map(one, t_grid, workers)
+    return [one(t) for t in t_grid]
 
 
 def experiment_validate(
@@ -200,7 +175,6 @@ def experiment_validate(
     t_grid: Sequence[float],
     perturb_rel: float = 1e-6,
     opts: SolverOptions | None = None,
-    workers: Optional[int] = None,
 ):
     """Worst-direction perturbation study along the normal ray.
 
@@ -234,7 +208,7 @@ def experiment_validate(
         )
         return rec
 
-    return _grid_map(one, t_grid, workers)
+    return [one(t) for t in t_grid]
 
 
 def ratio_stats(records: Sequence[SweepRecord]):

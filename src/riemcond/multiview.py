@@ -9,6 +9,7 @@ number 1 / sigma_3((I - S) R) have closed forms implemented here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -21,6 +22,7 @@ from .errors import (
     AtInfinity,
     DegenerateKernel,
     InvalidGeometry,
+    NonFinite,
     NotNormal,
     OutsideDomain,
 )
@@ -79,9 +81,24 @@ class Camera:
         return h[:3] / h[3]
 
 
+def _readonly(arr) -> np.ndarray:
+    arr = np.ascontiguousarray(arr)
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class CameraRig:
-    """Ordered collection of r >= 2 cameras with a well-defined baseline."""
+    """Ordered collection of r >= 2 cameras with a well-defined baseline.
+
+    Construction stacks the cameras into read-only arrays P (r, 3, 4),
+    A (r, 2, 3), b (r, 2), c (r, 3) and d (r,), and caches the baseline
+    through the first two centers as a point and unit direction. With a
+    center at infinity the baseline runs through the finite center along
+    the infinite direction; with both at infinity there is no affine
+    baseline and both are None. These derived attributes are not dataclass
+    fields: equality and repr see only `cameras`.
+    """
 
     cameras: Tuple[Camera, ...]
 
@@ -93,6 +110,23 @@ class CameraRig:
         h1 = self.cameras[1].center_homogeneous()
         if 1.0 - abs(float(h0 @ h1)) <= 1e-10:
             raise InvalidGeometry("first two camera centers coincide; baseline undefined")
+        P = np.stack([cam.matrix for cam in self.cameras])
+        blocks = {"P": P, "A": P[:, :2, :3], "b": P[:, :2, 3], "c": P[:, 2, :3], "d": P[:, 2, 3]}
+        for name, arr in blocks.items():
+            object.__setattr__(self, name, _readonly(arr))
+        finite0, finite1 = abs(h0[3]) >= _HOMOG_TOL, abs(h1[3]) >= _HOMOG_TOL
+        if finite0 and finite1:
+            p0 = h0[:3] / h0[3]
+            v = h1[:3] / h1[3] - p0
+        elif finite0 or finite1:
+            p0 = (h0[:3] / h0[3]) if finite0 else (h1[:3] / h1[3])
+            v = h1[:3] if finite0 else h0[:3]
+        else:
+            p0 = v = None
+        if v is not None:
+            p0, v = _readonly(p0), _readonly(v / np.linalg.norm(v))
+        object.__setattr__(self, "baseline_point", p0)
+        object.__setattr__(self, "baseline_dir", v)
 
     @property
     def r(self) -> int:
@@ -101,7 +135,7 @@ class CameraRig:
 
 def rig_to_dict(rig: CameraRig) -> dict:
     """JSON-ready form: {"cameras": [[12 numbers, row-major 3x4], ...]}."""
-    return {"cameras": [cam.matrix.reshape(-1).tolist() for cam in rig.cameras]}
+    return {"cameras": rig.P.reshape(rig.r, 12).tolist()}
 
 
 def rig_from_dict(data: dict) -> CameraRig:
@@ -121,46 +155,49 @@ def rig_from_dict(data: dict) -> CameraRig:
 
 def alphas(rig: CameraRig, y):
     """Projective depths c_l . y + d_l for every camera."""
-    y = np.asarray(y, dtype=float)
-    return np.array([cam.c @ y + cam.d for cam in rig.cameras])
+    return rig.c @ np.asarray(y, dtype=float) + rig.d
+
+
+def _numerators(rig: CameraRig, y):
+    """A_l y + b_l for every camera, as an (r, 2) array."""
+    return (rig.A.reshape(-1, 3) @ y).reshape(rig.r, 2) + rig.b
 
 
 def _baseline_distance(rig: CameraRig, y):
-    """Distance from y to the line joining the first two camera centers.
-
-    With a center at infinity the baseline is the line through the finite
-    center along the infinite direction; with both at infinity there is
-    no affine baseline to avoid and the distance is reported as infinite.
-    """
-    y = np.asarray(y, dtype=float)
-    h0 = rig.cameras[0].center_homogeneous()
-    h1 = rig.cameras[1].center_homogeneous()
-    finite0, finite1 = abs(h0[3]) >= _HOMOG_TOL, abs(h1[3]) >= _HOMOG_TOL
-    if finite0 and finite1:
-        p0, p1 = h0[:3] / h0[3], h1[:3] / h1[3]
-        v = p1 - p0
-    elif finite0 or finite1:
-        p0 = (h0[:3] / h0[3]) if finite0 else (h1[:3] / h1[3])
-        v = h1[:3] if finite0 else h0[:3]
-    else:
+    """Distance from y to the cached baseline (infinite when there is none)."""
+    if rig.baseline_dir is None:
         return np.inf
-    v = v / np.linalg.norm(v)
-    w = y - p0
-    return float(np.linalg.norm(w - (w @ v) * v))
+    # |w x v| for the unit direction v, in Python floats: this runs on every LM trial point
+    wx, wy, wz = (np.asarray(y, dtype=float) - rig.baseline_point).tolist()
+    vx, vy, vz = rig.baseline_dir.tolist()
+    return math.hypot(wy * vz - wz * vy, wz * vx - wx * vz, wx * vy - wy * vx)
+
+
+def _finite(v) -> bool:
+    # a Python-level scan: for a handful of entries it is several times
+    # cheaper than np.isfinite(v).all(), and the LM checks every trial point
+    return all(map(math.isfinite, v.ravel().tolist()))
+
+
+def _require_finite(v, what: str):
+    if not _finite(v):
+        bad = np.flatnonzero(~np.isfinite(v)).tolist()
+        raise NonFinite(f"{what} {v} is not finite (entries {bad})")
 
 
 def mv_domain_check(rig: CameraRig, y, dom_tol: float = DOM_TOL) -> bool:
-    """True when y has safe depths in every camera and is off the baseline."""
+    """True when y is finite, has safe depths in every camera and is off the baseline."""
     y = np.asarray(y, dtype=float)
-    if np.abs(alphas(rig, y)).min() <= dom_tol:
+    if not _finite(y) or np.abs(alphas(rig, y)).min() <= dom_tol:
         return False
     return _baseline_distance(rig, y) > dom_tol
 
 
 def _require_domain(rig, y, dom_tol=DOM_TOL):
+    _require_finite(y, "world point")
     if not mv_domain_check(rig, y, dom_tol):
         raise OutsideDomain(
-            f"world point {np.asarray(y, dtype=float)} lies on a principal plane "
+            f"world point {y} lies on a principal plane "
             "or the baseline (or within tolerance of them)"
         )
 
@@ -169,9 +206,7 @@ def mv_project(rig: CameraRig, y):
     """Stacked pinhole projection of y: a 2r-vector of image coordinates."""
     y = np.asarray(y, dtype=float)
     _require_domain(rig, y)
-    a = alphas(rig, y)
-    blocks = [(cam.A @ y + cam.b) / a[i] for i, cam in enumerate(rig.cameras)]
-    return np.concatenate(blocks)
+    return (_numerators(rig, y) / alphas(rig, y)[:, None]).reshape(-1)
 
 
 def mv_jacobian(rig: CameraRig, y):
@@ -179,33 +214,11 @@ def mv_jacobian(rig: CameraRig, y):
     y = np.asarray(y, dtype=float)
     _require_domain(rig, y)
     a = alphas(rig, y)
-    blocks = [
-        cam.A / a[i] - np.outer(cam.A @ y + cam.b, cam.c) / a[i] ** 2
-        for i, cam in enumerate(rig.cameras)
-    ]
-    return np.vstack(blocks)
-
-
-def mv_frame(rig: CameraRig, y):
-    """Pushed-forward coordinate frame: column i is the field E_i at mu(y).
-
-    Assembled per-direction from A_l e_i / alpha_l - c_{l,i} (A_l y + b_l) / alpha_l^2,
-    the displayed form of the pushforward of the world axes; equals the
-    Jacobian columnwise and is kept as an independent arrangement for tests.
-    """
-    y = np.asarray(y, dtype=float)
-    _require_domain(rig, y)
-    a = alphas(rig, y)
-    cols = []
-    for i in range(3):
-        e = np.zeros(3)
-        e[i] = 1.0
-        col = [
-            cam.A @ e / a[l] - cam.c[i] * (cam.A @ y + cam.b) / a[l] ** 2
-            for l, cam in enumerate(rig.cameras)
-        ]
-        cols.append(np.concatenate(col))
-    return np.column_stack(cols)
+    # libm pow, as the per-camera a_l ** 2 did: a * a and np.square differ in the last
+    # bit for ~0.1% of inputs, and LM solves near focal points amplify that to ~1e-6
+    a2 = np.array([math.pow(t, 2) for t in a.tolist()])
+    outer = _numerators(rig, y)[:, :, None] * rig.c[:, None, :]
+    return (rig.A / a[:, None, None] - outer / a2[:, None, None]).reshape(-1, 3)
 
 
 def triangulate_linear(rig: CameraRig, x, minimal: bool = False):
@@ -218,13 +231,10 @@ def triangulate_linear(rig: CameraRig, x, minimal: bool = False):
     x = np.asarray(x, dtype=float)
     if x.shape != (2 * rig.r,):
         raise InvalidGeometry(f"correspondence must have length {2 * rig.r}, got {x.shape}")
-    cams = rig.cameras[:2] if minimal else rig.cameras
-    rows = []
-    for l, cam in enumerate(cams):
-        P = cam.matrix
-        rows.append(x[2 * l] * P[2] - P[0])
-        rows.append(x[2 * l + 1] * P[2] - P[1])
-    M = np.vstack(rows)
+    _require_finite(x, "correspondence")
+    P = rig.P[:2] if minimal else rig.P
+    xy = x[: 2 * len(P)].reshape(-1, 2)
+    M = (xy[:, :, None] * P[:, 2:3, :] - P[:, :2, :]).reshape(-1, 4)
     _, s, Vt = scipy.linalg.svd(M)
     # gap measured against the matrix scale: a kernel direction is ambiguous
     # both when sigma_3 ~ sigma_4 and when both vanish together
@@ -238,6 +248,33 @@ def triangulate_linear(rig: CameraRig, x, minimal: bool = False):
     return h[:3] / h[3]
 
 
+def _frame_and_hat(rig: CameraRig, y, eta, normality_tol: float):
+    """Q, R of the Jacobian at y and the closed-form S_hat, once eta is checked normal."""
+    y = np.asarray(y, dtype=float)
+    eta = np.asarray(eta, dtype=float)
+    Q, R = compact_qr(mv_jacobian(rig, y))
+    if eta.shape != (2 * rig.r,):
+        raise NotNormal(f"eta must have length {2 * rig.r}, got {eta.shape}")
+    _require_finite(eta, "normal vector eta")
+    nrm = np.linalg.norm(eta)
+    if nrm > 0:
+        tangential = np.linalg.norm(Q.T @ eta)
+        if tangential > normality_tol * nrm:
+            raise NotNormal(
+                f"eta has tangential component {tangential:.3e} (norm {nrm:.3e})"
+            )
+    a = alphas(rig, y)
+    eta_l = eta.reshape(rig.r, 2)
+    beta = np.einsum("lk,lk->l", eta_l, _numerators(rig, y))
+    g = np.einsum("lki,lk->li", rig.A, eta_l)
+    cc = rig.c[:, :, None] * rig.c[:, None, :]
+    cg = rig.c[:, :, None] * g[:, None, :]
+    # each term is symmetric bitwise, so the sums over cameras are too
+    S_hat = (np.einsum("l,lij->ij", 2.0 * beta / a**3, cc)
+             - np.einsum("l,lij->ij", 1.0 / a**2, cg + cg.transpose(0, 2, 1)))
+    return Q, R, S_hat
+
+
 def mv_weingarten_hat(rig: CameraRig, y, eta, normality_tol: float = NORMALITY_TOL):
     """Second fundamental form of the multiview manifold contracted with eta.
 
@@ -245,39 +282,16 @@ def mv_weingarten_hat(rig: CameraRig, y, eta, normality_tol: float = NORMALITY_T
     2 (eta_l . (A_l y + b_l)) c_l c_l^T / alpha_l^3
     - (c_l (A_l^T eta_l)^T + (A_l^T eta_l) c_l^T) / alpha_l^2.
     """
-    y = np.asarray(y, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    J = mv_jacobian(rig, y)
-    if eta.shape != (2 * rig.r,):
-        raise NotNormal(f"eta must have length {2 * rig.r}, got {eta.shape}")
-    nrm = np.linalg.norm(eta)
-    if nrm > 0:
-        Q, _ = compact_qr(J)
-        tangential = np.linalg.norm(Q.T @ eta)
-        if tangential > normality_tol * nrm:
-            raise NotNormal(
-                f"eta has tangential component {tangential:.3e} (norm {nrm:.3e})"
-            )
-    a = alphas(rig, y)
-    S_hat = np.zeros((3, 3))
-    for l, cam in enumerate(rig.cameras):
-        eta_l = eta[2 * l : 2 * l + 2]
-        beta = eta_l @ (cam.A @ y + cam.b)
-        g = cam.A.T @ eta_l
-        S_hat += 2.0 * beta / a[l] ** 3 * np.outer(cam.c, cam.c)
-        S_hat -= (np.outer(cam.c, g) + np.outer(g, cam.c)) / a[l] ** 2
-    return S_hat
+    return _frame_and_hat(rig, y, eta, normality_tol)[2]
 
 
 def mv_weingarten(rig: CameraRig, y, eta):
     """Frame and Weingarten map at mu(y): returns (Q, R, S_hat, S)."""
-    J = mv_jacobian(rig, y)
-    Q, R = compact_qr(J)
-    S_hat = mv_weingarten_hat(rig, y, eta)
+    Q, R, S_hat = _frame_and_hat(rig, y, eta, NORMALITY_TOL)
     return Q, R, S_hat, weingarten(S_hat, R)
 
 
-def kappa_from_factors(R, S, sing_tol: float = SING_TOL):
+def kappa_from_factors(R, S, sing_tol: float = SING_TOL, sigma_R=None):
     """kappa = 1 / sigma_3((I - S) R) plus the worst tangent direction.
 
     Returns (kappa, ill_posed, u, singular_values) where u is the third
@@ -285,27 +299,26 @@ def kappa_from_factors(R, S, sing_tol: float = SING_TOL):
     worst ambient perturbation. The zero threshold is taken relative to
     the larger of sigma_1((I - S) R) and sigma_1(R) so that I - S ~ 0
     (all directions focal at once) is detected as ill-posed too.
+    sigma_R, the singular values of R, is computed when not given.
     """
+    if sigma_R is None:
+        sigma_R = scipy.linalg.svdvals(R)
     M = (np.eye(3) - S) @ R
     U, s, _ = scipy.linalg.svd(M)
-    scale = max(float(s[0]), float(scipy.linalg.svdvals(R)[0]))
+    scale = max(float(s[0]), float(sigma_R[0]))
     ill = scale == 0.0 or s[2] <= sing_tol * scale
     kappa = np.inf if ill else 1.0 / float(s[2])
     return kappa, bool(ill), U[:, 2], s
 
 
-def mv_kappa(rig: CameraRig, y, eta, sing_tol: float = SING_TOL) -> ConditionReport:
-    """Condition number of triangulation at the critical pair (mu(y) + eta, mu(y)).
+def _condition_report(R, S, eta_norm: float, sing_tol: float = SING_TOL) -> ConditionReport:
+    """kappa with its worst direction, sandwich bounds and sigma components.
 
-    The worst_input_direction is in the orthonormal tangent coordinates of
-    the frame Q at mu(y); the worst ambient perturbation is Q times it.
+    Shared by mv_kappa and the sweep/validation rows; svdvals(R) is taken once.
     """
-    eta = np.asarray(eta, dtype=float)
-    _, R, _, S = mv_weingarten(rig, y, eta)
-    kappa, ill, u, s = kappa_from_factors(R, S, sing_tol)
     sR = scipy.linalg.svdvals(R)
+    kappa, ill, u, s = kappa_from_factors(R, S, sing_tol, sigma_R=sR)
     kappa_S = np.inf if sR[2] <= sing_tol * sR[0] else 1.0 / float(sR[2])
-    eta_norm = float(np.linalg.norm(eta))
     if eta_norm > 0:
         curv = np.sort(scipy.linalg.eigvalsh(S)) / eta_norm
     else:
@@ -325,6 +338,17 @@ def mv_kappa(rig: CameraRig, y, eta, sing_tol: float = SING_TOL) -> ConditionRep
         bounds_hi=hi,
         components=components,
     )
+
+
+def mv_kappa(rig: CameraRig, y, eta, sing_tol: float = SING_TOL) -> ConditionReport:
+    """Condition number of triangulation at the critical pair (mu(y) + eta, mu(y)).
+
+    The worst_input_direction is in the orthonormal tangent coordinates of
+    the frame Q at mu(y); the worst ambient perturbation is Q times it.
+    """
+    eta = np.asarray(eta, dtype=float)
+    _, R, _, S = mv_weingarten(rig, y, eta)
+    return _condition_report(R, S, float(np.linalg.norm(eta)), sing_tol)
 
 
 def as_parametrization(rig: CameraRig) -> Parametrization:

@@ -16,7 +16,14 @@ import numpy as np
 from .errors import DomainEscape, InvalidGeometry
 from .linalg import compact_qr
 from .manifold import Parametrization, project_tangent, tangent_frame
-from .multiview import CameraRig, mv_domain_check, mv_jacobian, mv_project, triangulate_linear
+from .multiview import (
+    CameraRig,
+    _require_finite,
+    mv_domain_check,
+    mv_jacobian,
+    mv_project,
+    triangulate_linear,
+)
 
 
 @dataclass(frozen=True)
@@ -189,6 +196,7 @@ def triangulate(
     explicit world point, then refines the reprojection residual.
     """
     a = np.asarray(a, dtype=float)
+    _require_finite(a, "correspondence")
     if warm_start is not None:
         y0 = np.asarray(warm_start, dtype=float)
     else:

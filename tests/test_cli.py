@@ -189,6 +189,16 @@ def test_wrong_arity_correspondence_is_exit_2(rig_file, tmp_path):
     assert not out.exists()
 
 
+def test_non_finite_correspondence_is_exit_2(rig_file, tmp_path, capsys):
+    corr = tmp_path / "nan.json"
+    corr.write_text('{"x": [0.1, 0.2, NaN, 0.1, 0.0, 0.1, 0.2, 0.3]}')
+    out = tmp_path / "y.json"
+    assert main(["triangulate", "--rig", str(rig_file), "--corr", str(corr),
+                 "--out", str(out)]) == 2
+    assert "not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_kappa_with_explicit_eta_file(rig_file, point_file, tmp_path, capsys):
     rig = rc.rig_from_dict(json.loads(rig_file.read_text()))
     rng = np.random.default_rng(0)

@@ -235,12 +235,3 @@ def test_validate_records_per_row_errors(monkeypatch):
     arith, geo, excluded = rc.ratio_stats(records)
     assert excluded == 1
 
-
-def test_thread_pool_matches_serial(monkeypatch):
-    rig = _default_rig()
-    eta = rc.random_unit_normal(rig, DEFAULT_Y, 0)
-    grid = rc.log_grid(-2, 1, 8)
-    serial = rc.records_to_csv(rc.experiment_sweep(rig, DEFAULT_Y, eta, grid, workers=1))
-    monkeypatch.setenv("RIEMCOND_THREADS", "4")
-    threaded = rc.records_to_csv(rc.experiment_sweep(rig, DEFAULT_Y, eta, grid))
-    assert serial == threaded

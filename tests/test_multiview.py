@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 import riemcond as rc
 
@@ -126,12 +129,167 @@ def test_jacobian_matches_finite_differences():
         assert np.linalg.norm(J - J_fd) / np.linalg.norm(J) <= 1e-6
 
 
-def test_frame_columns_equal_jacobian():
-    rig = _generic_rig(k=6, seed=6)
+def _oracle(rig, y, eta):
+    """Per-camera loops over the Camera blocks: projection, Jacobian, S_hat."""
+    a = [cam.c @ y + cam.d for cam in rig.cameras]  # numpy scalars: a[l] ** 2 is libm pow
+    x = np.concatenate([(cam.A @ y + cam.b) / a[l] for l, cam in enumerate(rig.cameras)])
+    J = np.vstack([
+        cam.A / a[l] - np.outer(cam.A @ y + cam.b, cam.c) / a[l] ** 2
+        for l, cam in enumerate(rig.cameras)
+    ])
+    S_hat = np.zeros((3, 3))
+    for l, cam in enumerate(rig.cameras):
+        eta_l = eta[2 * l : 2 * l + 2]
+        beta = eta_l @ (cam.A @ y + cam.b)
+        g = cam.A.T @ eta_l
+        S_hat += 2.0 * beta / a[l] ** 3 * np.outer(cam.c, cam.c)
+        S_hat -= (np.outer(cam.c, g) + np.outer(g, cam.c)) / a[l] ** 2
+    return x, J, S_hat
+
+
+@pytest.mark.parametrize("k", [2, 6, 40, "affine"])
+def test_kernel_matches_per_camera_oracle(k):
+    rig = _affine_rig() if k == "affine" else _generic_rig(k=k, seed=6)
     rng = np.random.default_rng(23)
-    for _ in range(5):
-        y = rng.uniform(-0.5, 0.5, size=3)
-        assert np.abs(rc.mv_frame(rig, y) - rc.mv_jacobian(rig, y)).max() <= 1e-12
+    checked = 0
+    for i in range(300):
+        y = rng.uniform(-0.7, 0.7, size=3)
+        if not rc.mv_domain_check(rig, y):
+            continue
+        eta = _random_normal_at(rig, y, i) if i % 10 == 0 else np.zeros(2 * rig.r)
+        x, J, S_hat = _oracle(rig, y, eta)
+        # bit-equal: the validation protocol amplifies a last-bit change in J
+        assert np.array_equal(rc.mv_project(rig, y), x)
+        assert np.array_equal(rc.mv_jacobian(rig, y), J)
+        got = rc.mv_weingarten_hat(rig, y, eta)
+        assert np.linalg.norm(got - S_hat) <= 1e-13 * np.linalg.norm(S_hat)
+        checked += 1
+    assert checked >= 250
+
+
+def _centers_baseline_distance(rig, y):
+    """Distance to the line through the first two centers, from fresh SVDs."""
+    h0 = rig.cameras[0].center_homogeneous()
+    h1 = rig.cameras[1].center_homogeneous()
+    finite0, finite1 = abs(h0[3]) >= 1e-12, abs(h1[3]) >= 1e-12
+    if finite0 and finite1:
+        p0 = rig.cameras[0].center()
+        v = rig.cameras[1].center() - p0
+    elif finite0 or finite1:
+        p0 = (h0[:3] / h0[3]) if finite0 else (h1[:3] / h1[3])
+        v = h1[:3] if finite0 else h0[:3]
+    else:
+        return np.inf
+    v = v / np.linalg.norm(v)
+    w = y - p0
+    return float(np.linalg.norm(w - (w @ v) * v))
+
+
+def _half_affine_rig():
+    affine = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 0, 1.0]])
+    finite = np.array([[1.0, 0, 0, -1.0], [0, 1.0, 0, 0], [0, 0, 1.0, 5.0]])  # center (1, 0, -5)
+    return rc.CameraRig(cameras=(rc.Camera.from_matrix(affine), rc.Camera.from_matrix(finite)))
+
+
+@pytest.mark.parametrize("make_rig", [_generic_rig, _half_affine_rig, _affine_rig])
+def test_cached_baseline_distance_matches_centers(make_rig):
+    from riemcond.multiview import _baseline_distance
+
+    rig = make_rig()
+    rng = np.random.default_rng(26)
+    for _ in range(50):
+        y = rng.uniform(-2.0, 2.0, size=3)
+        want = _centers_baseline_distance(rig, y)
+        got = _baseline_distance(rig, y)
+        if np.isinf(want):
+            assert got == np.inf
+        else:
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
+    if make_rig is _half_affine_rig:  # on the baseline through (1, 0, -5) along z
+        assert not rc.mv_domain_check(rig, np.array([1.0, 0.0, 0.5]))
+
+
+def test_kernel_runs_no_svd(monkeypatch):
+    rig = _generic_rig(k=10, seed=16)
+    y = np.array([0.2, -0.1, 0.3])
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("svd", "svdvals"):
+        monkeypatch.setattr(scipy.linalg, name, counting(name, getattr(scipy.linalg, name)))
+    monkeypatch.setattr(rc.Camera, "center_homogeneous",
+                        counting("center", rc.Camera.center_homogeneous))
+    assert rc.mv_domain_check(rig, y)
+    rc.mv_project(rig, y)
+    rc.mv_jacobian(rig, y)
+    assert calls == []
+
+
+def test_rig_arrays_are_cached_read_only():
+    rig = _generic_rig(k=5, seed=17)
+    for name in ("P", "A", "b", "c", "d", "baseline_point", "baseline_dir"):
+        arr = getattr(rig, name)
+        assert arr.flags.writeable is False
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
+    for l, cam in enumerate(rig.cameras):
+        assert np.array_equal(rig.P[l], cam.matrix)
+        assert np.array_equal(rig.A[l], cam.A) and np.array_equal(rig.b[l], cam.b)
+        assert np.array_equal(rig.c[l], cam.c) and rig.d[l] == cam.d
+    assert abs(np.linalg.norm(rig.baseline_dir) - 1.0) <= 1e-15
+    assert _affine_rig().baseline_dir is None and _affine_rig().baseline_point is None
+
+
+def test_rig_equality_and_wire_format_unchanged():
+    rig = _generic_rig(k=4, seed=18)
+    assert [f.name for f in dataclasses.fields(rig) if f.compare] == ["cameras"]
+    assert repr(rig).startswith("CameraRig(cameras=(Camera(") and "baseline" not in repr(rig)
+    assert rig == rig and rig != "rig"
+    data = rc.rig_to_dict(rig)
+    assert data == {"cameras": [cam.matrix.reshape(-1).tolist() for cam in rig.cameras]}
+    again = rc.rig_from_dict(data)
+    assert rc.rig_to_dict(again) == data
+    assert np.array_equal(again.P, rig.P)
+    assert np.array_equal(again.baseline_dir, rig.baseline_dir)
+
+
+def test_non_finite_world_point_is_typed():
+    rig = _generic_rig(k=3, seed=19)
+    for bad in ([np.nan, 0.0, 0.0], [0.1, np.inf, 0.2]):
+        assert rc.mv_domain_check(rig, bad) is False
+        with pytest.raises(rc.NonFinite, match="world point"):
+            rc.mv_project(rig, bad)
+        with pytest.raises(rc.NonFinite, match="world point"):
+            rc.mv_jacobian(rig, bad)
+
+
+def test_non_finite_correspondence_is_typed():
+    rig = _generic_rig(k=3, seed=20)
+    x = rc.mv_project(rig, np.array([0.1, 0.2, -0.1]))
+    x[3] = np.nan
+    with pytest.raises(rc.NonFinite, match=r"correspondence .* \(entries \[3\]\)"):
+        rc.triangulate_linear(rig, x)
+    with pytest.raises(rc.NonFinite, match="correspondence"):
+        rc.triangulate(rig, x)
+    with pytest.raises(rc.NonFinite, match="correspondence"):
+        rc.triangulate(rig, x, warm_start=[0.1, 0.2, -0.1])
+    assert issubclass(rc.NonFinite, rc.RiemcondError)
+
+
+def test_non_finite_normal_is_typed():
+    rig = _generic_rig(k=3, seed=21)
+    y = np.array([0.1, 0.2, -0.1])
+    eta = _random_normal_at(rig, y, 0)
+    eta[1] = np.inf
+    with pytest.raises(rc.NonFinite, match="eta"):
+        rc.mv_kappa(rig, y, eta)
+    records = rc.experiment_sweep(rig, y, np.full(6, np.nan), [0.1, 1.0])
+    assert all(rec.flagged and "NonFinite" in rec.error for rec in records)
 
 
 def test_weingarten_hat_flat_cases():

@@ -16,7 +16,6 @@ from .condition import (
 from .curvature import (
     WeingartenData,
     critical_radii,
-    hessian_H,
     principal_curvatures,
     second_fundamental_contraction,
     weingarten,

@@ -33,16 +33,12 @@ from .experiments import (
 )
 from .linalg import compact_qr
 from .manifold import builtin, codim1_unit_normal, tangent_frame
-from .multiview import mv_jacobian, mv_kappa, mv_project, rig_from_dict
+from .multiview import mv_jacobian, mv_kappa, mv_project, rig_from_dict, rig_to_dict
 from .solver import SolverOptions, project_point, triangulate
 
 
 class CliInputError(Exception):
     """Malformed file contents or command arguments (exit code 2)."""
-
-
-def _fmt17(x) -> str:
-    return format(float(x), ".17g")
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -77,9 +73,12 @@ def _load_rig(path: str):
 
 def _load_vector(path: str, field: str, length: int | None = None):
     data = _load_json(path)
-    if field not in data:
-        raise CliInputError(f'{path}: missing "{field}" field')
-    vec = np.asarray(data[field], dtype=float)
+    if not isinstance(data, dict) or field not in data:
+        raise CliInputError(f'{path}: expected a JSON object with a "{field}" field')
+    try:
+        vec = np.asarray(data[field], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise CliInputError(f'{path}: "{field}" must be a list of numbers: {exc}') from exc
     if vec.ndim != 1 or (length is not None and vec.shape != (length,)):
         want = f"({length},)" if length is not None else "a flat list"
         raise CliInputError(f'{path}: "{field}" must be {want}, got shape {vec.shape}')
@@ -158,13 +157,8 @@ def cmd_gen_rig(args) -> int:
         seed=args.seed,
         focal=args.focal,
     )
-    rig = gen_rig(spec)
-    rows = []
-    for cam in rig.cameras:
-        nums = ", ".join(_fmt17(v) for v in cam.matrix.reshape(-1))
-        rows.append(f"    [{nums}]")
-    text = '{\n  "cameras": [\n' + ",\n".join(rows) + "\n  ]\n}\n"
-    _atomic_write(args.out, text)
+    # shortest repr per float: the load round trip is bit-exact
+    _atomic_write(args.out, json.dumps(rig_to_dict(gen_rig(spec))) + "\n")
     print(f"wrote {args.out} ({spec.k} cameras)", file=sys.stderr)
     return 0
 
@@ -270,14 +264,6 @@ def cmd_project(args) -> int:
     payload = _result_dict(result, "u")
     payload["x"] = [float(v) for v in param(result.u_star)]
     _emit_json(payload, args.out)
-    return 0
-
-
-def cmd_triangulate(args) -> int:
-    rig = _load_rig(args.rig)
-    a = _load_vector(args.corr, "x", 2 * rig.r)
-    result = triangulate(rig, a, opts=_solver_options(args), minimal_init=args.minimal_init)
-    _emit_json(_result_dict(result, "y"), args.out)
     return 0
 
 
@@ -501,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--minimal-init", action="store_true")
     p.add_argument("--out")
     _add_solver_args(p)
-    p.set_defaults(func=cmd_triangulate)
+    p.set_defaults(func=cmd_project, manifold=None)
 
     p = sub.add_parser("sweep", help="condition-number sweep along a normal ray")
     p.add_argument("--rig", required=True)
@@ -551,10 +537,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_merge_grid_token(argv))
     try:
         return args.func(args)
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, csv.Error, UnicodeDecodeError, NonFinite) as exc:
+    except (CliInputError, OSError, json.JSONDecodeError, csv.Error, UnicodeDecodeError,
+            NonFinite) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RiemcondError as exc:

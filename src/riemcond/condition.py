@@ -108,29 +108,23 @@ def kappa_cpp_curvatures(c, eta_norm: float, sing_tol: float = SING_TOL) -> floa
     max_i 1 / |1 - c_i ||eta|||; infinity when some factor vanishes.
     With no curvature data (eta = 0 convention) the value is 1.
     """
-    c = np.asarray(c, dtype=float)
-    if c.size == 0:
-        return 1.0
-    d = np.abs(1.0 - c * float(eta_norm))
-    if d.min() <= sing_tol:
-        return np.inf
-    return float(1.0 / d.min())
+    return kappa_bounds(1.0, c, eta_norm, sing_tol)[1]
 
 
 def kappa_gcpp(pd: ProblemDerivative, H, sing_tol: float = SING_TOL) -> ConditionReport:
-    """Condition number ||A H^{-1}||_G of a generalized critical point."""
+    """Condition number ||A H^{-1}||_G of a generalized critical point.
+
+    H's spectrum and the ill-posed verdict are those of kappa_cpp(H).
+    """
     H = np.atleast_2d(np.asarray(H, dtype=float))
-    evals = scipy.linalg.eigvalsh(H)
-    sigma = np.abs(evals)
-    sigma_min, sigma_max = float(sigma.min()), float(sigma.max())
-    components = {"sigma_min_H": sigma_min, "sigma_max_H": sigma_max}
-    if sigma_min <= sing_tol * max(1.0, sigma_max):
-        return ConditionReport(kappa=np.inf, ill_posed=True, components=components)
+    base = kappa_cpp(H, sing_tol=sing_tol)
+    if base.ill_posed:
+        return base
     M = scipy.linalg.solve(H, pd.A.T, assume_a="sym").T  # A H^{-1}
     sigma1, v = spectral_norm_metric(M, pd.output_metric)
-    components["sigma1_AHinv"] = sigma1
+    base.components["sigma1_AHinv"] = sigma1
     return ConditionReport(
-        kappa=sigma1, ill_posed=False, worst_input_direction=v, components=components
+        kappa=sigma1, ill_posed=False, worst_input_direction=v, components=base.components
     )
 
 
@@ -138,14 +132,16 @@ def kappa_bounds(kappa_S: float, c, eta_norm: float, sing_tol: float = SING_TOL)
     """Curvature sandwich around the generalized condition number.
 
     (kappa_S / max_i |1 - c_i ||eta|||, kappa_S / min_i |1 - c_i ||eta|||);
-    both collapse to kappa_S on the manifold (eta = 0).
+    both collapse to kappa_S on the manifold (eta = 0). A factor at most
+    sing_tol gives infinity; NaN input propagates as NaN.
     """
     c = np.asarray(c, dtype=float)
     if c.size == 0:
         return float(kappa_S), float(kappa_S)
     d = np.abs(1.0 - c * float(eta_norm))
-    lo = float(kappa_S) / float(d.max()) if d.max() > sing_tol else np.inf
-    hi = float(kappa_S) / float(d.min()) if d.min() > sing_tol else np.inf
+    d_max, d_min = float(d.max()), float(d.min())
+    lo = np.inf if d_max <= sing_tol else float(kappa_S) / d_max
+    hi = np.inf if d_min <= sing_tol else float(kappa_S) / d_min
     return lo, hi
 
 
@@ -156,13 +152,12 @@ def kappa_relative(kappa_abs: float, x_norm: float, y_norm: float) -> float:
     return float(kappa_abs) * float(x_norm) / float(y_norm)
 
 
-def ill_posedness_certificate(c, eta_norm: float = 0.0, merge_tol: float = 1e-9):
+def ill_posedness_certificate(c, merge_tol: float = 1e-9):
     """Signed offsets t along the unit normal ray where the problem is ill-posed.
 
     These are {1/c_i : c_i != 0}, the normal multiples whose length equals
-    a critical radius; independent of the current offset eta_norm, which
-    is accepted for signature uniformity with the other kappa operations.
-    Offsets equal up to merge_tol (relative) are reported once, sorted.
+    a critical radius. Offsets equal up to merge_tol (relative) are
+    reported once, sorted.
     """
     c = np.asarray(c, dtype=float)
     nz = c[c != 0.0]
@@ -187,7 +182,7 @@ def kappa_cpp_from_weingarten(wd: WeingartenData, sing_tol: float = SING_TOL) ->
     itself since A = I for the plain critical-point problem.
     """
     report = kappa_cpp(wd.H, sing_tol=sing_tol)
-    kappa_curv = kappa_cpp_curvatures(wd.curvatures, wd.eta_norm, sing_tol=sing_tol)
+    lo, kappa_curv = kappa_bounds(1.0, wd.curvatures, wd.eta_norm, sing_tol=sing_tol)
     report.components["kappa_curvatures"] = kappa_curv
     both_finite = np.isfinite(report.kappa) and np.isfinite(kappa_curv)
     if both_finite:
@@ -197,9 +192,7 @@ def kappa_cpp_from_weingarten(wd: WeingartenData, sing_tol: float = SING_TOL) ->
                 f"sigma-based and curvature-based kappa disagree by {disc:.3e}",
                 stacklevel=2,
             )
-        report.bounds_lo, report.bounds_hi = kappa_bounds(
-            1.0, wd.curvatures, wd.eta_norm, sing_tol=sing_tol
-        )
+        report.bounds_lo, report.bounds_hi = lo, kappa_curv
     elif report.ill_posed != (not np.isfinite(kappa_curv)):
         warnings.warn("sigma-based and curvature-based ill-posedness verdicts differ", stacklevel=2)
     return report

@@ -103,11 +103,6 @@ def weingarten_data(param: Parametrization, u, eta, **kwargs) -> WeingartenData:
     return WeingartenData(S_hat=S_hat, S=S, H=np.eye(m) - S, curvatures=curv, eta_norm=eta_norm)
 
 
-def hessian_H(wd: WeingartenData):
-    """Riemannian Hessian of the half-squared distance: I - S."""
-    return np.eye(wd.S.shape[0]) - wd.S
-
-
 def principal_curvatures(wd: WeingartenData):
     """Eigenvalues of S / ||eta||, ascending. Undefined (raises) for eta = 0."""
     if wd.eta_norm == 0.0:

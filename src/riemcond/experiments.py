@@ -15,6 +15,7 @@ import numpy as np
 import scipy.linalg
 import scipy.signal
 
+from .condition import ill_posedness_certificate
 from .errors import EmptyInput, InvalidGeometry, RiemcondError
 from .linalg import compact_qr
 from .multiview import (
@@ -228,15 +229,14 @@ def ratio_stats(records: Sequence[SweepRecord]):
 def singular_offsets_rel(rig: CameraRig, y, eta):
     """Signed grid offsets t_rel where the sweep along eta is ill-posed.
 
-    These are 1 / (c_i ||x||) over the nonzero eigenvalues c_i of the
-    Weingarten map in the unit direction eta.
+    These are the ill-posedness certificate's offsets 1 / c_i over the
+    nonzero eigenvalues c_i of the Weingarten map in the unit direction
+    eta, in units of ||x||.
     """
     y = np.asarray(y, dtype=float)
     x_norm = float(np.linalg.norm(mv_project(rig, y)))
     _, _, _, S_unit = mv_weingarten(rig, y, np.asarray(eta, dtype=float))
-    c = scipy.linalg.eigvalsh(S_unit)
-    nz = c[c != 0.0]
-    return np.unique(1.0 / (nz * x_norm))
+    return ill_posedness_certificate(scipy.linalg.eigvalsh(S_unit)) / x_norm
 
 
 def detect_dips(sigma3: Sequence[float], prominence_decades: float = 0.4):

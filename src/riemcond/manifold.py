@@ -94,12 +94,11 @@ class TangentFrame:
     """Orthonormal tangent frame Q and triangular bookkeeping factor R.
 
     Q R equals the Jacobian of the parametrization at the base parameter;
-    columns of Q span the tangent space at base_point.
+    columns of Q span the tangent space at phi(u).
     """
 
     Q: np.ndarray  # n x m, orthonormal columns
     R: np.ndarray  # m x m, upper triangular, diag > 0
-    base_point: np.ndarray  # phi(u) in R^n
 
 
 def tangent_frame(param: Parametrization, u, rank_tol: float = RANK_TOL) -> TangentFrame:
@@ -119,7 +118,7 @@ def tangent_frame(param: Parametrization, u, rank_tol: float = RANK_TOL) -> Tang
         raise RankDeficient(
             f"Jacobian rank-deficient at u={u}: singular values {s[-1]:.3e}..{s[0]:.3e}"
         )
-    return TangentFrame(Q=Q, R=R, base_point=param(u))
+    return TangentFrame(Q=Q, R=R)
 
 
 def project_tangent(frame: TangentFrame, v):

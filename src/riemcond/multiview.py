@@ -142,11 +142,14 @@ def rig_from_dict(data: dict) -> CameraRig:
     """Parse the rig wire format; structural problems raise ValueError,
     geometric ones (rank-deficient cameras, coincident centers) raise
     InvalidGeometry."""
-    if "cameras" not in data:
-        raise ValueError('rig object must have a "cameras" field')
+    if not isinstance(data, dict) or not isinstance(data.get("cameras"), list):
+        raise ValueError('rig must be a JSON object whose "cameras" field is a list')
     cams = []
     for i, row in enumerate(data["cameras"]):
-        flat = np.asarray(row, dtype=float)
+        try:
+            flat = np.asarray(row, dtype=float)
+        except TypeError as exc:
+            raise ValueError(f"cameras[{i}] must hold numbers: {exc}") from exc
         if flat.shape != (12,):
             raise ValueError(f"cameras[{i}] must hold 12 numbers, got shape {flat.shape}")
         cams.append(Camera.from_matrix(flat.reshape(3, 4)))
@@ -291,7 +294,7 @@ def mv_weingarten(rig: CameraRig, y, eta):
     return Q, R, S_hat, weingarten(S_hat, R)
 
 
-def kappa_from_factors(R, S, sing_tol: float = SING_TOL, sigma_R=None):
+def kappa_from_factors(R, S, sigma_R, sing_tol: float = SING_TOL):
     """kappa = 1 / sigma_3((I - S) R) plus the worst tangent direction.
 
     Returns (kappa, ill_posed, u, singular_values) where u is the third
@@ -299,10 +302,8 @@ def kappa_from_factors(R, S, sing_tol: float = SING_TOL, sigma_R=None):
     worst ambient perturbation. The zero threshold is taken relative to
     the larger of sigma_1((I - S) R) and sigma_1(R) so that I - S ~ 0
     (all directions focal at once) is detected as ill-posed too.
-    sigma_R, the singular values of R, is computed when not given.
+    sigma_R holds the singular values of R, descending.
     """
-    if sigma_R is None:
-        sigma_R = scipy.linalg.svdvals(R)
     M = (np.eye(3) - S) @ R
     U, s, _ = scipy.linalg.svd(M)
     scale = max(float(s[0]), float(sigma_R[0]))
@@ -317,7 +318,7 @@ def _condition_report(R, S, eta_norm: float, sing_tol: float = SING_TOL) -> Cond
     Shared by mv_kappa and the sweep/validation rows; svdvals(R) is taken once.
     """
     sR = scipy.linalg.svdvals(R)
-    kappa, ill, u, s = kappa_from_factors(R, S, sing_tol, sigma_R=sR)
+    kappa, ill, u, s = kappa_from_factors(R, S, sR, sing_tol)
     kappa_S = np.inf if sR[2] <= sing_tol * sR[0] else 1.0 / float(sR[2])
     if eta_norm > 0:
         curv = np.sort(scipy.linalg.eigvalsh(S)) / eta_norm

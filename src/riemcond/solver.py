@@ -8,7 +8,6 @@ refining a linear triangulation against the reprojection residual.
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,22 +24,25 @@ from .multiview import (
     triangulate_linear,
 )
 
+# Fixed damping schedule of the LM iteration: start, factor on a rejected
+# step, factor on an accepted step.
+INITIAL_DAMPING = 1e-3
+DAMPING_UP = 10.0
+DAMPING_DOWN = 0.1
+
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs of the damped least-squares iteration."""
+    """Stopping rules of the damped least-squares iteration."""
 
     max_iters: int = 200
     grad_tol: float = 1e-12
     step_tol: float = 1e-14
-    initial_damping: float = 1e-3
-    damping_up: float = 10.0
-    damping_down: float = 0.1
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise InvalidGeometry("max_iters must be at least 1")
-        for name in ("grad_tol", "step_tol", "initial_damping", "damping_up", "damping_down"):
+        for name in ("grad_tol", "step_tol"):
             if getattr(self, name) <= 0:
                 raise InvalidGeometry(f"{name} must be positive")
 
@@ -60,25 +62,6 @@ class SolveResult:
     status: Status
     iterations: int
     first_order_norm: float
-
-
-def _check_jacobian(residual, jacobian_value, u, step=1e-5, rel_tol=1e-5):
-    """Diagnostic comparison of the supplied Jacobian against central FD."""
-    u = np.asarray(u, dtype=float)
-    m = u.size
-    cols = []
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = step
-        cols.append((residual(u + e) - residual(u - e)) / (2.0 * step))
-    J_fd = np.column_stack(cols)
-    scale = max(1.0, float(np.linalg.norm(jacobian_value)))
-    rel = float(np.linalg.norm(jacobian_value - J_fd)) / scale
-    if rel > rel_tol:
-        warnings.warn(
-            f"supplied jacobian deviates from finite differences by {rel:.3e} (relative)",
-            stacklevel=3,
-        )
 
 
 def lm_minimize(
@@ -105,9 +88,8 @@ def lm_minimize(
     u = np.array(u0, dtype=float)
     r = np.asarray(residual(u), dtype=float)
     J = np.asarray(jacobian(u), dtype=float)
-    _check_jacobian(residual, J, u)
 
-    lam = opts.initial_damping
+    lam = INITIAL_DAMPING
     iterations = 0
     status = Status.MaxIters
     for _ in range(opts.max_iters):
@@ -131,7 +113,7 @@ def lm_minimize(
                     raise DomainEscape(
                         f"iterates left the admissible domain near u={u_try}"
                     )
-                lam *= opts.damping_up
+                lam *= DAMPING_UP
                 continue
             r_try = np.asarray(residual(u_try), dtype=float)
             # predicted reduction of 0.5||r||^2 under the damped model
@@ -140,13 +122,13 @@ def lm_minimize(
             if np.linalg.norm(r_try) < np.linalg.norm(r) and actual >= 0.25 * predicted:
                 u, r = u_try, r_try
                 J = np.asarray(jacobian(u), dtype=float)
-                lam *= opts.damping_down
+                lam *= DAMPING_DOWN
                 iterations += 1
                 accepted = True
                 if callback is not None:
                     callback(u, float(np.linalg.norm(r)))
             else:
-                lam *= opts.damping_up
+                lam *= DAMPING_UP
                 if lam > 1e18:
                     status = Status.Stalled
                     break

@@ -76,6 +76,7 @@ def test_triangulate_and_project(rig_file, tmp_path):
     payload = json.loads(out.read_text())
     np.testing.assert_allclose(payload["y"], y, atol=1e-8)
     assert payload["status"] == "Converged"
+    np.testing.assert_allclose(payload["x"], x, atol=1e-8)
 
     out2 = tmp_path / "proj.json"
     assert main(["project", "--rig", str(rig_file), "--corr", str(corr),
@@ -178,6 +179,27 @@ def test_point_file_field_errors(tmp_path, rig_file):
     wrong = tmp_path / "wrong.json"
     wrong.write_text(json.dumps({"z": [1, 2, 3]}))
     assert main(["kappa", "--rig", str(rig_file), "--point", str(wrong)]) == 2
+
+
+_BAD_RIGS = ['42', '[1, 2]', '{"cameras": 5}', '{"cameras": [{"a": 1}]}', '{"cameras": ["abc"]}']
+_BAD_VECTORS = ['42', '"abc"', '{"F": "abc"}', '{"F": [[1, 2], [3]]}', '{"F": {"a": 1}}']
+
+
+@pytest.mark.parametrize("option, payload", [("--rig", p) for p in _BAD_RIGS]
+                         + [("--point", p.replace("F", "y")) for p in _BAD_VECTORS]
+                         + [("--corr", p.replace("F", "x")) for p in _BAD_VECTORS])
+def test_malformed_input_file_is_exit_2(option, payload, rig_file, point_file, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(payload)
+    if option == "--corr":
+        argv = ["triangulate", "--rig", str(rig_file), "--corr", str(bad)]
+    else:
+        files = {"--rig": rig_file, "--point": point_file, option: bad}
+        argv = ["sweep", "--rig", str(files["--rig"]), "--point", str(files["--point"]),
+                "--out", str(tmp_path / "s.csv")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_wrong_arity_correspondence_is_exit_2(rig_file, tmp_path):

@@ -59,6 +59,10 @@ def test_kappa_cpp_ill_posed_cases():
     assert rc.kappa_cpp_curvatures([1.0, 1.0], 1.0) == np.inf
 
 
+def test_kappa_bounds_propagate_nan():
+    assert all(np.isnan(rc.kappa_bounds(1.0, [np.nan], 1.0)))
+
+
 def test_kappa_cpp_curvatures_examples():
     assert rc.kappa_cpp_curvatures([2.0], 0.25) == pytest.approx(2.0, rel=1e-14)
     t = 0.7

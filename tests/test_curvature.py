@@ -64,11 +64,11 @@ def test_parabola_weingarten_scales_with_offset():
 
 def test_hessian_examples():
     wd0 = rc.weingarten_data(rc.graph2d(1.0), [0.0], [0.0, 0.0])
-    np.testing.assert_allclose(rc.hessian_H(wd0), np.eye(1), atol=1e-15)
+    np.testing.assert_allclose(wd0.H, np.eye(1), atol=1e-15)
     wd = rc.weingarten_data(rc.graph2d(1.0), [0.0], [0.0, 0.25])
-    np.testing.assert_allclose(rc.hessian_H(wd), [[0.5]], atol=1e-13)
+    np.testing.assert_allclose(wd.H, [[0.5]], atol=1e-13)
     wd_focal = rc.weingarten_data(rc.graph2d(1.0), [0.0], [0.0, 0.5])
-    np.testing.assert_allclose(rc.hessian_H(wd_focal), [[0.0]], atol=1e-13)
+    np.testing.assert_allclose(wd_focal.H, [[0.0]], atol=1e-13)
 
 
 def test_principal_curvatures_sphere_and_flat():

@@ -1,0 +1,84 @@
+"""Invariances of the triangulation condition number on random rigs.
+
+Each case draws a RigSpec rig, a world point in front of it and a scaled
+normal at its image, then checks that mv_kappa is unchanged (or scales
+as it must) when the world, the rig or the camera order is transformed
+in a way that leaves the image manifold's geometry intact.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import riemcond as rc
+
+REL_TOL = 1e-9
+KAPPA_MAX = 1e6
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def instances(draw, min_k=2):
+    """(rig, y, eta, kappa) with a finite, moderate kappa."""
+    spec = rc.RigSpec(
+        k=draw(st.integers(min_k, 8)),
+        radius=draw(st.floats(2.0, 10.0)),
+        arc_degrees=draw(st.floats(20.0, 120.0)),
+        seed=draw(st.integers(0, 2**16)),
+        focal=draw(st.floats(0.5, 2.0)),
+    )
+    rig = rc.gen_rig(spec)
+    y = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(3)])
+    assume(rc.mv_domain_check(rig, y))
+    x_norm = float(np.linalg.norm(rc.mv_project(rig, y)))
+    t_rel = draw(st.floats(-10.0, 10.0))
+    eta = t_rel * x_norm * rc.random_unit_normal(rig, y, draw(st.integers(0, 2**16)))
+    kappa = rc.mv_kappa(rig, y, eta).kappa
+    assume(np.isfinite(kappa) and kappa <= KAPPA_MAX)
+    return rig, y, eta, kappa
+
+
+def _transformed_rig(rig, T):
+    """Cameras P T: the rig that sees T^{-1} (y, 1) where the old one saw (y, 1)."""
+    return rc.CameraRig(cameras=tuple(rc.Camera.from_matrix(P @ T) for P in rig.P))
+
+
+def _rotation(seed):
+    Q, R = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+    Q = Q * np.sign(np.diag(R))
+    return Q if np.linalg.det(Q) > 0 else -Q
+
+
+@PROPERTY_SETTINGS
+@given(instances(), st.floats(0.1, 10.0))
+def test_world_scaling_scales_kappa(instance, s):
+    rig, y, eta, kappa = instance
+    scaled = _transformed_rig(rig, np.diag([1.0 / s, 1.0 / s, 1.0 / s, 1.0]))
+    kappa_s = rc.mv_kappa(scaled, s * y, eta).kappa
+    assert abs(kappa_s - s * kappa) <= REL_TOL * s * kappa
+
+
+@PROPERTY_SETTINGS
+@given(instances(), st.integers(0, 2**16), st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
+def test_rigid_motion_leaves_kappa_unchanged(instance, rot_seed, shift):
+    rig, y, eta, kappa = instance
+    Q, t = _rotation(rot_seed), np.array(shift)
+    # world points move by y -> Q y + t; the cameras move along with them
+    T = np.eye(4)
+    T[:3, :3] = Q.T
+    T[:3, 3] = -Q.T @ t
+    kappa_m = rc.mv_kappa(_transformed_rig(rig, T), Q @ y + t, eta).kappa
+    assert abs(kappa_m - kappa) <= REL_TOL * kappa
+
+
+@PROPERTY_SETTINGS
+@given(instances(min_k=4), st.randoms(use_true_random=False))
+def test_permuting_cameras_past_the_baseline_leaves_kappa_unchanged(instance, rnd):
+    rig, y, eta, kappa = instance
+    # the first two cameras define the baseline and stay in place
+    order = [0, 1] + rnd.sample(range(2, rig.r), rig.r - 2)
+    permuted = rc.CameraRig(cameras=tuple(rig.cameras[i] for i in order))
+    eta_p = eta.reshape(rig.r, 2)[order].reshape(-1)
+    kappa_p = rc.mv_kappa(permuted, y, eta_p).kappa
+    assert abs(kappa_p - kappa) <= REL_TOL * kappa

@@ -42,16 +42,6 @@ def test_descent_is_strictly_monotone():
     assert all(b < a for a, b in zip(history, history[1:]))
 
 
-def test_jacobian_check_warns_on_mismatch():
-    with pytest.warns(UserWarning, match="jacobian"):
-        rc.lm_minimize(
-            lambda u: np.array([u[0] ** 2 - 1.0]),
-            lambda u: np.array([[5.0]]),  # wrong: should be 2u
-            np.array([2.0]),
-            opts=rc.SolverOptions(max_iters=3),
-        )
-
-
 def test_domain_escape_after_retries():
     with pytest.raises(rc.DomainEscape):
         rc.lm_minimize(

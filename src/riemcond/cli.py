@@ -85,13 +85,13 @@ def _load_vector(path: str, field: str, length: int | None = None):
     return vec
 
 
-def _parse_inline_vector(text: str, name: str):
+def _parse_inline_vector(text: str, name: str, length: int):
     try:
         vec = np.asarray(json.loads(text), dtype=float)
     except (json.JSONDecodeError, TypeError, ValueError) as exc:
         raise CliInputError(f"{name}: expected a JSON list of numbers, got {text!r}") from exc
-    if vec.ndim != 1:
-        raise CliInputError(f"{name}: expected a flat list of numbers")
+    if vec.shape != (length,):
+        raise CliInputError(f"{name}: expected a list of {length} numbers, got shape {vec.shape}")
     return vec
 
 
@@ -180,6 +180,8 @@ def cmd_kappa(args) -> int:
     if bool(args.rig) == bool(args.manifold):
         raise CliInputError("kappa needs exactly one of --rig or --manifold")
     if args.rig:
+        if args.point is None:
+            raise CliInputError("kappa --rig needs --point (world-point JSON file)")
         rig = _load_rig(args.rig)
         y = _load_vector(args.point, "y", 3)
         x = mv_project(rig, y)
@@ -214,7 +216,7 @@ def cmd_kappa(args) -> int:
     param = _builtin_from_args(args)
     if args.u is None:
         raise CliInputError("kappa --manifold needs --u (chart coordinates)")
-    u = _parse_inline_vector(args.u, "--u")
+    u = _parse_inline_vector(args.u, "--u", param.intrinsic_dim)
     frame = tangent_frame(param, u)
     if param.ambient_dim - param.intrinsic_dim != 1:
         raise CliInputError(
@@ -248,6 +250,8 @@ def cmd_project(args) -> int:
         raise CliInputError("project needs exactly one of --rig or --manifold")
     opts = _solver_options(args)
     if args.rig:
+        if args.corr is None:
+            raise CliInputError("project --rig needs --corr (correspondence JSON file)")
         rig = _load_rig(args.rig)
         a = _load_vector(args.corr, "x", 2 * rig.r)
         result = triangulate(rig, a, opts=opts, minimal_init=args.minimal_init)
@@ -258,8 +262,8 @@ def cmd_project(args) -> int:
     param = _builtin_from_args(args)
     if args.ambient is None or args.u0 is None:
         raise CliInputError("project --manifold needs --ambient and --u0")
-    a = _parse_inline_vector(args.ambient, "--ambient")
-    u0 = _parse_inline_vector(args.u0, "--u0")
+    a = _parse_inline_vector(args.ambient, "--ambient", param.ambient_dim)
+    u0 = _parse_inline_vector(args.u0, "--u0", param.intrinsic_dim)
     result = project_point(param, a, u0, opts=opts)
     payload = _result_dict(result, "u")
     payload["x"] = [float(v) for v in param(result.u_star)]

@@ -128,20 +128,25 @@ def kappa_gcpp(pd: ProblemDerivative, H, sing_tol: float = SING_TOL) -> Conditio
     )
 
 
-def kappa_bounds(kappa_S: float, c, eta_norm: float, sing_tol: float = SING_TOL):
+def kappa_bounds(kappa_S: float, c, eta_norm, sing_tol: float = SING_TOL):
     """Curvature sandwich around the generalized condition number.
 
     (kappa_S / max_i |1 - c_i ||eta|||, kappa_S / min_i |1 - c_i ||eta|||);
     both collapse to kappa_S on the manifold (eta = 0). A factor at most
-    sing_tol gives infinity; NaN input propagates as NaN.
+    sing_tol gives infinity; NaN input propagates as NaN. c may also be a
+    stack (N, m) of curvature rows with eta_norm (N,); lo and hi are then
+    (N,) arrays.
     """
     c = np.asarray(c, dtype=float)
-    if c.size == 0:
+    if c.ndim < 2 and c.size == 0:
         return float(kappa_S), float(kappa_S)
-    d = np.abs(1.0 - c * float(eta_norm))
-    d_max, d_min = float(d.max()), float(d.min())
-    lo = np.inf if d_max <= sing_tol else float(kappa_S) / d_max
-    hi = np.inf if d_min <= sing_tol else float(kappa_S) / d_min
+    d = np.abs(1.0 - c * np.asarray(eta_norm, dtype=float)[..., None])
+    d_max, d_min = d.max(axis=-1), d.min(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lo = np.where(d_max <= sing_tol, np.inf, kappa_S / d_max)
+        hi = np.where(d_min <= sing_tol, np.inf, kappa_S / d_min)
+    if c.ndim < 2:
+        return float(lo), float(hi)
     return lo, hi
 
 

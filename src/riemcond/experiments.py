@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
 import scipy.signal
 
 from .condition import ill_posedness_certificate
@@ -21,7 +20,8 @@ from .linalg import compact_qr
 from .multiview import (
     Camera,
     CameraRig,
-    _condition_report,
+    mv_condition,
+    mv_factors,
     mv_jacobian,
     mv_project,
     mv_weingarten,
@@ -138,35 +138,37 @@ def log_grid(lo: float, hi: float, count: int, two_sided: bool = True):
     return np.concatenate([-pos[::-1], pos])
 
 
-def _theory_record(rig, y, eta, t_rel, x_norm) -> tuple[SweepRecord, np.ndarray, np.ndarray]:
-    """Sweep record at offset t_rel plus the frame Q and worst direction u."""
-    eta_t = t_rel * x_norm * np.asarray(eta, dtype=float)
-    Q, R, _, S = mv_weingarten(rig, y, eta_t)
-    report = _condition_report(R, S, abs(t_rel) * x_norm)
-    rec = SweepRecord(
-        t_rel=float(t_rel),
-        kappa=float(report.kappa),
-        bounds=(float(report.bounds_lo), float(report.bounds_hi)),
-        sigma3=report.components["sigma3"],
-        ill_posed=report.ill_posed,
-    )
-    return rec, Q, report.worst_input_direction
+def _theory_rows(rig, y, eta, t_grid, x_norm):
+    """Sweep records over t_grid from one kernel call, the frame Q, and the
+    worst direction of every row (None for error rows).
+
+    Row n uses the normal t_n ||x|| eta; an error of y applies to every row,
+    an error of one row to that row alone.
+    """
+    t = np.asarray(t_grid, dtype=float)
+    try:
+        factors = mv_factors(rig, y, np.multiply.outer(t * x_norm, np.asarray(eta, dtype=float)))
+        good = [n for n, err in enumerate(factors.errors) if err is None]
+        cond = mv_condition(factors.R, factors.S[good], np.abs(t[good]) * x_norm)
+    except RiemcondError as exc:
+        return [_error_record(t_rel, exc) for t_rel in t], None, [None] * len(t)
+    records = [None if err is None else _error_record(t_rel, err)
+               for t_rel, err in zip(t, factors.errors)]
+    worst = [None] * len(t)
+    rows = zip(good, cond.kappa.tolist(), cond.bounds_lo.tolist(), cond.bounds_hi.tolist(),
+               cond.sigma[:, 2].tolist(), cond.ill_posed.tolist(), cond.worst)
+    for n, kappa, lo, hi, sigma3, ill, u in rows:
+        records[n] = SweepRecord(t_rel=float(t[n]), kappa=kappa, bounds=(lo, hi),
+                                 sigma3=sigma3, ill_posed=ill)
+        worst[n] = u
+    return records, factors.Q, worst
 
 
 def experiment_sweep(rig: CameraRig, y, eta, t_grid: Sequence[float]):
     """Theoretical condition numbers along a(t) = x + t ||x|| eta over t_grid."""
     y = np.asarray(y, dtype=float)
-    x = mv_project(rig, y)
-    x_norm = float(np.linalg.norm(x))
-
-    def one(t_rel):
-        try:
-            rec, _, _ = _theory_record(rig, y, eta, t_rel, x_norm)
-        except RiemcondError as exc:
-            return _error_record(t_rel, exc)
-        return rec
-
-    return [one(t) for t in t_grid]
+    x_norm = float(np.linalg.norm(mv_project(rig, y)))
+    return _theory_rows(rig, y, eta, t_grid, x_norm)[0]
 
 
 def experiment_validate(
@@ -188,18 +190,20 @@ def experiment_validate(
     x = mv_project(rig, y)
     x_norm = float(np.linalg.norm(x))
     eta = np.asarray(eta, dtype=float)
-
-    def one(t_rel):
+    records, Q, worst = _theory_rows(rig, y, eta, t_grid, x_norm)
+    for n, (rec, u) in enumerate(zip(records, worst)):
+        if rec.error is not None:
+            continue
+        if not np.isfinite(rec.kappa):
+            rec.flagged = True
+            continue
         try:
-            rec, Q, u = _theory_record(rig, y, eta, t_rel, x_norm)
-            if not np.isfinite(rec.kappa):
-                rec.flagged = True
-                return rec
-            a = x + t_rel * x_norm * eta
+            a = x + rec.t_rel * x_norm * eta
             E = perturb_rel * np.linalg.norm(a) * (Q @ u)
             result = triangulate(rig, a + E, opts=opts, warm_start=y)
         except RiemcondError as exc:
-            return _error_record(t_rel, exc)
+            records[n] = _error_record(rec.t_rel, exc)
+            continue
         displacement = float(np.linalg.norm(result.u_star - y))
         E_norm = float(np.linalg.norm(E))
         rec.kappa_est = displacement / E_norm
@@ -207,9 +211,7 @@ def experiment_validate(
         rec.flagged = (
             displacement > BASIN_ESCAPE_FACTOR * rec.kappa * E_norm or not np.isfinite(rec.ratio)
         )
-        return rec
-
-    return [one(t) for t in t_grid]
+    return records
 
 
 def ratio_stats(records: Sequence[SweepRecord]):
@@ -235,8 +237,8 @@ def singular_offsets_rel(rig: CameraRig, y, eta):
     """
     y = np.asarray(y, dtype=float)
     x_norm = float(np.linalg.norm(mv_project(rig, y)))
-    _, _, _, S_unit = mv_weingarten(rig, y, np.asarray(eta, dtype=float))
-    return ill_posedness_certificate(scipy.linalg.eigvalsh(S_unit)) / x_norm
+    S_unit = mv_weingarten(rig, y, eta)[3]
+    return ill_posedness_certificate(np.linalg.eigvalsh(S_unit)) / x_norm
 
 
 def detect_dips(sigma3: Sequence[float], prominence_decades: float = 0.4):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -182,10 +182,14 @@ def _finite(v) -> bool:
     return all(map(math.isfinite, v.ravel().tolist()))
 
 
+def _non_finite(v, what: str) -> NonFinite:
+    bad = np.flatnonzero(~np.isfinite(v)).tolist()
+    return NonFinite(f"{what} {v} is not finite (entries {bad})")
+
+
 def _require_finite(v, what: str):
     if not _finite(v):
-        bad = np.flatnonzero(~np.isfinite(v)).tolist()
-        raise NonFinite(f"{what} {v} is not finite (entries {bad})")
+        raise _non_finite(v, what)
 
 
 def mv_domain_check(rig: CameraRig, y, dom_tol: float = DOM_TOL) -> bool:
@@ -251,31 +255,74 @@ def triangulate_linear(rig: CameraRig, x, minimal: bool = False):
     return h[:3] / h[3]
 
 
-def _frame_and_hat(rig: CameraRig, y, eta, normality_tol: float):
-    """Q, R of the Jacobian at y and the closed-form S_hat, once eta is checked normal."""
-    y = np.asarray(y, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    Q, R = compact_qr(mv_jacobian(rig, y))
-    if eta.shape != (2 * rig.r,):
-        raise NotNormal(f"eta must have length {2 * rig.r}, got {eta.shape}")
-    _require_finite(eta, "normal vector eta")
-    nrm = np.linalg.norm(eta)
-    if nrm > 0:
-        tangential = np.linalg.norm(Q.T @ eta)
-        if tangential > normality_tol * nrm:
-            raise NotNormal(
-                f"eta has tangential component {tangential:.3e} (norm {nrm:.3e})"
-            )
+class MultiviewFactors(NamedTuple):
+    """Frame at one world point and the Weingarten maps of a stack of normals.
+
+    Q (2r, 3) and R (3, 3) are the compact QR of the Jacobian at y, taken
+    once. S_hat (N, 3, 3) holds each normal's second fundamental form in
+    frame coordinates and S (N, 3, 3) its Weingarten map in the orthonormal
+    frame. errors[n] is the error of row n (NonFinite or NotNormal) or None;
+    the S_hat and S of a failed row are NaN.
+    """
+
+    Q: np.ndarray
+    R: np.ndarray
+    S_hat: np.ndarray
+    S: np.ndarray
+    errors: tuple
+
+
+def _stacked_hat(rig: CameraRig, y, E):
+    """Closed-form S_hat (N, 3, 3) for every row of the normal stack E (N, 2r)."""
     a = alphas(rig, y)
-    eta_l = eta.reshape(rig.r, 2)
-    beta = np.einsum("lk,lk->l", eta_l, _numerators(rig, y))
-    g = np.einsum("lki,lk->li", rig.A, eta_l)
+    eta_l = E.reshape(len(E), rig.r, 2)
+    beta = np.einsum("nlk,lk->nl", eta_l, _numerators(rig, y))
+    g = np.einsum("lki,nlk->nli", rig.A, eta_l)
     cc = rig.c[:, :, None] * rig.c[:, None, :]
-    cg = rig.c[:, :, None] * g[:, None, :]
+    cg = rig.c[:, :, None] * g[:, :, None, :]
     # each term is symmetric bitwise, so the sums over cameras are too
-    S_hat = (np.einsum("l,lij->ij", 2.0 * beta / a**3, cc)
-             - np.einsum("l,lij->ij", 1.0 / a**2, cg + cg.transpose(0, 2, 1)))
-    return Q, R, S_hat
+    return (np.einsum("nl,lij->nij", 2.0 * beta / a**3, cc)
+            - np.einsum("l,nlij->nij", 1.0 / a**2, cg + cg.transpose(0, 1, 3, 2)))
+
+
+def mv_factors(rig: CameraRig, y, E, normality_tol: float = NORMALITY_TOL) -> MultiviewFactors:
+    """Frame at y once, then S_hat and S for every normal in the stack E (N, 2r).
+
+    Errors of y itself (OutsideDomain, NonFinite, SingularR) and a stack
+    whose rows are not 2r long raise. A row that is not finite or not
+    normal is recorded in errors instead, and the other rows come out as
+    if it were absent.
+    """
+    y = np.asarray(y, dtype=float)
+    E = np.asarray(E, dtype=float)
+    Q, R = compact_qr(mv_jacobian(rig, y))
+    if E.ndim != 2 or E.shape[1] != 2 * rig.r:
+        raise NotNormal(f"eta must have length {2 * rig.r}, got rows of shape {E.shape[1:]}")
+    finite = np.isfinite(E).all(axis=1)
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite rows are reported below
+        nrm = np.linalg.norm(E, axis=1)
+        tangential = np.linalg.norm(E @ Q, axis=1)
+    ok = finite & ~(tangential > normality_tol * nrm)
+    if ok.all():
+        S_hat = _stacked_hat(rig, y, E)
+        return MultiviewFactors(Q, R, S_hat, weingarten(S_hat, R), (None,) * len(E))
+    errors = [None] * len(E)
+    for n in np.flatnonzero(~ok).tolist():
+        errors[n] = _non_finite(E[n], "normal vector eta") if not finite[n] else NotNormal(
+            f"eta has tangential component {tangential[n]:.3e} (norm {nrm[n]:.3e})")
+    S_hat = np.full((len(E), 3, 3), np.nan)
+    S = S_hat.copy()
+    S_hat[ok] = _stacked_hat(rig, y, E[ok])
+    S[ok] = weingarten(S_hat[ok], R)
+    return MultiviewFactors(Q, R, S_hat, S, tuple(errors))
+
+
+def _one_row(rig: CameraRig, y, eta, normality_tol: float = NORMALITY_TOL) -> MultiviewFactors:
+    """mv_factors on the one-row stack [eta]; the row's error is raised."""
+    factors = mv_factors(rig, y, np.asarray(eta, dtype=float)[None], normality_tol)
+    if factors.errors[0] is not None:
+        raise factors.errors[0]
+    return factors
 
 
 def mv_weingarten_hat(rig: CameraRig, y, eta, normality_tol: float = NORMALITY_TOL):
@@ -285,13 +332,13 @@ def mv_weingarten_hat(rig: CameraRig, y, eta, normality_tol: float = NORMALITY_T
     2 (eta_l . (A_l y + b_l)) c_l c_l^T / alpha_l^3
     - (c_l (A_l^T eta_l)^T + (A_l^T eta_l) c_l^T) / alpha_l^2.
     """
-    return _frame_and_hat(rig, y, eta, normality_tol)[2]
+    return _one_row(rig, y, eta, normality_tol).S_hat[0]
 
 
 def mv_weingarten(rig: CameraRig, y, eta):
     """Frame and Weingarten map at mu(y): returns (Q, R, S_hat, S)."""
-    Q, R, S_hat = _frame_and_hat(rig, y, eta, NORMALITY_TOL)
-    return Q, R, S_hat, weingarten(S_hat, R)
+    Q, R, S_hat, S, _ = _one_row(rig, y, eta)
+    return Q, R, S_hat[0], S[0]
 
 
 def kappa_from_factors(R, S, sigma_R, sing_tol: float = SING_TOL):
@@ -302,43 +349,50 @@ def kappa_from_factors(R, S, sigma_R, sing_tol: float = SING_TOL):
     worst ambient perturbation. The zero threshold is taken relative to
     the larger of sigma_1((I - S) R) and sigma_1(R) so that I - S ~ 0
     (all directions focal at once) is detected as ill-posed too.
-    sigma_R holds the singular values of R, descending.
+    sigma_R holds the singular values of R, descending. S may be a stack
+    (N, 3, 3); every result then gains the leading axis N.
     """
-    M = (np.eye(3) - S) @ R
-    U, s, _ = scipy.linalg.svd(M)
-    scale = max(float(s[0]), float(sigma_R[0]))
-    ill = scale == 0.0 or s[2] <= sing_tol * scale
-    kappa = np.inf if ill else 1.0 / float(s[2])
-    return kappa, bool(ill), U[:, 2], s
+    U, s, _ = np.linalg.svd((np.eye(3) - S) @ R)
+    scale = np.maximum(s[..., 0], sigma_R[0])
+    ill = (scale == 0.0) | (s[..., 2] <= sing_tol * scale)
+    with np.errstate(divide="ignore"):
+        kappa = np.where(ill, np.inf, 1.0 / s[..., 2])
+    return kappa, ill, np.ascontiguousarray(U[..., :, 2]), s
 
 
-def _condition_report(R, S, eta_norm: float, sing_tol: float = SING_TOL) -> ConditionReport:
-    """kappa with its worst direction, sandwich bounds and sigma components.
+class ConditionRows(NamedTuple):
+    """Condition numbers of N critical pairs that share the frame factor R.
 
-    Shared by mv_kappa and the sweep/validation rows; svdvals(R) is taken once.
+    kappa, ill_posed, bounds_lo and bounds_hi are (N,); worst (N, 3) holds
+    the worst tangent directions and sigma (N, 3) the singular values of
+    (I - S) R; sigma_R and kappa_S = 1 / sigma_3(R) belong to R alone.
     """
-    sR = scipy.linalg.svdvals(R)
-    kappa, ill, u, s = kappa_from_factors(R, S, sR, sing_tol)
-    kappa_S = np.inf if sR[2] <= sing_tol * sR[0] else 1.0 / float(sR[2])
-    if eta_norm > 0:
-        curv = np.sort(scipy.linalg.eigvalsh(S)) / eta_norm
-    else:
-        curv = np.empty(0)
-    lo, hi = kappa_bounds(kappa_S, curv, eta_norm, sing_tol)
-    components = {
-        "sigma3": float(s[2]),
-        "sigma1": float(s[0]),
-        "sigma3_R": float(sR[2]),
-        "kappa_S": float(kappa_S),
-    }
-    return ConditionReport(
-        kappa=kappa,
-        ill_posed=ill,
-        worst_input_direction=None if ill else u,
-        bounds_lo=lo,
-        bounds_hi=hi,
-        components=components,
-    )
+
+    kappa: np.ndarray
+    ill_posed: np.ndarray
+    worst: np.ndarray
+    sigma: np.ndarray
+    sigma_R: np.ndarray
+    kappa_S: float
+    bounds_lo: np.ndarray
+    bounds_hi: np.ndarray
+
+
+def mv_condition(R, S, eta_norms, sing_tol: float = SING_TOL) -> ConditionRows:
+    """kappa, worst direction, sandwich bounds and sigmas for a stack S (N, 3, 3).
+
+    eta_norms (N,) are the lengths of the normals behind S; a zero length
+    collapses the bounds to kappa_S. Every small-matrix factorization is
+    one call on the whole stack.
+    """
+    sigma_R = np.linalg.svd(R, compute_uv=False)
+    kappa, ill, worst, s = kappa_from_factors(R, S, sigma_R, sing_tol)
+    kappa_S = np.inf if sigma_R[2] <= sing_tol * sigma_R[0] else 1.0 / float(sigma_R[2])
+    eta_norms = np.asarray(eta_norms, dtype=float)
+    # a zero normal has S = 0, so dividing by 1 gives the curvatures 0 and factors 1
+    curv = np.linalg.eigvalsh(S) / np.where(eta_norms > 0, eta_norms, 1.0)[:, None]
+    lo, hi = kappa_bounds(kappa_S, curv, eta_norms, sing_tol)
+    return ConditionRows(kappa, ill, worst, s, sigma_R, kappa_S, lo, hi)
 
 
 def mv_kappa(rig: CameraRig, y, eta, sing_tol: float = SING_TOL) -> ConditionReport:
@@ -348,8 +402,22 @@ def mv_kappa(rig: CameraRig, y, eta, sing_tol: float = SING_TOL) -> ConditionRep
     the frame Q at mu(y); the worst ambient perturbation is Q times it.
     """
     eta = np.asarray(eta, dtype=float)
-    _, R, _, S = mv_weingarten(rig, y, eta)
-    return _condition_report(R, S, float(np.linalg.norm(eta)), sing_tol)
+    factors = _one_row(rig, y, eta)
+    rows = mv_condition(factors.R, factors.S, [np.linalg.norm(eta)], sing_tol)
+    ill = bool(rows.ill_posed[0])
+    return ConditionReport(
+        kappa=float(rows.kappa[0]),
+        ill_posed=ill,
+        worst_input_direction=None if ill else rows.worst[0],
+        bounds_lo=float(rows.bounds_lo[0]),
+        bounds_hi=float(rows.bounds_hi[0]),
+        components={
+            "sigma3": float(rows.sigma[0, 2]),
+            "sigma1": float(rows.sigma[0, 0]),
+            "sigma3_R": float(rows.sigma_R[2]),
+            "kappa_S": rows.kappa_S,
+        },
+    )
 
 
 def as_parametrization(rig: CameraRig) -> Parametrization:

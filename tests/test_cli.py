@@ -258,3 +258,26 @@ def test_plot_renders_gaps_for_inf_and_flagged(tmp_path):
     text = out.read_text()
     # two interior gaps split the series into three segments
     assert text.count("<polyline") + text.count("<circle") == 3
+
+
+@pytest.mark.parametrize("command, option", [("kappa", "--point"), ("project", "--corr")])
+def test_rig_command_without_its_input_file_is_exit_2(command, option, rig_file, capsys):
+    capsys.readouterr()
+    assert main([command, "--rig", str(rig_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and option in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["kappa", "--manifold", "sphere", "--u", "[0.1]"], "--u"),
+    (["kappa", "--manifold", "sphere", "--u", "[0.1, 0.2, 0.3]"], "--u"),
+    (["project", "--manifold", "sphere", "--ambient", "[1, 2, 3]", "--u0", "[0.1]"], "--u0"),
+    (["project", "--manifold", "sphere", "--ambient", "[1, 2]", "--u0", "[0.1, 0.2]"], "--ambient"),
+    (["project", "--manifold", "sphere", "--ambient", "[[1, 2, 3]]", "--u0", "[0.1, 0.2]"],
+     "--ambient"),
+])
+def test_chart_vector_of_wrong_length_is_exit_2(argv, option, capsys):
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option}: ")

@@ -235,3 +235,23 @@ def test_validate_records_per_row_errors(monkeypatch):
     arith, geo, excluded = rc.ratio_stats(records)
     assert excluded == 1
 
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("protocol", ["sweep", "validate"])
+def test_bad_grid_row_is_its_own_error(protocol, bad):
+    run = rc.experiment_sweep if protocol == "sweep" else rc.experiment_validate
+    rig = _default_rig()
+    eta = rc.random_unit_normal(rig, DEFAULT_Y, 0)
+    records = run(rig, DEFAULT_Y, eta, [0.1, bad, 1.0, 0.0])
+    clean = run(rig, DEFAULT_Y, eta, [0.1, 1.0, 0.0])
+    assert [rec.error is None for rec in records] == [True, False, True, True]
+    failed = records[1]
+    assert failed.flagged and failed.error.startswith("NonFinite: ")
+    # the message shows this row's 2r-vector, not the whole stack of normals
+    assert failed.error.count(str(bad)) == 2 * rig.r
+    assert f"(entries {list(range(2 * rig.r))})" in failed.error
+    # the other rows are exactly what they are without the bad one
+    for got, want in zip(records[:1] + records[2:], clean):
+        assert vars(got) == vars(want)
+    assert all(rec.kappa_est is not None for rec in clean) == (protocol == "validate")

@@ -292,6 +292,27 @@ def test_non_finite_normal_is_typed():
     assert all(rec.flagged and "NonFinite" in rec.error for rec in records)
 
 
+def test_factors_record_row_errors_and_keep_other_rows():
+    rig = _generic_rig(k=4, seed=22)
+    y = np.array([0.1, 0.2, -0.1])
+    eta = _random_normal_at(rig, y, 0)
+    Q = rc.mv_weingarten(rig, y, eta)[0]
+    E = np.array([0.3 * eta, eta + Q[:, 0], np.full(8, np.nan), np.zeros(8), eta])
+    factors = rc.mv_factors(rig, y, E)
+    kinds = [type(err).__name__ if err is not None else None for err in factors.errors]
+    assert kinds == [None, "NotNormal", "NonFinite", None, None]
+    assert np.isnan(factors.S[1:3]).all() and np.isnan(factors.S_hat[1:3]).all()
+    for n in (0, 3, 4):
+        one = rc.mv_factors(rig, y, E[n:n + 1])
+        assert np.array_equal(factors.S[n], one.S[0])
+        assert np.array_equal(factors.S_hat[n], one.S_hat[0])
+    assert np.array_equal(factors.Q, Q)
+    with pytest.raises(rc.NotNormal, match="length 8"):
+        rc.mv_factors(rig, y, E[:, :6])
+    with pytest.raises(rc.OutsideDomain):
+        rc.mv_factors(rig, rig.baseline_point + 0.5 * rig.baseline_dir, E)
+
+
 def test_weingarten_hat_flat_cases():
     rig = _affine_rig()
     y = np.array([0.1, 0.2, 0.3])

@@ -3,7 +3,9 @@
 Each case draws a RigSpec rig, a world point in front of it and a scaled
 normal at its image, then checks that mv_kappa is unchanged (or scales
 as it must) when the world, the rig or the camera order is transformed
-in a way that leaves the image manifold's geometry intact.
+in a way that leaves the image manifold's geometry intact, that it
+reduces to 1 / sigma_3(R) on the manifold, and that the stacked kernel
+gives every row what a one-row call gives it.
 """
 
 import numpy as np
@@ -82,3 +84,38 @@ def test_permuting_cameras_past_the_baseline_leaves_kappa_unchanged(instance, rn
     eta_p = eta.reshape(rig.r, 2)[order].reshape(-1)
     kappa_p = rc.mv_kappa(permuted, y, eta_p).kappa
     assert abs(kappa_p - kappa) <= REL_TOL * kappa
+
+
+@PROPERTY_SETTINGS
+@given(instances())
+def test_kappa_at_zero_normal_is_inverse_sigma3_of_R(instance):
+    rig, y, _, _ = instance
+    sigma3 = np.linalg.svd(np.linalg.qr(rc.mv_jacobian(rig, y))[1], compute_uv=False)[2]
+    kappa0 = rc.mv_kappa(rig, y, np.zeros(2 * rig.r)).kappa
+    assert abs(kappa0 * sigma3 - 1.0) <= REL_TOL
+
+
+def _same(got, want, rel=1e-15):
+    return got == want or abs(got - want) <= rel * abs(want)
+
+
+@PROPERTY_SETTINGS
+@given(instances(), st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8),
+       st.integers(0, 2**16))
+def test_stacked_kernel_equals_one_row_calls(instance, t_rel, seed):
+    rig, y, eta, _ = instance
+    x_norm = float(np.linalg.norm(rc.mv_project(rig, y)))
+    unit = rc.random_unit_normal(rig, y, seed)
+    E = np.vstack([eta, np.multiply.outer(np.array(t_rel) * x_norm, unit)])
+    stack = rc.mv_factors(rig, y, E)
+    rows = rc.mv_condition(stack.R, stack.S, [np.linalg.norm(e) for e in E])
+    for n, e in enumerate(E):
+        one = rc.mv_factors(rig, y, e[None])
+        assert np.array_equal(stack.S[n], one.S[0])
+        assert np.array_equal(stack.S_hat[n], one.S_hat[0])
+        report = rc.mv_kappa(rig, y, e)
+        assert bool(rows.ill_posed[n]) == report.ill_posed
+        assert _same(rows.kappa[n], report.kappa)
+        assert _same(rows.sigma[n, 2], report.components["sigma3"])
+        assert _same(rows.bounds_lo[n], report.bounds_lo)
+        assert _same(rows.bounds_hi[n], report.bounds_hi)

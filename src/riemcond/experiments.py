@@ -26,7 +26,7 @@ from .multiview import (
     mv_project,
     mv_weingarten,
 )
-from .solver import SolverOptions, triangulate
+from .solver import SolverOptions, Status, _triangulate_rows
 
 # A validation row is a basin escape when the observed output displacement
 # exceeds the first-order prediction by this factor.
@@ -62,10 +62,11 @@ class SweepRecord:
     """One grid point of a sweep or validation run.
 
     t_rel is the signed offset in units of ||x||. kappa_est and ratio are
-    present only for validation rows; flagged marks basin escapes (or rows
-    whose theory value is not finite), which ratio_stats excludes. A
-    per-point failure is recorded in `error` (NaN numeric fields, flagged)
-    and the rest of the run continues.
+    present only for validation rows, as are status and iterations, the
+    solver's exit status and accepted steps for the row; flagged marks
+    basin escapes (or rows whose theory value is not finite), which
+    ratio_stats excludes. A per-point failure is recorded in `error` (NaN
+    numeric fields, flagged) and the rest of the run continues.
     """
 
     t_rel: float
@@ -77,6 +78,8 @@ class SweepRecord:
     ratio: Optional[float] = None
     flagged: bool = False
     error: Optional[str] = None
+    status: Optional[Status] = None
+    iterations: Optional[int] = None
 
 
 def _error_record(t_rel: float, exc: Exception) -> SweepRecord:
@@ -184,26 +187,33 @@ def experiment_validate(
     Per grid point: perturb a(t) by perturb_rel ||a(t)|| in the worst
     tangent direction, re-solve the triangulation warm-started at the
     unperturbed solution y, and record the observed amplification
-    kappa_est = ||y - y_est|| / ||E|| next to the theory value.
+    kappa_est = ||y - y_est|| / ||E|| next to the theory value. All rows
+    are solved in one stacked call, each exactly as triangulate would.
     """
     y = np.asarray(y, dtype=float)
     x = mv_project(rig, y)
     x_norm = float(np.linalg.norm(x))
     eta = np.asarray(eta, dtype=float)
     records, Q, worst = _theory_rows(rig, y, eta, t_grid, x_norm)
+    todo, perturbed, perturbations = [], [], []
     for n, (rec, u) in enumerate(zip(records, worst)):
         if rec.error is not None:
             continue
         if not np.isfinite(rec.kappa):
             rec.flagged = True
             continue
-        try:
-            a = x + rec.t_rel * x_norm * eta
-            E = perturb_rel * np.linalg.norm(a) * (Q @ u)
-            result = triangulate(rig, a + E, opts=opts, warm_start=y)
-        except RiemcondError as exc:
-            records[n] = _error_record(rec.t_rel, exc)
+        a = x + rec.t_rel * x_norm * eta
+        E = perturb_rel * np.linalg.norm(a) * (Q @ u)
+        todo.append(n)
+        perturbed.append(a + E)
+        perturbations.append(E)
+    results = _triangulate_rows(rig, perturbed, y, opts)
+    for n, E, result in zip(todo, perturbations, results):
+        rec = records[n]
+        if isinstance(result, RiemcondError):
+            records[n] = _error_record(rec.t_rel, result)
             continue
+        rec.status, rec.iterations = result.status, result.iterations
         displacement = float(np.linalg.norm(result.u_star - y))
         E_norm = float(np.linalg.norm(E))
         rec.kappa_est = displacement / E_norm

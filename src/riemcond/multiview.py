@@ -200,6 +200,43 @@ def mv_domain_check(rig: CameraRig, y, dom_tol: float = DOM_TOL) -> bool:
     return _baseline_distance(rig, y) > dom_tol
 
 
+def _domain_rows(rig: CameraRig, Y):
+    """Depths (M, r), numerators (M, r, 2) and mv_domain_check verdicts (M,) of
+    the points Y (M, 3), each point checked once.
+
+    The stacked twin of alphas, _numerators and mv_domain_check for the
+    stacked LM: one matmul per quantity runs the BLAS call of the one-point
+    `@` on every row, and the baseline distance is _baseline_distance's
+    Python-float expression, so every value is bit-identical to the
+    one-point path (a test pins it).
+    """
+    ok = np.isfinite(Y).all(axis=1)
+    if not ok.all():
+        Y = np.where(ok[:, None], Y, 0.0)  # such points fail; zeros keep the arithmetic quiet
+    col = Y[:, :, None]
+    a = (rig.c @ col)[:, :, 0] + rig.d
+    num = (rig.A.reshape(-1, 3) @ col).reshape(len(Y), rig.r, 2) + rig.b
+    ok &= np.abs(a).min(axis=1) > DOM_TOL
+    if rig.baseline_dir is not None:
+        vx, vy, vz = rig.baseline_dir.tolist()
+        ok[ok] = [math.hypot(wy * vz - wz * vy, wz * vx - wx * vz, wx * vy - wy * vx) > DOM_TOL
+                  for wx, wy, wz in (Y[ok] - rig.baseline_point).tolist()]
+    return a, num, ok
+
+
+def _project_rows(a, num):
+    """mv_project of M points from their depths a (M, r) and numerators (M, r, 2)."""
+    return (num / a[:, :, None]).reshape(len(a), 2 * a.shape[1])
+
+
+def _jacobian_rows(rig: CameraRig, a, num):
+    """mv_jacobian of M points (M, 2r, 3) from their depths and numerators."""
+    a2 = np.array([math.pow(t, 2) for t in a.ravel().tolist()]).reshape(a.shape)
+    outer = num[:, :, :, None] * rig.c[:, None, :]
+    J = rig.A / a[:, :, None, None] - outer / a2[:, :, None, None]
+    return J.reshape(len(a), 2 * rig.r, 3)
+
+
 def _require_domain(rig, y, dom_tol=DOM_TOL):
     _require_finite(y, "world point")
     if not mv_domain_check(rig, y, dom_tol):

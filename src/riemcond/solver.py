@@ -12,11 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainEscape, InvalidGeometry
+from .errors import DomainEscape, InvalidGeometry, RiemcondError
 from .linalg import compact_qr
 from .manifold import Parametrization, project_tangent, tangent_frame
 from .multiview import (
     CameraRig,
+    _domain_rows,
+    _finite,
+    _jacobian_rows,
+    _non_finite,
+    _project_rows,
     _require_finite,
     mv_domain_check,
     mv_jacobian,
@@ -190,6 +195,134 @@ def triangulate(
         opts=opts,
         domain_check=lambda y: mv_domain_check(rig, y),
     )
+
+
+def _dots(V, W):
+    """Row-wise v @ w of two (M, k) stacks.
+
+    A (1, k) @ (k, 1) matmul per row runs the BLAS dot of the one-vector
+    `@` and of np.linalg.norm, so each row matches its one-row value
+    bitwise (einsum and norm(axis=1) sum in another order).
+    """
+    return (V[:, None, :] @ W[:, :, None])[:, 0, 0]
+
+
+class _Rows:
+    """Iterates of the rows a stacked solve still runs, one leading axis per array.
+
+    Row i stands for input row pos[i]; g = J^T r, JtJ = J^T J and the
+    squared norms rr = r.r, gg = g.g, uu = u.u belong to the current u.
+    """
+
+    FIELDS = ("pos", "target", "u", "r", "J", "lam", "fails", "iters",
+              "g", "JtJ", "rr", "gg", "uu")
+
+    def __init__(self, **arrays):
+        for name, arr in arrays.items():
+            setattr(self, name, arr)
+        self.refresh()
+
+    def refresh(self):
+        """Recompute the quantities of the current u, r, J: unchanged rows get the same bits."""
+        Jt = self.J.transpose(0, 2, 1)
+        self.g = (Jt @ self.r[:, :, None])[:, :, 0]
+        self.JtJ = Jt @ self.J
+        self.rr, self.gg, self.uu = (_dots(v, v) for v in (self.r, self.g, self.u))
+
+    def keep(self, mask):
+        for name in self.FIELDS:
+            setattr(self, name, getattr(self, name)[mask])
+
+
+def _triangulate_rows(rig: CameraRig, A, y0, opts: SolverOptions | None = None):
+    """triangulate(rig, a, warm_start=y0, opts=opts) for every row a of A (N, 2r).
+
+    The rows run lm_minimize's iteration in lockstep. Each keeps its own
+    damping, domain-failure count, iteration count and status, and leaves
+    the active set when it converges, stalls, reaches max_iters or escapes
+    the domain. A pass makes one stacked solve over the active rows, one
+    stacked projection and domain check over their trial points and one
+    stacked Jacobian over the accepted ones. Every contraction is a stacked
+    matmul, which runs the BLAS call of the one-row `@` on each slice, so
+    every row's result equals its triangulate call bitwise. Returns, per
+    row, a SolveResult or the RiemcondError triangulate would raise.
+    """
+    opts = opts or SolverOptions()
+    A = np.asarray(A, dtype=float)
+    out = [None if _finite(a) else _non_finite(a, "correspondence") for a in A]
+    pos = np.array([n for n, res in enumerate(out) if res is None], dtype=int)
+    if not pos.size:
+        return out
+    y0 = np.array(y0, dtype=float)
+    try:
+        x0, J0 = mv_project(rig, y0), mv_jacobian(rig, y0)
+    except RiemcondError as exc:
+        return [exc if res is None else res for res in out]
+    m, target = pos.size, A[pos]
+    s = _Rows(pos=pos, target=target, u=np.repeat(y0[None], m, axis=0), r=x0 - target,
+              J=np.repeat(J0[None], m, axis=0), lam=np.full(m, INITIAL_DAMPING),
+              fails=np.zeros(m, dtype=int), iters=np.zeros(m, dtype=int))
+    eye = np.eye(3)
+
+    def finish(mask, status):
+        for i in mask.nonzero()[0].tolist():
+            out[s.pos[i]] = SolveResult(
+                u_star=s.u[i].copy(), residual_norm=float(np.sqrt(s.rr[i])), status=status,
+                iterations=int(s.iters[i]), first_order_norm=float(np.sqrt(s.gg[i])),
+            )
+
+    def outer_exits():
+        """Rows at the head of an outer iteration that are done: max_iters, then converged."""
+        maxed = s.iters >= opts.max_iters
+        conv = ~maxed & (np.sqrt(s.gg) <= opts.grad_tol * (1.0 + np.sqrt(s.rr)))
+        finish(maxed, Status.MaxIters)
+        finish(conv, Status.Converged)
+        return maxed | conv
+
+    leave = outer_exits()
+    while True:
+        if leave.any():
+            s.keep(~leave)
+        if not s.pos.size:
+            return out
+        delta = np.linalg.solve(s.JtJ + s.lam[:, None, None] * eye, -s.g[:, :, None])[:, :, 0]
+        dd = _dots(delta, delta)
+        stalled = np.sqrt(dd) <= opts.step_tol * (1.0 + np.sqrt(s.uu))
+        if stalled.any():
+            finish(stalled, Status.Stalled)
+            s.keep(~stalled)
+            delta, dd = delta[~stalled], dd[~stalled]
+            if not s.pos.size:
+                return out
+        u_try = s.u + delta
+        a, num, inside = _domain_rows(rig, u_try)
+        leave = np.zeros(s.pos.size, dtype=bool)
+        if not inside.all():
+            s.fails += ~inside
+            leave = s.fails > 10
+            for i in leave.nonzero()[0].tolist():
+                out[s.pos[i]] = DomainEscape(
+                    f"iterates left the admissible domain near u={u_try[i]}")
+            # rows outside get a harmless placeholder; they are neither accepted nor stalled
+            a = np.where(inside[:, None], a, 1.0)
+            num = np.where(inside[:, None, None], num, 0.0)
+        r_try = _project_rows(a, num) - s.target
+        rr_try = _dots(r_try, r_try)
+        # predicted reduction of 0.5||r||^2 under the damped model
+        predicted = _dots(0.5 * delta, (s.JtJ @ delta[:, :, None])[:, :, 0]) + s.lam * dd
+        actual = 0.5 * (s.rr - rr_try)
+        accept = inside & (np.sqrt(rr_try) < np.sqrt(s.rr)) & (actual >= 0.25 * predicted)
+        s.lam = np.where(accept, s.lam * DAMPING_DOWN, s.lam * DAMPING_UP)
+        gave_up = inside & ~accept & (s.lam > 1e18)
+        finish(gave_up, Status.Stalled)
+        leave |= gave_up
+        if accept.any():
+            s.u[accept], s.r[accept] = u_try[accept], r_try[accept]
+            s.J[accept] = _jacobian_rows(rig, a[accept], num[accept])
+            s.iters += accept
+            s.fails[accept] = 0
+            s.refresh()
+            leave |= outer_exits()
 
 
 def mv_certificate(rig: CameraRig, y, a) -> float:

@@ -217,16 +217,14 @@ def test_validate_records_per_row_errors(monkeypatch):
     rig = _default_rig()
     eta = rc.random_unit_normal(rig, DEFAULT_Y, 0)
     grid = rc.log_grid(-2, 0, 4, two_sided=False)
-    real_triangulate = exp.triangulate
-    boom = {"count": 0}
+    real_rows = exp._triangulate_rows
 
-    def flaky(rig_, a, **kwargs):
-        boom["count"] += 1
-        if boom["count"] == 2:
-            raise rc.DomainEscape("synthetic failure")
-        return real_triangulate(rig_, a, **kwargs)
+    def flaky(rig_, A, y0, opts=None):
+        results = real_rows(rig_, A, y0, opts)
+        results[1] = rc.DomainEscape("synthetic failure")  # the second row's solve fails
+        return results
 
-    monkeypatch.setattr(exp, "triangulate", flaky)
+    monkeypatch.setattr(exp, "_triangulate_rows", flaky)
     records = rc.experiment_validate(rig, DEFAULT_Y, eta, grid)
     assert len(records) == 4  # the run continued past the failure
     failed = [r for r in records if r.error is not None]
@@ -235,6 +233,29 @@ def test_validate_records_per_row_errors(monkeypatch):
     arith, geo, excluded = rc.ratio_stats(records)
     assert excluded == 1
 
+
+
+def test_validate_records_carry_solver_status():
+    rig = _default_rig()
+    eta = rc.random_unit_normal(rig, DEFAULT_Y, 0)
+    grid = [0.01, np.nan, 1.0]
+    x = rc.mv_project(rig, DEFAULT_Y)
+    x_norm = np.linalg.norm(x)
+    for rec in rc.experiment_sweep(rig, DEFAULT_Y, eta, grid):
+        assert rec.status is None and rec.iterations is None
+    records = rc.experiment_validate(rig, DEFAULT_Y, eta, grid)
+    assert records[1].error is not None
+    assert records[1].status is None and records[1].iterations is None
+    for rec in (records[0], records[2]):
+        # the row's own solve, as experiment_validate sets it up
+        a = x + rec.t_rel * x_norm * eta
+        Q, _, _, _ = rc.mv_weingarten(rig, DEFAULT_Y, rec.t_rel * x_norm * eta)
+        u = rc.mv_kappa(rig, DEFAULT_Y, rec.t_rel * x_norm * eta).worst_input_direction
+        want = rc.triangulate(rig, a + 1e-6 * np.linalg.norm(a) * (Q @ u), warm_start=DEFAULT_Y)
+        assert rec.status is want.status and rec.iterations == want.iterations
+        assert isinstance(rec.iterations, int)
+    # the CSV keeps its nine columns
+    assert [row.count(",") for row in rc.records_to_csv(records).splitlines()] == [8] * 4
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

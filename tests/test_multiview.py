@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -207,6 +208,35 @@ def test_cached_baseline_distance_matches_centers(make_rig):
             assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
     if make_rig is _half_affine_rig:  # on the baseline through (1, 0, -5) along z
         assert not rc.mv_domain_check(rig, np.array([1.0, 0.0, 0.5]))
+
+
+@pytest.mark.parametrize("make_rig", [_generic_rig, _half_affine_rig, _affine_rig])
+def test_stacked_domain_check_projection_and_jacobian_match_one_point(make_rig):
+    from riemcond.multiview import (
+        _domain_rows, _jacobian_rows, _numerators, _project_rows, alphas)
+
+    rig = make_rig()
+    rng = np.random.default_rng(27)
+    Y = rng.uniform(-2.0, 2.0, size=(40, 3))
+    Y[3, 1], Y[4, 2], Y[5, 0] = np.nan, np.inf, -np.inf
+    excluded = [3, 4, 5]
+    if rig.c[0].any():  # a point on camera 0's principal plane
+        Y[1] -= (rig.c[0] @ Y[1] + rig.d[0]) / (rig.c[0] @ rig.c[0]) * rig.c[0]
+        excluded.append(1)
+    if rig.baseline_dir is not None:  # and one on the baseline
+        Y[2] = rig.baseline_point + 0.3 * rig.baseline_dir
+        excluded.append(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a, num, ok = _domain_rows(rig, Y)
+    assert ok.tolist() == [rc.mv_domain_check(rig, y) for y in Y]
+    assert not ok[excluded].any() and ok.sum() >= 30
+    P, J = _project_rows(a[ok], num[ok]), _jacobian_rows(rig, a[ok], num[ok])
+    for n, y in enumerate(Y[ok]):
+        assert np.array_equal(a[ok][n], alphas(rig, y))
+        assert np.array_equal(num[ok][n], _numerators(rig, y))
+        assert np.array_equal(P[n], rc.mv_project(rig, y))
+        assert np.array_equal(J[n], rc.mv_jacobian(rig, y))
 
 
 def test_kernel_runs_no_svd(monkeypatch):

@@ -1,0 +1,41 @@
+"""The validation protocol reproduces the benchmark's stored reference.
+
+Runs the benchmark's six validation rays (normal seeds 4..9 on
+RigSpec(k=10), two-sided grid 1e-3..1e2) as whole grids and checks them
+against perfbench/reference.npz with the benchmark's own check_records and
+tolerances (kappa_est 1e-8, theory 1e-10, flags exact), so a last-bit change
+in the LM iteration fails here before a benchmark run. perfbench/ is only
+read: workloads.py is compiled from its source, which writes no bytecode
+cache next to it.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import riemcond as rc
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    try:
+        exec(compile(WORKLOADS.read_text(), str(WORKLOADS), "exec"), module.__dict__)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_validate_rays_match_benchmark_reference():
+    wl = _workloads()
+    ref = wl.load_reference()
+    rig, grid = wl.validate_setup()
+    for i, seed in enumerate(wl.VALIDATE_NORMALS):
+        eta = rc.random_unit_normal(rig, wl.Y, seed)
+        records = rc.experiment_validate(rig, wl.Y, eta, grid, perturb_rel=wl.PERTURB_REL)
+        verdict = wl.check_records(records, wl._ref_rows(ref, "validate", i), f"normal={seed}")
+        assert verdict.failed == 0, verdict.problems[:5]
+        assert len(records) == len(grid) == 200

@@ -138,3 +138,75 @@ def test_triangulate_worst_direction_displacement_matches_kappa():
     res = rc.triangulate(rig, a_pert, warm_start=y)
     moved = np.linalg.norm(res.u_star - y)
     assert abs(moved / eps - rep.kappa) / rep.kappa <= 5e-3
+
+
+def _stacked_fixture():
+    """Nine correspondences around a warm start y0 on RigSpec(k=10): the fourth
+    one's critical point lies 1.5e-12 off the baseline, inside the excluded
+    tube, and its solve escapes the domain; a NaN row is appended."""
+    from riemcond.multiview import DOM_TOL, _baseline_distance
+
+    rig = rc.gen_rig(rc.RigSpec(k=10, seed=0))
+    c0, c1 = rig.cameras[0].center(), rig.cameras[1].center()
+    q = c0 + 0.3127406440199621 * (c1 - c0) + np.array([0.0, 1.4636589138887032e-12, 0.0])
+    assert _baseline_distance(rig, q) < DOM_TOL
+    h = rig.P @ np.append(q, 1.0)
+    y0 = np.array([-2.3368325008789785, -0.0013137917105427912, 4.414056798183368])
+    rng = np.random.default_rng(5)
+    rows = []
+    for _ in range(8):
+        x = rc.mv_project(rig, y0 + rng.standard_normal(3) * 10 ** rng.uniform(-3, -1))
+        rows.append(x + 10 ** rng.uniform(-6, -1) * rng.standard_normal(x.size))
+    rows.insert(3, (h[:, :2] / h[:, 2:]).ravel())
+    rows.append(np.full(2 * rig.r, np.nan))
+    return rig, np.array(rows), y0
+
+
+def test_stacked_solve_matches_per_row_triangulate():
+    from riemcond.solver import _triangulate_rows
+
+    rig, A, y0 = _stacked_fixture()
+    seen = set()
+    for opts in (None, rc.SolverOptions(max_iters=2), rc.SolverOptions(max_iters=20)):
+        got = _triangulate_rows(rig, A, y0, opts)
+        assert len(got) == len(A)
+        for a, res in zip(A, got):
+            try:
+                want = rc.triangulate(rig, a, warm_start=y0, opts=opts)
+            except rc.RiemcondError as exc:
+                assert type(res) is type(exc) and str(res) == str(exc)
+                seen.add(type(exc).__name__)
+                continue
+            assert isinstance(res, rc.SolveResult)
+            assert np.array_equal(res.u_star, want.u_star)
+            assert res.residual_norm == want.residual_norm
+            assert res.status is want.status
+            assert res.iterations == want.iterations
+            assert res.first_order_norm == want.first_order_norm
+            seen.add(want.status.value)
+    assert seen == {"Converged", "Stalled", "MaxIters", "DomainEscape", "NonFinite"}
+
+
+def test_stacked_solve_reports_an_error_of_the_warm_start_on_every_row():
+    from riemcond.solver import _triangulate_rows
+
+    rig, A, _ = _stacked_fixture()
+    on_plane = np.array([0.0, 0.0, -rig.d[0] / rig.c[0, 2]])  # camera 0's principal plane
+    assert abs(rig.c[0] @ on_plane + rig.d[0]) < 1e-12
+    got = _triangulate_rows(rig, A, on_plane)
+    assert [type(res).__name__ for res in got] == ["OutsideDomain"] * (len(A) - 1) + ["NonFinite"]
+    assert _triangulate_rows(rig, A[:0], on_plane) == []
+
+
+def test_validate_records_do_not_depend_on_chunking():
+    rig = rc.gen_rig(rc.RigSpec(k=10, seed=0))
+    y = np.array([0.35, -0.2, 0.4])
+    grid = rc.log_grid(-3, 2, 100)
+    for seed in (4, 7):
+        eta = rc.random_unit_normal(rig, y, seed)
+        whole = rc.experiment_validate(rig, y, eta, grid)
+        chunked = [rec for c in range(0, len(grid), 10)
+                   for rec in rc.experiment_validate(rig, y, eta, grid[c:c + 10])]
+        assert len(whole) == len(chunked) == len(grid)
+        for got, want in zip(chunked, whole):
+            np.testing.assert_equal(vars(got), vars(want))

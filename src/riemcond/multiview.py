@@ -157,23 +157,29 @@ def rig_from_dict(data: dict) -> CameraRig:
 
 
 def alphas(rig: CameraRig, y):
-    """Projective depths c_l . y + d_l for every camera."""
-    return rig.c @ np.asarray(y, dtype=float) + rig.d
+    """Projective depths c_l . y + d_l of the point y (3,), or of every point
+    in a stack y (..., 3), as (..., r).
+
+    A stack runs the matmul of one point on every row, so a row's depths
+    do not depend on the rows stacked with it; the same holds for
+    _numerators, _projection and _jacobian.
+    """
+    return (rig.c @ np.asarray(y, dtype=float)[..., None])[..., 0] + rig.d
 
 
 def _numerators(rig: CameraRig, y):
-    """A_l y + b_l for every camera, as an (r, 2) array."""
-    return (rig.A.reshape(-1, 3) @ y).reshape(rig.r, 2) + rig.b
+    """A_l y + b_l for every camera, as (..., r, 2)."""
+    return (rig.A.reshape(-1, 3) @ y[..., None]).reshape(y.shape[:-1] + (rig.r, 2)) + rig.b
 
 
-def _baseline_distance(rig: CameraRig, y):
-    """Distance from y to the cached baseline (infinite when there is none)."""
+def _baseline_distances(rig: CameraRig, Y):
+    """Distances from the points Y (M, 3) to the cached baseline (infinite when there is none)."""
     if rig.baseline_dir is None:
-        return np.inf
+        return [math.inf] * len(Y)
     # |w x v| for the unit direction v, in Python floats: this runs on every LM trial point
-    wx, wy, wz = (np.asarray(y, dtype=float) - rig.baseline_point).tolist()
     vx, vy, vz = rig.baseline_dir.tolist()
-    return math.hypot(wy * vz - wz * vy, wz * vx - wx * vz, wx * vy - wy * vx)
+    return [math.hypot(wy * vz - wz * vy, wz * vx - wx * vz, wx * vy - wy * vx)
+            for wx, wy, wz in (Y - rig.baseline_point).tolist()]
 
 
 def _finite(v) -> bool:
@@ -192,49 +198,43 @@ def _require_finite(v, what: str):
         raise _non_finite(v, what)
 
 
-def mv_domain_check(rig: CameraRig, y, dom_tol: float = DOM_TOL) -> bool:
-    """True when y is finite, has safe depths in every camera and is off the baseline."""
-    y = np.asarray(y, dtype=float)
-    if not _finite(y) or np.abs(alphas(rig, y)).min() <= dom_tol:
-        return False
-    return _baseline_distance(rig, y) > dom_tol
-
-
-def _domain_rows(rig: CameraRig, Y):
-    """Depths (M, r), numerators (M, r, 2) and mv_domain_check verdicts (M,) of
-    the points Y (M, 3), each point checked once.
-
-    The stacked twin of alphas, _numerators and mv_domain_check for the
-    stacked LM: one matmul per quantity runs the BLAS call of the one-point
-    `@` on every row, and the baseline distance is _baseline_distance's
-    Python-float expression, so every value is bit-identical to the
-    one-point path (a test pins it).
-    """
+def _domain_rows(rig: CameraRig, Y, dom_tol: float = DOM_TOL):
+    """Depths (M, r), numerators (M, r, 2) and mv_domain_check verdicts (M,)
+    of the points Y (M, 3), each point checked once."""
     ok = np.isfinite(Y).all(axis=1)
     if not ok.all():
         Y = np.where(ok[:, None], Y, 0.0)  # such points fail; zeros keep the arithmetic quiet
-    col = Y[:, :, None]
-    a = (rig.c @ col)[:, :, 0] + rig.d
-    num = (rig.A.reshape(-1, 3) @ col).reshape(len(Y), rig.r, 2) + rig.b
-    ok &= np.abs(a).min(axis=1) > DOM_TOL
-    if rig.baseline_dir is not None:
-        vx, vy, vz = rig.baseline_dir.tolist()
-        ok[ok] = [math.hypot(wy * vz - wz * vy, wz * vx - wx * vz, wx * vy - wy * vx) > DOM_TOL
-                  for wx, wy, wz in (Y[ok] - rig.baseline_point).tolist()]
+    a, num = alphas(rig, Y), _numerators(rig, Y)
+    ok &= np.abs(a).min(axis=1) > dom_tol
+    ok[ok] = [dist > dom_tol for dist in _baseline_distances(rig, Y[ok])]
     return a, num, ok
 
 
-def _project_rows(a, num):
-    """mv_project of M points from their depths a (M, r) and numerators (M, r, 2)."""
-    return (num / a[:, :, None]).reshape(len(a), 2 * a.shape[1])
+def _projection(a, num):
+    """Stacked projection (..., 2r) from the depths a (..., r) and numerators (..., r, 2)."""
+    return (num / a[..., None]).reshape(a.shape[:-1] + (-1,))
 
 
-def _jacobian_rows(rig: CameraRig, a, num):
-    """mv_jacobian of M points (M, 2r, 3) from their depths and numerators."""
+def _jacobian(rig: CameraRig, a, num):
+    """Derivative (..., 2r, 3) of the stacked projection from its depths and numerators."""
+    # libm pow, as the per-camera a_l ** 2 did: a * a and np.square differ in the last
+    # bit for ~0.1% of inputs, and LM solves near focal points amplify that to ~1e-6
     a2 = np.array([math.pow(t, 2) for t in a.ravel().tolist()]).reshape(a.shape)
-    outer = num[:, :, :, None] * rig.c[:, None, :]
-    J = rig.A / a[:, :, None, None] - outer / a2[:, :, None, None]
-    return J.reshape(len(a), 2 * rig.r, 3)
+    outer = num[..., None] * rig.c[:, None, :]
+    J = rig.A / a[..., None, None] - outer / a2[..., None, None]
+    return J.reshape(a.shape[:-1] + (-1, 3))
+
+
+def mv_domain_check(rig: CameraRig, y, dom_tol: float = DOM_TOL) -> bool:
+    """True when y is finite, has safe depths in every camera and is off the baseline.
+
+    The one-point verdict of _domain_rows, without its array bookkeeping:
+    the LM checks every trial point.
+    """
+    y = np.asarray(y, dtype=float)
+    if not _finite(y) or np.abs(alphas(rig, y)).min() <= dom_tol:
+        return False
+    return _baseline_distances(rig, y[None])[0] > dom_tol
 
 
 def _require_domain(rig, y, dom_tol=DOM_TOL):
@@ -250,19 +250,14 @@ def mv_project(rig: CameraRig, y):
     """Stacked pinhole projection of y: a 2r-vector of image coordinates."""
     y = np.asarray(y, dtype=float)
     _require_domain(rig, y)
-    return (_numerators(rig, y) / alphas(rig, y)[:, None]).reshape(-1)
+    return _projection(alphas(rig, y), _numerators(rig, y))
 
 
 def mv_jacobian(rig: CameraRig, y):
     """2r x 3 derivative of the stacked projection at y."""
     y = np.asarray(y, dtype=float)
     _require_domain(rig, y)
-    a = alphas(rig, y)
-    # libm pow, as the per-camera a_l ** 2 did: a * a and np.square differ in the last
-    # bit for ~0.1% of inputs, and LM solves near focal points amplify that to ~1e-6
-    a2 = np.array([math.pow(t, 2) for t in a.tolist()])
-    outer = _numerators(rig, y)[:, :, None] * rig.c[:, None, :]
-    return (rig.A / a[:, None, None] - outer / a2[:, None, None]).reshape(-1, 3)
+    return _jacobian(rig, alphas(rig, y), _numerators(rig, y))
 
 
 def triangulate_linear(rig: CameraRig, x, minimal: bool = False):

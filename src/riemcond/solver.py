@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -19,9 +20,9 @@ from .multiview import (
     CameraRig,
     _domain_rows,
     _finite,
-    _jacobian_rows,
+    _jacobian,
     _non_finite,
-    _project_rows,
+    _projection,
     _require_finite,
     mv_domain_check,
     mv_jacobian,
@@ -207,33 +208,6 @@ def _dots(V, W):
     return (V[:, None, :] @ W[:, :, None])[:, 0, 0]
 
 
-class _Rows:
-    """Iterates of the rows a stacked solve still runs, one leading axis per array.
-
-    Row i stands for input row pos[i]; g = J^T r, JtJ = J^T J and the
-    squared norms rr = r.r, gg = g.g, uu = u.u belong to the current u.
-    """
-
-    FIELDS = ("pos", "target", "u", "r", "J", "lam", "fails", "iters",
-              "g", "JtJ", "rr", "gg", "uu")
-
-    def __init__(self, **arrays):
-        for name, arr in arrays.items():
-            setattr(self, name, arr)
-        self.refresh()
-
-    def refresh(self):
-        """Recompute the quantities of the current u, r, J: unchanged rows get the same bits."""
-        Jt = self.J.transpose(0, 2, 1)
-        self.g = (Jt @ self.r[:, :, None])[:, :, 0]
-        self.JtJ = Jt @ self.J
-        self.rr, self.gg, self.uu = (_dots(v, v) for v in (self.r, self.g, self.u))
-
-    def keep(self, mask):
-        for name in self.FIELDS:
-            setattr(self, name, getattr(self, name)[mask])
-
-
 def _triangulate_rows(rig: CameraRig, A, y0, opts: SolverOptions | None = None):
     """triangulate(rig, a, warm_start=y0, opts=opts) for every row a of A (N, 2r).
 
@@ -258,11 +232,22 @@ def _triangulate_rows(rig: CameraRig, A, y0, opts: SolverOptions | None = None):
         x0, J0 = mv_project(rig, y0), mv_jacobian(rig, y0)
     except RiemcondError as exc:
         return [exc if res is None else res for res in out]
+    # the rows still running, one leading axis per array: row i stands for input row pos[i]
     m, target = pos.size, A[pos]
-    s = _Rows(pos=pos, target=target, u=np.repeat(y0[None], m, axis=0), r=x0 - target,
-              J=np.repeat(J0[None], m, axis=0), lam=np.full(m, INITIAL_DAMPING),
-              fails=np.zeros(m, dtype=int), iters=np.zeros(m, dtype=int))
+    s = SimpleNamespace(pos=pos, target=target, u=np.repeat(y0[None], m, axis=0), r=x0 - target,
+                        J=np.repeat(J0[None], m, axis=0), lam=np.full(m, INITIAL_DAMPING),
+                        fails=np.zeros(m, dtype=int), iters=np.zeros(m, dtype=int))
     eye = np.eye(3)
+
+    def refresh():
+        """g = J^T r, JtJ = J^T J and the squared norms rr, gg, uu of the current u, r, J."""
+        Jt = s.J.transpose(0, 2, 1)
+        s.g, s.JtJ = (Jt @ s.r[:, :, None])[:, :, 0], Jt @ s.J
+        s.rr, s.gg, s.uu = (_dots(v, v) for v in (s.r, s.g, s.u))
+
+    def keep(mask):
+        for name, rows in vars(s).items():
+            setattr(s, name, rows[mask])
 
     def finish(mask, status):
         for i in mask.nonzero()[0].tolist():
@@ -279,10 +264,11 @@ def _triangulate_rows(rig: CameraRig, A, y0, opts: SolverOptions | None = None):
         finish(conv, Status.Converged)
         return maxed | conv
 
+    refresh()
     leave = outer_exits()
     while True:
         if leave.any():
-            s.keep(~leave)
+            keep(~leave)
         if not s.pos.size:
             return out
         delta = np.linalg.solve(s.JtJ + s.lam[:, None, None] * eye, -s.g[:, :, None])[:, :, 0]
@@ -290,7 +276,7 @@ def _triangulate_rows(rig: CameraRig, A, y0, opts: SolverOptions | None = None):
         stalled = np.sqrt(dd) <= opts.step_tol * (1.0 + np.sqrt(s.uu))
         if stalled.any():
             finish(stalled, Status.Stalled)
-            s.keep(~stalled)
+            keep(~stalled)
             delta, dd = delta[~stalled], dd[~stalled]
             if not s.pos.size:
                 return out
@@ -306,7 +292,7 @@ def _triangulate_rows(rig: CameraRig, A, y0, opts: SolverOptions | None = None):
             # rows outside get a harmless placeholder; they are neither accepted nor stalled
             a = np.where(inside[:, None], a, 1.0)
             num = np.where(inside[:, None, None], num, 0.0)
-        r_try = _project_rows(a, num) - s.target
+        r_try = _projection(a, num) - s.target
         rr_try = _dots(r_try, r_try)
         # predicted reduction of 0.5||r||^2 under the damped model
         predicted = _dots(0.5 * delta, (s.JtJ @ delta[:, :, None])[:, :, 0]) + s.lam * dd
@@ -318,10 +304,10 @@ def _triangulate_rows(rig: CameraRig, A, y0, opts: SolverOptions | None = None):
         leave |= gave_up
         if accept.any():
             s.u[accept], s.r[accept] = u_try[accept], r_try[accept]
-            s.J[accept] = _jacobian_rows(rig, a[accept], num[accept])
+            s.J[accept] = _jacobian(rig, a[accept], num[accept])
             s.iters += accept
             s.fails[accept] = 0
-            s.refresh()
+            refresh()
             leave |= outer_exits()
 
 

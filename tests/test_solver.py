@@ -144,12 +144,12 @@ def _stacked_fixture():
     """Nine correspondences around a warm start y0 on RigSpec(k=10): the fourth
     one's critical point lies 1.5e-12 off the baseline, inside the excluded
     tube, and its solve escapes the domain; a NaN row is appended."""
-    from riemcond.multiview import DOM_TOL, _baseline_distance
+    from riemcond.multiview import DOM_TOL, _baseline_distances
 
     rig = rc.gen_rig(rc.RigSpec(k=10, seed=0))
     c0, c1 = rig.cameras[0].center(), rig.cameras[1].center()
     q = c0 + 0.3127406440199621 * (c1 - c0) + np.array([0.0, 1.4636589138887032e-12, 0.0])
-    assert _baseline_distance(rig, q) < DOM_TOL
+    assert _baseline_distances(rig, q[None])[0] < DOM_TOL
     h = rig.P @ np.append(q, 1.0)
     y0 = np.array([-2.3368325008789785, -0.0013137917105427912, 4.414056798183368])
     rng = np.random.default_rng(5)

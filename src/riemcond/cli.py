@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .condition import ill_posedness_certificate, kappa_cpp_from_weingarten
 from .curvature import weingarten_data
 from .errors import NonFinite, RiemcondError
 from .experiments import (
+    PERTURB_REL,
     RigSpec,
     experiment_sweep,
     experiment_validate,
@@ -95,14 +97,13 @@ def _parse_inline_vector(text: str, name: str, length: int):
     return vec
 
 
-def _parse_triple(text: str, name: str):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise CliInputError(f"{name}: expected three comma-separated numbers, got {text!r}")
+def _triple(text: str):
     try:
-        return tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise CliInputError(f"{name}: {exc}") from exc
+        x, y, z = (float(p) for p in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected three comma-separated numbers, got {text!r}") from None
+    return x, y, z
 
 
 def _parse_grid(text: str):
@@ -118,19 +119,19 @@ def _parse_grid(text: str):
     return lo, hi, count
 
 
-def _solver_options(args) -> SolverOptions:
-    return SolverOptions(
-        max_iters=args.max_iters, grad_tol=args.grad_tol, step_tol=args.step_tol
-    )
+def _from_field_args(cls, args):
+    """The dataclass cls built from the flags _add_field_args made for it."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
 
 
-def _result_dict(result, point_key: str) -> dict:
+def _result_dict(result, point_key: str, x) -> dict:
     return {
         point_key: [float(v) for v in result.u_star],
         "residual_norm": result.residual_norm,
         "first_order_norm": result.first_order_norm,
         "status": result.status.value,
         "iterations": result.iterations,
+        "x": [float(v) for v in x],
     }
 
 
@@ -149,14 +150,7 @@ def _emit_json(payload: dict, out: str | None) -> None:
 
 
 def cmd_gen_rig(args) -> int:
-    spec = RigSpec(
-        k=args.k,
-        radius=args.radius,
-        arc_degrees=args.arc_degrees,
-        look_at=_parse_triple(args.look_at, "--look-at"),
-        seed=args.seed,
-        focal=args.focal,
-    )
+    spec = _from_field_args(RigSpec, args)
     # shortest repr per float: the load round trip is bit-exact
     _atomic_write(args.out, json.dumps(rig_to_dict(gen_rig(spec))) + "\n")
     print(f"wrote {args.out} ({spec.k} cameras)", file=sys.stderr)
@@ -248,16 +242,14 @@ def cmd_kappa(args) -> int:
 def cmd_project(args) -> int:
     if bool(args.rig) == bool(args.manifold):
         raise CliInputError("project needs exactly one of --rig or --manifold")
-    opts = _solver_options(args)
+    opts = _from_field_args(SolverOptions, args)
     if args.rig:
         if args.corr is None:
             raise CliInputError("project --rig needs --corr (correspondence JSON file)")
         rig = _load_rig(args.rig)
         a = _load_vector(args.corr, "x", 2 * rig.r)
         result = triangulate(rig, a, opts=opts, minimal_init=args.minimal_init)
-        payload = _result_dict(result, "y")
-        payload["x"] = [float(v) for v in mv_project(rig, result.u_star)]
-        _emit_json(payload, args.out)
+        _emit_json(_result_dict(result, "y", mv_project(rig, result.u_star)), args.out)
         return 0
     param = _builtin_from_args(args)
     if args.ambient is None or args.u0 is None:
@@ -265,33 +257,29 @@ def cmd_project(args) -> int:
     a = _parse_inline_vector(args.ambient, "--ambient", param.ambient_dim)
     u0 = _parse_inline_vector(args.u0, "--u0", param.intrinsic_dim)
     result = project_point(param, a, u0, opts=opts)
-    payload = _result_dict(result, "u")
-    payload["x"] = [float(v) for v in param(result.u_star)]
-    _emit_json(payload, args.out)
+    _emit_json(_result_dict(result, "u", param(result.u_star)), args.out)
     return 0
 
 
-def cmd_sweep(args) -> int:
+def _ray(args):
+    """Rig, world point, seeded unit normal and offset grid of a sweep or validation run."""
     rig = _load_rig(args.rig)
     y = _load_vector(args.point, "y", 3)
     lo, hi, count = _parse_grid(args.grid)
-    eta = random_unit_normal(rig, y, args.seed)
-    grid = log_grid(lo, hi, count, two_sided=not args.one_sided)
-    records = experiment_sweep(rig, y, eta, grid)
+    return rig, y, random_unit_normal(rig, y, args.seed), log_grid(
+        lo, hi, count, two_sided=not args.one_sided)
+
+
+def cmd_sweep(args) -> int:
+    records = experiment_sweep(*_ray(args))
     _atomic_write(args.out, records_to_csv(records))
     print(f"wrote {args.out} ({len(records)} rows)", file=sys.stderr)
     return 0
 
 
 def cmd_validate(args) -> int:
-    rig = _load_rig(args.rig)
-    y = _load_vector(args.point, "y", 3)
-    lo, hi, count = _parse_grid(args.grid)
-    eta = random_unit_normal(rig, y, args.seed)
-    grid = log_grid(lo, hi, count, two_sided=not args.one_sided)
-    records = experiment_validate(
-        rig, y, eta, grid, perturb_rel=args.perturb_rel, opts=_solver_options(args)
-    )
+    opts = _from_field_args(SolverOptions, args)
+    records = experiment_validate(*_ray(args), perturb_rel=args.perturb_rel, opts=opts)
     _atomic_write(args.out, records_to_csv(records))
     arith, geo, excluded = ratio_stats(records)
     print(
@@ -329,31 +317,20 @@ def _series_segments(rows, column):
     Gaps appear at missing/non-finite/non-positive values, at flagged
     rows, and at sign changes of t_rel.
     """
-    segments = []
-    current = []
-    prev_sign = None
+    segments, current, positive = [], [], None
     for row in rows:
-        t_text = row.get("t_rel", "")
-        v_text = row.get(column, "")
-        flagged = row.get("flagged", "false") == "true"
-        good = False
-        if t_text and v_text and not flagged:
-            t = float(t_text)
-            v = float(v_text)
+        t_text, v_text = row.get("t_rel", ""), row.get(column, "")
+        point = None
+        if t_text and v_text and row.get("flagged", "false") != "true":
+            t, v = float(t_text), float(v_text)
             if t != 0.0 and math.isfinite(v) and v > 0.0:
-                good = True
-        if not good:
-            if len(current) > 0:
-                segments.append(current)
-                current = []
-            prev_sign = None
-            continue
-        sign = 1 if t > 0 else -1
-        if prev_sign is not None and sign != prev_sign and current:
+                point = (math.log10(abs(t)), math.log10(v))
+        if current and (point is None or (t > 0) != positive):
             segments.append(current)
             current = []
-        current.append((math.log10(abs(t)), math.log10(v)))
-        prev_sign = sign
+        if point is not None:
+            current.append(point)
+            positive = t > 0
     if current:
         segments.append(current)
     return segments
@@ -436,10 +413,12 @@ def cmd_plot(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_solver_args(p):
-    p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--grad-tol", type=float, default=1e-12)
-    p.add_argument("--step-tol", type=float, default=1e-14)
+def _add_field_args(p, cls):
+    """One flag per field of the dataclass cls, defaulting to the field's default;
+    a tuple field takes comma-separated numbers."""
+    for f in fields(cls):
+        kind = _triple if isinstance(f.default, tuple) else type(f.default)
+        p.add_argument("--" + f.name.replace("_", "-"), type=kind, default=f.default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -451,12 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-rig", help="generate a synthetic camera rig")
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--radius", type=float, default=5.0)
-    p.add_argument("--arc-degrees", type=float, default=60.0)
-    p.add_argument("--look-at", default="0,0,0")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--focal", type=float, default=1.0)
+    _add_field_args(p, RigSpec)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_rig)
 
@@ -482,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--minimal-init", action="store_true",
                    help="initialize from the first-two-cameras DLT variant")
     p.add_argument("--out")
-    _add_solver_args(p)
+    _add_field_args(p, SolverOptions)
     p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("triangulate", help="triangulate a correspondence")
@@ -490,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corr", required=True)
     p.add_argument("--minimal-init", action="store_true")
     p.add_argument("--out")
-    _add_solver_args(p)
+    _add_field_args(p, SolverOptions)
     p.set_defaults(func=cmd_project, manifold=None)
 
     p = sub.add_parser("sweep", help="condition-number sweep along a normal ray")
@@ -508,9 +482,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grid", default="-3:2:100", help="lo:hi:count in log10 of t/||x||")
     p.add_argument("--one-sided", action="store_true")
-    p.add_argument("--perturb-rel", type=float, default=1e-6)
+    p.add_argument("--perturb-rel", type=float, default=PERTURB_REL)
     p.add_argument("--out", required=True)
-    _add_solver_args(p)
+    _add_field_args(p, SolverOptions)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("plot", help="emit a minimal SVG line plot from a sweep CSV")

@@ -22,6 +22,8 @@ from .linalg import metric_cholesky
 
 # Relative threshold below which a singular value counts as zero (ill-posed).
 SING_TOL = 1e-12
+# Relative gap within which two ill-posed offsets are reported as one.
+MERGE_TOL = 1e-9
 
 
 @dataclass
@@ -77,11 +79,11 @@ def spectral_norm_metric(M, G=None):
     return float(s[0]), Vt[0]
 
 
-def kappa_cpp(H, sing_tol: float = SING_TOL) -> ConditionReport:
+def kappa_cpp(H) -> ConditionReport:
     """Condition number ||H^{-1}|| of a critical point with distance Hessian H.
 
     H must be symmetric. Returns infinity (ill_posed) when the smallest
-    singular value of H falls below sing_tol relative to the largest.
+    singular value of H falls below SING_TOL relative to the largest.
     """
     H = np.atleast_2d(np.asarray(H, dtype=float))
     evals, evecs = scipy.linalg.eigh(H)
@@ -92,7 +94,7 @@ def kappa_cpp(H, sing_tol: float = SING_TOL) -> ConditionReport:
     # H = I - S carries the identity's scale, so the zero threshold is
     # relative to max(1, sigma_max); this also catches H entirely ~ 0
     # (every direction simultaneously focal).
-    if sigma_min <= sing_tol * max(1.0, sigma_max):
+    if sigma_min <= SING_TOL * max(1.0, sigma_max):
         return ConditionReport(kappa=np.inf, ill_posed=True, components=components)
     return ConditionReport(
         kappa=1.0 / sigma_min,
@@ -102,22 +104,22 @@ def kappa_cpp(H, sing_tol: float = SING_TOL) -> ConditionReport:
     )
 
 
-def kappa_cpp_curvatures(c, eta_norm: float, sing_tol: float = SING_TOL) -> float:
+def kappa_cpp_curvatures(c, eta_norm: float) -> float:
     """Curvature form of the critical-point condition number.
 
     max_i 1 / |1 - c_i ||eta|||; infinity when some factor vanishes.
     With no curvature data (eta = 0 convention) the value is 1.
     """
-    return kappa_bounds(1.0, c, eta_norm, sing_tol)[1]
+    return kappa_bounds(1.0, c, eta_norm)[1]
 
 
-def kappa_gcpp(pd: ProblemDerivative, H, sing_tol: float = SING_TOL) -> ConditionReport:
+def kappa_gcpp(pd: ProblemDerivative, H) -> ConditionReport:
     """Condition number ||A H^{-1}||_G of a generalized critical point.
 
     H's spectrum and the ill-posed verdict are those of kappa_cpp(H).
     """
     H = np.atleast_2d(np.asarray(H, dtype=float))
-    base = kappa_cpp(H, sing_tol=sing_tol)
+    base = kappa_cpp(H)
     if base.ill_posed:
         return base
     M = scipy.linalg.solve(H, pd.A.T, assume_a="sym").T  # A H^{-1}
@@ -128,12 +130,12 @@ def kappa_gcpp(pd: ProblemDerivative, H, sing_tol: float = SING_TOL) -> Conditio
     )
 
 
-def kappa_bounds(kappa_S: float, c, eta_norm, sing_tol: float = SING_TOL):
+def kappa_bounds(kappa_S: float, c, eta_norm):
     """Curvature sandwich around the generalized condition number.
 
     (kappa_S / max_i |1 - c_i ||eta|||, kappa_S / min_i |1 - c_i ||eta|||);
     both collapse to kappa_S on the manifold (eta = 0). A factor at most
-    sing_tol gives infinity; NaN input propagates as NaN. c may also be a
+    SING_TOL gives infinity; NaN input propagates as NaN. c may also be a
     stack (N, m) of curvature rows with eta_norm (N,); lo and hi are then
     (N,) arrays.
     """
@@ -143,8 +145,8 @@ def kappa_bounds(kappa_S: float, c, eta_norm, sing_tol: float = SING_TOL):
     d = np.abs(1.0 - c * np.asarray(eta_norm, dtype=float)[..., None])
     d_max, d_min = d.max(axis=-1), d.min(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        lo = np.where(d_max <= sing_tol, np.inf, kappa_S / d_max)
-        hi = np.where(d_min <= sing_tol, np.inf, kappa_S / d_min)
+        lo = np.where(d_max <= SING_TOL, np.inf, kappa_S / d_max)
+        hi = np.where(d_min <= SING_TOL, np.inf, kappa_S / d_min)
     if c.ndim < 2:
         return float(lo), float(hi)
     return lo, hi
@@ -157,11 +159,11 @@ def kappa_relative(kappa_abs: float, x_norm: float, y_norm: float) -> float:
     return float(kappa_abs) * float(x_norm) / float(y_norm)
 
 
-def ill_posedness_certificate(c, merge_tol: float = 1e-9):
+def ill_posedness_certificate(c):
     """Signed offsets t along the unit normal ray where the problem is ill-posed.
 
     These are {1/c_i : c_i != 0}, the normal multiples whose length equals
-    a critical radius. Offsets equal up to merge_tol (relative) are
+    a critical radius. Offsets equal up to MERGE_TOL (relative) are
     reported once, sorted.
     """
     c = np.asarray(c, dtype=float)
@@ -171,14 +173,14 @@ def ill_posedness_certificate(c, merge_tol: float = 1e-9):
     offsets = np.sort(1.0 / nz)
     clusters = [[offsets[0]]]
     for t in offsets[1:]:
-        if abs(t - clusters[-1][-1]) <= merge_tol * max(abs(t), abs(clusters[-1][-1])):
+        if abs(t - clusters[-1][-1]) <= MERGE_TOL * max(abs(t), abs(clusters[-1][-1])):
             clusters[-1].append(t)
         else:
             clusters.append([t])
     return np.array([np.mean(cl) for cl in clusters])
 
 
-def kappa_cpp_from_weingarten(wd: WeingartenData, sing_tol: float = SING_TOL) -> ConditionReport:
+def kappa_cpp_from_weingarten(wd: WeingartenData) -> ConditionReport:
     """Critical-point condition number with the dual sigma/curvature route.
 
     Computes kappa from H = I - S and, when curvature data is present,
@@ -186,8 +188,8 @@ def kappa_cpp_from_weingarten(wd: WeingartenData, sing_tol: float = SING_TOL) ->
     raises a diagnostic warning (not an error). Bounds collapse to kappa
     itself since A = I for the plain critical-point problem.
     """
-    report = kappa_cpp(wd.H, sing_tol=sing_tol)
-    lo, kappa_curv = kappa_bounds(1.0, wd.curvatures, wd.eta_norm, sing_tol=sing_tol)
+    report = kappa_cpp(wd.H)
+    lo, kappa_curv = kappa_bounds(1.0, wd.curvatures, wd.eta_norm)
     report.components["kappa_curvatures"] = kappa_curv
     both_finite = np.isfinite(report.kappa) and np.isfinite(kappa_curv)
     if both_finite:

@@ -40,9 +40,7 @@ class WeingartenData:
     eta_norm: float
 
 
-def second_fundamental_contraction(
-    param: Parametrization, u, eta, normality_tol: float = NORMALITY_TOL
-):
+def second_fundamental_contraction(param: Parametrization, u, eta):
     """Frame-coordinate matrix S_hat of the second fundamental form against eta.
 
     Uses analytic second derivatives when the parametrization carries them,
@@ -56,7 +54,7 @@ def second_fundamental_contraction(
     eta_norm = float(np.linalg.norm(eta))
     if eta_norm > 0:
         tangential = np.linalg.norm(frame.Q.T @ eta)
-        if tangential > normality_tol * eta_norm:
+        if tangential > NORMALITY_TOL * eta_norm:
             raise NotNormal(
                 f"eta has tangential component {tangential:.3e} (norm {eta_norm:.3e})"
             )
@@ -86,7 +84,7 @@ def weingarten(S_hat, R):
     return congruence_by_inverse(S_hat, R)
 
 
-def weingarten_data(param: Parametrization, u, eta, **kwargs) -> WeingartenData:
+def weingarten_data(param: Parametrization, u, eta) -> WeingartenData:
     """Assemble frame, contraction, orthonormal Weingarten map, and H = I - S."""
     eta = np.asarray(eta, dtype=float)
     eta_norm = float(np.linalg.norm(eta))
@@ -97,7 +95,7 @@ def weingarten_data(param: Parametrization, u, eta, **kwargs) -> WeingartenData:
         S = np.zeros((m, m))
         curv = np.empty(0)
     else:
-        S_hat = second_fundamental_contraction(param, u, eta, **kwargs)
+        S_hat = second_fundamental_contraction(param, u, eta)
         S = weingarten(S_hat, frame.R)
         curv = np.sort(scipy.linalg.eigvalsh(S)) / eta_norm
     return WeingartenData(S_hat=S_hat, S=S, H=np.eye(m) - S, curvatures=curv, eta_norm=eta_norm)
@@ -117,18 +115,18 @@ def critical_radii(c):
         return np.where(c == 0.0, np.inf, 1.0 / np.abs(c))
 
 
-def weingarten_via_projector(param: Parametrization, u, eta, step: float = FD_HESS_STEP):
+def weingarten_via_projector(param: Parametrization, u, eta):
     """Weingarten map from the derivative of a normal extension of eta.
 
     Extends eta along the manifold as N(x') = P_normal(x') eta and
-    differentiates numerically along unit tangent directions; the
-    tangential part of -dN is the shape operator. Kept as an independent
-    cross-check of the contraction-based route.
+    differentiates numerically along unit tangent directions at step
+    FD_HESS_STEP; the tangential part of -dN is the shape operator. Kept
+    as an independent cross-check of the contraction-based route.
     """
     u = np.asarray(u, dtype=float)
     eta = np.asarray(eta, dtype=float)
     frame = tangent_frame(param, u)
-    m = param.intrinsic_dim
+    m, step = param.intrinsic_dim, FD_HESS_STEP
     S = np.empty((m, m))
     for i in range(m):
         # chart velocity realizing the i-th orthonormal tangent direction

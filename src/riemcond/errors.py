@@ -2,8 +2,13 @@
 
 Every error that signals a geometric or numerical precondition failure
 derives from RiemcondError so callers (and the CLI) can distinguish
-domain problems (exit 1) from I/O problems (exit 2).
+domain problems (exit 1) from I/O problems (exit 2). The finite-input
+checks live here too, so every module can raise NonFinite the same way.
 """
+
+import math
+
+import numpy as np
 
 
 class RiemcondError(Exception):
@@ -60,3 +65,19 @@ class EmptyInput(RiemcondError):
 
 class NonFinite(RiemcondError):
     """An input holds a NaN or an infinity."""
+
+
+def _finite(v) -> bool:
+    # a Python-level scan: for a handful of entries it is several times
+    # cheaper than np.isfinite(v).all(), and the LM checks every trial point
+    return all(map(math.isfinite, v.ravel().tolist()))
+
+
+def _non_finite(v, what: str) -> NonFinite:
+    bad = np.flatnonzero(~np.isfinite(v)).tolist()
+    return NonFinite(f"{what} {v} is not finite (entries {bad})")
+
+
+def _require_finite(v, what: str):
+    if not _finite(v):
+        raise _non_finite(v, what)

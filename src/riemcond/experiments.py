@@ -31,6 +31,11 @@ from .solver import SolverOptions, Status, _triangulate_rows
 # A validation row is a basin escape when the observed output displacement
 # exceeds the first-order prediction by this factor.
 BASIN_ESCAPE_FACTOR = 1e3
+# Worst-direction perturbation of a validation row, relative to ||a(t)||.
+PERTURB_REL = 1e-6
+# Prominence (decades of sigma_3) of a singular dip: true dips deepen without bound as
+# the grid refines (>= ~0.6 decades on the default grids), singular-value crossings ~0.1.
+DIP_PROMINENCE = 0.4
 
 
 @dataclass(frozen=True)
@@ -179,7 +184,7 @@ def experiment_validate(
     y,
     eta,
     t_grid: Sequence[float],
-    perturb_rel: float = 1e-6,
+    perturb_rel: float = PERTURB_REL,
     opts: SolverOptions | None = None,
 ):
     """Worst-direction perturbation study along the normal ray.
@@ -251,19 +256,17 @@ def singular_offsets_rel(rig: CameraRig, y, eta):
     return ill_posedness_certificate(np.linalg.eigvalsh(S_unit)) / x_norm
 
 
-def detect_dips(sigma3: Sequence[float], prominence_decades: float = 0.4):
+def detect_dips(sigma3: Sequence[float]):
     """Indices of singular dips in a sigma_3 profile.
 
-    A dip is a peak of -log10(sigma_3) with at least the given prominence
-    (in decades), i.e. sigma_3 drops that far below its surroundings.
-    The default separates true singular dips (which deepen without bound
-    as the grid refines; >= ~0.6 decades on the default grids) from the
-    shallow kinks where singular values cross (~0.1 decades).
+    A dip is a peak of -log10(sigma_3) with a prominence of at least
+    DIP_PROMINENCE decades, i.e. sigma_3 drops that far below its
+    surroundings.
     """
     s = np.asarray(sigma3, dtype=float)
     floor = max(s.max(), 1e-300) * 1e-30
     depth = -np.log10(np.maximum(s, floor))
-    peaks, _ = scipy.signal.find_peaks(depth, prominence=prominence_decades)
+    peaks, _ = scipy.signal.find_peaks(depth, prominence=DIP_PROMINENCE)
     return peaks
 
 

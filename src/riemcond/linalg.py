@@ -8,6 +8,11 @@ from scipy.linalg.lapack import dtrtrs
 
 from .errors import NotSPD, SingularR
 
+# Relative |diagonal| floor at or below which a triangular factor is singular.
+TRIANGULAR_TOL = 1e-14
+# Largest metric asymmetry |G - G^T|, relative to max(1, max |G|).
+SYM_TOL = 1e-10
+
 
 def compact_qr(J):
     """Compact QR of a tall matrix with the diag(R) > 0 sign convention.
@@ -22,7 +27,7 @@ def compact_qr(J):
     return Q * d, d[:, None] * R
 
 
-def congruence_by_inverse(S_hat, R, cond_tol=1e-14):
+def congruence_by_inverse(S_hat, R):
     """Return R^{-T} S_hat R^{-1} for upper-triangular R, symmetrized.
 
     S_hat may be one m x m matrix or a stack (N, m, m): each triangular
@@ -32,7 +37,7 @@ def congruence_by_inverse(S_hat, R, cond_tol=1e-14):
     """
     R = np.asarray(R, dtype=float)
     diag = np.abs(np.diag(R))
-    if diag.min() == 0.0 or diag.min() <= cond_tol * diag.max():
+    if diag.min() == 0.0 or diag.min() <= TRIANGULAR_TOL * diag.max():
         raise SingularR(f"triangular factor singular: |diag| range {diag.min():.3e}..{diag.max():.3e}")
     S_hat = np.asarray(S_hat, dtype=float)
     m = len(R)
@@ -47,13 +52,13 @@ def congruence_by_inverse(S_hat, R, cond_tol=1e-14):
     return (0.5 * (S + S.transpose(0, 2, 1))).reshape(S_hat.shape)
 
 
-def metric_cholesky(G, sym_tol=1e-10):
+def metric_cholesky(G):
     """Upper-triangular factor C with G = C^T C; raises NotSPD otherwise."""
     G = np.asarray(G, dtype=float)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise NotSPD(f"metric must be square, got shape {G.shape}")
     scale = max(1.0, np.abs(G).max())
-    if np.abs(G - G.T).max() > sym_tol * scale:
+    if np.abs(G - G.T).max() > SYM_TOL * scale:
         raise NotSPD("metric is not symmetric")
     try:
         L = np.linalg.cholesky(G)

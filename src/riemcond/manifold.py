@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg
 
-from .errors import InvalidGeometry, OutsideDomain, RankDeficient
+from .errors import InvalidGeometry, OutsideDomain, RankDeficient, _require_finite
 from .linalg import compact_qr
 
 # Central-difference steps balancing truncation against roundoff in float64.
@@ -58,15 +58,10 @@ class Parametrization:
             return np.asarray(self.jac(u), dtype=float)
         return self.jacobian_fd(u)
 
-    def jacobian_fd(self, u, step: float = FD_JAC_STEP):
+    def jacobian_fd(self, u):
         u = np.asarray(u, dtype=float)
-        m = self.intrinsic_dim
-        cols = []
-        for i in range(m):
-            e = np.zeros(m)
-            e[i] = step
-            cols.append((self(u + e) - self(u - e)) / (2.0 * step))
-        return np.column_stack(cols)
+        steps = FD_JAC_STEP * np.eye(self.intrinsic_dim)
+        return np.column_stack([(self(u + e) - self(u - e)) / (2.0 * FD_JAC_STEP) for e in steps])
 
     def second_derivative(self, u, i: int, j: int):
         """d^2 phi / du_i du_j at u, an ambient vector."""
@@ -75,15 +70,12 @@ class Parametrization:
             return np.asarray(self.hess_dirs(u, i, j), dtype=float)
         return self.second_derivative_fd(u, i, j)
 
-    def second_derivative_fd(self, u, i: int, j: int, step: float = FD_HESS_STEP):
+    def second_derivative_fd(self, u, i: int, j: int):
         u = np.asarray(u, dtype=float)
-        m = self.intrinsic_dim
-        ei = np.zeros(m)
-        ei[i] = step
+        step = FD_HESS_STEP
+        ei, ej = step * np.eye(self.intrinsic_dim)[[i, j]]
         if i == j:
             return (self(u + ei) - 2.0 * self(u) + self(u - ei)) / step**2
-        ej = np.zeros(m)
-        ej[j] = step
         return (
             self(u + ei + ej) - self(u + ei - ej) - self(u - ei + ej) + self(u - ei - ej)
         ) / (4.0 * step**2)
@@ -101,20 +93,22 @@ class TangentFrame:
     R: np.ndarray  # m x m, upper triangular, diag > 0
 
 
-def tangent_frame(param: Parametrization, u, rank_tol: float = RANK_TOL) -> TangentFrame:
+def tangent_frame(param: Parametrization, u) -> TangentFrame:
     """Compact QR frame of the Jacobian at u.
 
-    Raises RankDeficient when the smallest singular value of the Jacobian
-    drops below rank_tol times the largest (u outside the smooth locus),
-    and OutsideDomain when the chart's own domain check rejects u.
+    Raises NonFinite when u holds a NaN or an infinity, OutsideDomain when
+    the chart's own domain check rejects u, and RankDeficient when the
+    smallest singular value of the Jacobian drops below RANK_TOL times the
+    largest (u outside the smooth locus).
     """
     u = np.asarray(u, dtype=float)
+    _require_finite(u, "chart point")
     if not param.in_domain(u):
         raise OutsideDomain(f"chart point {u} rejected by domain check")
     J = param.jacobian(u)
     Q, R = compact_qr(J)
     s = scipy.linalg.svdvals(R)
-    if s[0] == 0.0 or s[-1] <= rank_tol * s[0]:
+    if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0]:
         raise RankDeficient(
             f"Jacobian rank-deficient at u={u}: singular values {s[-1]:.3e}..{s[0]:.3e}"
         )

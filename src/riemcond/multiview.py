@@ -22,9 +22,11 @@ from .errors import (
     AtInfinity,
     DegenerateKernel,
     InvalidGeometry,
-    NonFinite,
     NotNormal,
     OutsideDomain,
+    _finite,
+    _non_finite,
+    _require_finite,
 )
 from .linalg import compact_qr
 from .manifold import Parametrization
@@ -182,31 +184,15 @@ def _baseline_distances(rig: CameraRig, Y):
             for wx, wy, wz in (Y - rig.baseline_point).tolist()]
 
 
-def _finite(v) -> bool:
-    # a Python-level scan: for a handful of entries it is several times
-    # cheaper than np.isfinite(v).all(), and the LM checks every trial point
-    return all(map(math.isfinite, v.ravel().tolist()))
-
-
-def _non_finite(v, what: str) -> NonFinite:
-    bad = np.flatnonzero(~np.isfinite(v)).tolist()
-    return NonFinite(f"{what} {v} is not finite (entries {bad})")
-
-
-def _require_finite(v, what: str):
-    if not _finite(v):
-        raise _non_finite(v, what)
-
-
-def _domain_rows(rig: CameraRig, Y, dom_tol: float = DOM_TOL):
+def _domain_rows(rig: CameraRig, Y):
     """Depths (M, r), numerators (M, r, 2) and mv_domain_check verdicts (M,)
     of the points Y (M, 3), each point checked once."""
     ok = np.isfinite(Y).all(axis=1)
     if not ok.all():
         Y = np.where(ok[:, None], Y, 0.0)  # such points fail; zeros keep the arithmetic quiet
     a, num = alphas(rig, Y), _numerators(rig, Y)
-    ok &= np.abs(a).min(axis=1) > dom_tol
-    ok[ok] = [dist > dom_tol for dist in _baseline_distances(rig, Y[ok])]
+    ok &= np.abs(a).min(axis=1) > DOM_TOL
+    ok[ok] = [dist > DOM_TOL for dist in _baseline_distances(rig, Y[ok])]
     return a, num, ok
 
 
@@ -225,21 +211,21 @@ def _jacobian(rig: CameraRig, a, num):
     return J.reshape(a.shape[:-1] + (-1, 3))
 
 
-def mv_domain_check(rig: CameraRig, y, dom_tol: float = DOM_TOL) -> bool:
+def mv_domain_check(rig: CameraRig, y) -> bool:
     """True when y is finite, has safe depths in every camera and is off the baseline.
 
     The one-point verdict of _domain_rows, without its array bookkeeping:
     the LM checks every trial point.
     """
     y = np.asarray(y, dtype=float)
-    if not _finite(y) or np.abs(alphas(rig, y)).min() <= dom_tol:
+    if not _finite(y) or np.abs(alphas(rig, y)).min() <= DOM_TOL:
         return False
-    return _baseline_distances(rig, y[None])[0] > dom_tol
+    return _baseline_distances(rig, y[None])[0] > DOM_TOL
 
 
-def _require_domain(rig, y, dom_tol=DOM_TOL):
+def _require_domain(rig, y):
     _require_finite(y, "world point")
-    if not mv_domain_check(rig, y, dom_tol):
+    if not mv_domain_check(rig, y):
         raise OutsideDomain(
             f"world point {y} lies on a principal plane "
             "or the baseline (or within tolerance of them)"
@@ -317,7 +303,7 @@ def _stacked_hat(rig: CameraRig, y, E):
             - np.einsum("l,nlij->nij", 1.0 / a**2, cg + cg.transpose(0, 1, 3, 2)))
 
 
-def mv_factors(rig: CameraRig, y, E, normality_tol: float = NORMALITY_TOL) -> MultiviewFactors:
+def mv_factors(rig: CameraRig, y, E) -> MultiviewFactors:
     """Frame at y once, then S_hat and S for every normal in the stack E (N, 2r).
 
     Errors of y itself (OutsideDomain, NonFinite, SingularR) and a stack
@@ -334,7 +320,7 @@ def mv_factors(rig: CameraRig, y, E, normality_tol: float = NORMALITY_TOL) -> Mu
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite rows are reported below
         nrm = np.linalg.norm(E, axis=1)
         tangential = np.linalg.norm(E @ Q, axis=1)
-    ok = finite & ~(tangential > normality_tol * nrm)
+    ok = finite & ~(tangential > NORMALITY_TOL * nrm)
     if ok.all():
         S_hat = _stacked_hat(rig, y, E)
         return MultiviewFactors(Q, R, S_hat, weingarten(S_hat, R), (None,) * len(E))
@@ -349,22 +335,22 @@ def mv_factors(rig: CameraRig, y, E, normality_tol: float = NORMALITY_TOL) -> Mu
     return MultiviewFactors(Q, R, S_hat, S, tuple(errors))
 
 
-def _one_row(rig: CameraRig, y, eta, normality_tol: float = NORMALITY_TOL) -> MultiviewFactors:
+def _one_row(rig: CameraRig, y, eta) -> MultiviewFactors:
     """mv_factors on the one-row stack [eta]; the row's error is raised."""
-    factors = mv_factors(rig, y, np.asarray(eta, dtype=float)[None], normality_tol)
+    factors = mv_factors(rig, y, np.asarray(eta, dtype=float)[None])
     if factors.errors[0] is not None:
         raise factors.errors[0]
     return factors
 
 
-def mv_weingarten_hat(rig: CameraRig, y, eta, normality_tol: float = NORMALITY_TOL):
+def mv_weingarten_hat(rig: CameraRig, y, eta):
     """Second fundamental form of the multiview manifold contracted with eta.
 
     Closed form: sum over cameras of
     2 (eta_l . (A_l y + b_l)) c_l c_l^T / alpha_l^3
     - (c_l (A_l^T eta_l)^T + (A_l^T eta_l) c_l^T) / alpha_l^2.
     """
-    return _one_row(rig, y, eta, normality_tol).S_hat[0]
+    return _one_row(rig, y, eta).S_hat[0]
 
 
 def mv_weingarten(rig: CameraRig, y, eta):
@@ -373,7 +359,7 @@ def mv_weingarten(rig: CameraRig, y, eta):
     return Q, R, S_hat[0], S[0]
 
 
-def kappa_from_factors(R, S, sigma_R, sing_tol: float = SING_TOL):
+def kappa_from_factors(R, S, sigma_R):
     """kappa = 1 / sigma_3((I - S) R) plus the worst tangent direction.
 
     Returns (kappa, ill_posed, u, singular_values) where u is the third
@@ -386,7 +372,7 @@ def kappa_from_factors(R, S, sigma_R, sing_tol: float = SING_TOL):
     """
     U, s, _ = np.linalg.svd((np.eye(3) - S) @ R)
     scale = np.maximum(s[..., 0], sigma_R[0])
-    ill = (scale == 0.0) | (s[..., 2] <= sing_tol * scale)
+    ill = (scale == 0.0) | (s[..., 2] <= SING_TOL * scale)
     with np.errstate(divide="ignore"):
         kappa = np.where(ill, np.inf, 1.0 / s[..., 2])
     return kappa, ill, np.ascontiguousarray(U[..., :, 2]), s
@@ -410,7 +396,7 @@ class ConditionRows(NamedTuple):
     bounds_hi: np.ndarray
 
 
-def mv_condition(R, S, eta_norms, sing_tol: float = SING_TOL) -> ConditionRows:
+def mv_condition(R, S, eta_norms) -> ConditionRows:
     """kappa, worst direction, sandwich bounds and sigmas for a stack S (N, 3, 3).
 
     eta_norms (N,) are the lengths of the normals behind S; a zero length
@@ -418,16 +404,16 @@ def mv_condition(R, S, eta_norms, sing_tol: float = SING_TOL) -> ConditionRows:
     one call on the whole stack.
     """
     sigma_R = np.linalg.svd(R, compute_uv=False)
-    kappa, ill, worst, s = kappa_from_factors(R, S, sigma_R, sing_tol)
-    kappa_S = np.inf if sigma_R[2] <= sing_tol * sigma_R[0] else 1.0 / float(sigma_R[2])
+    kappa, ill, worst, s = kappa_from_factors(R, S, sigma_R)
+    kappa_S = np.inf if sigma_R[2] <= SING_TOL * sigma_R[0] else 1.0 / float(sigma_R[2])
     eta_norms = np.asarray(eta_norms, dtype=float)
     # a zero normal has S = 0, so dividing by 1 gives the curvatures 0 and factors 1
     curv = np.linalg.eigvalsh(S) / np.where(eta_norms > 0, eta_norms, 1.0)[:, None]
-    lo, hi = kappa_bounds(kappa_S, curv, eta_norms, sing_tol)
+    lo, hi = kappa_bounds(kappa_S, curv, eta_norms)
     return ConditionRows(kappa, ill, worst, s, sigma_R, kappa_S, lo, hi)
 
 
-def mv_kappa(rig: CameraRig, y, eta, sing_tol: float = SING_TOL) -> ConditionReport:
+def mv_kappa(rig: CameraRig, y, eta) -> ConditionReport:
     """Condition number of triangulation at the critical pair (mu(y) + eta, mu(y)).
 
     The worst_input_direction is in the orthonormal tangent coordinates of
@@ -435,7 +421,7 @@ def mv_kappa(rig: CameraRig, y, eta, sing_tol: float = SING_TOL) -> ConditionRep
     """
     eta = np.asarray(eta, dtype=float)
     factors = _one_row(rig, y, eta)
-    rows = mv_condition(factors.R, factors.S, [np.linalg.norm(eta)], sing_tol)
+    rows = mv_condition(factors.R, factors.S, [np.linalg.norm(eta)])
     ill = bool(rows.ill_posed[0])
     return ConditionReport(
         kappa=float(rows.kappa[0]),

@@ -13,17 +13,15 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import DomainEscape, InvalidGeometry, RiemcondError
+from .errors import DomainEscape, InvalidGeometry, NonFinite, RiemcondError
+from .errors import _finite, _non_finite, _require_finite
 from .linalg import compact_qr
 from .manifold import Parametrization, project_tangent, tangent_frame
 from .multiview import (
     CameraRig,
     _domain_rows,
-    _finite,
     _jacobian,
-    _non_finite,
     _projection,
-    _require_finite,
     mv_domain_check,
     mv_jacobian,
     mv_project,
@@ -70,13 +68,16 @@ class SolveResult:
     first_order_norm: float
 
 
+def _start_not_finite(u, r_norm) -> NonFinite:
+    return NonFinite(f"residual norm at the start point {u} is not finite ({float(r_norm)})")
+
+
 def lm_minimize(
     residual,
     jacobian,
     u0,
     opts: SolverOptions | None = None,
     domain_check=None,
-    callback=None,
 ) -> SolveResult:
     """Minimize 0.5 ||residual(u)||^2 with damped Gauss-Newton steps.
 
@@ -87,12 +88,16 @@ def lm_minimize(
     residual sequence is monotone. Exits when ||J^T r|| falls below
     grad_tol (1 + ||r||), when the step drops below step_tol, or at the
     iteration cap. Trial points violating domain_check raise DomainEscape
-    after ten damping retries. callback, when given, is invoked after each
-    accepted step with (u, residual_norm) and must be reentrant.
+    after ten damping retries. A residual norm at u0 that is not finite
+    raises NonFinite; later trial points with one are rejected as ascents.
     """
     opts = opts or SolverOptions()
     u = np.array(u0, dtype=float)
     r = np.asarray(residual(u), dtype=float)
+    with np.errstate(over="ignore"):  # an overflow is reported as NonFinite
+        r_norm = np.linalg.norm(r)
+    if not np.isfinite(r_norm):
+        raise _start_not_finite(u, r_norm)
     J = np.asarray(jacobian(u), dtype=float)
 
     lam = INITIAL_DAMPING
@@ -131,8 +136,6 @@ def lm_minimize(
                 lam *= DAMPING_DOWN
                 iterations += 1
                 accepted = True
-                if callback is not None:
-                    callback(u, float(np.linalg.norm(r)))
             else:
                 lam *= DAMPING_UP
                 if lam > 1e18:
@@ -156,6 +159,8 @@ def project_point(param: Parametrization, a, u0, opts: SolverOptions | None = No
     (the critical-point certificate, see cpp_certificate).
     """
     a = np.asarray(a, dtype=float)
+    _require_finite(a, "ambient point")
+    _require_finite(np.asarray(u0, dtype=float), "start point")
     return lm_minimize(
         residual=lambda u: param(u) - a,
         jacobian=param.jacobian,
@@ -264,7 +269,12 @@ def _triangulate_rows(rig: CameraRig, A, y0, opts: SolverOptions | None = None):
         finish(conv, Status.Converged)
         return maxed | conv
 
-    refresh()
+    with np.errstate(over="ignore"):  # an overflow is reported as NonFinite
+        refresh()
+    overflow = ~np.isfinite(s.rr)
+    for i in overflow.nonzero()[0].tolist():
+        out[s.pos[i]] = _start_not_finite(s.u[i], np.sqrt(s.rr[i]))
+    keep(~overflow)
     leave = outer_exits()
     while True:
         if leave.any():

@@ -1,10 +1,12 @@
+import inspect
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import riemcond as rc
-from riemcond.cli import main
+from riemcond.cli import build_parser, main
 
 
 @pytest.fixture
@@ -281,3 +283,44 @@ def test_chart_vector_of_wrong_length_is_exit_2(argv, option, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {option}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["kappa", "--manifold", "graph2d", "--u", "[NaN]"],
+    ["kappa", "--manifold", "sphere", "--u", "[0.1, Infinity]"],
+    ["project", "--manifold", "graph2d", "--ambient", "[NaN, 1.0]", "--u0", "[0.0]"],
+    ["project", "--manifold", "paraboloid", "--ambient", "[0.1, 0.2, 0.3]", "--u0", "[NaN, 0.0]"],
+])
+def test_non_finite_chart_input_is_exit_2(argv, capsys):
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "not finite" in captured.err
+
+
+def test_parsed_defaults_are_the_library_defaults():
+    parser = build_parser()
+    gen = parser.parse_args(["gen-rig", "--out", "rig.json"])
+    assert {f.name: getattr(gen, f.name) for f in fields(rc.RigSpec)} == vars(rc.RigSpec())
+    solver_argv = {
+        "project": ["--rig", "r.json", "--corr", "x.json"],
+        "triangulate": ["--rig", "r.json", "--corr", "x.json"],
+        "validate": ["--rig", "r.json", "--point", "p.json", "--out", "v.csv"],
+    }
+    for command, argv in solver_argv.items():
+        args = parser.parse_args([command, *argv])
+        assert {f.name: getattr(args, f.name) for f in fields(rc.SolverOptions)} == vars(
+            rc.SolverOptions()), command
+    validate = parser.parse_args(["validate", *solver_argv["validate"]])
+    default = inspect.signature(rc.experiment_validate).parameters["perturb_rel"].default
+    assert validate.perturb_rel == default == rc.experiments.PERTURB_REL
+
+
+@pytest.mark.parametrize("look_at", ["1,2", "a,b,c"])
+def test_malformed_look_at_is_exit_2(look_at, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-rig", "--look-at", look_at, "--out", str(tmp_path / "rig.json")])
+    assert exc.value.code == 2
+    assert "--look-at: expected three comma-separated numbers" in capsys.readouterr().err
+    assert not (tmp_path / "rig.json").exists()

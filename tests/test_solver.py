@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -33,12 +35,19 @@ def test_parabola_residual_converges_to_vertex():
 def test_descent_is_strictly_monotone():
     p = rc.paraboloid()
     target = np.array([0.3, -0.2, 0.9])
-    history = []
-    rc.lm_minimize(
-        lambda u: p(u) - target, p.jacobian, np.array([1.0, 1.0]),
-        callback=lambda u, rn: history.append(rn),
-    )
-    assert len(history) >= 2
+    u0 = np.array([1.0, 1.0])
+
+    def solve(max_iters):
+        return rc.lm_minimize(lambda u: p(u) - target, p.jacobian, u0,
+                              opts=rc.SolverOptions(max_iters=max_iters))
+
+    n = solve(200).iterations
+    assert n >= 2
+    history = [np.linalg.norm(p(u0) - target)]
+    for k in range(1, n + 1):
+        res = solve(k)
+        assert res.iterations == k  # the first k accepted steps of the full solve
+        history.append(res.residual_norm)
     assert all(b < a for a, b in zip(history, history[1:]))
 
 
@@ -143,7 +152,8 @@ def test_triangulate_worst_direction_displacement_matches_kappa():
 def _stacked_fixture():
     """Nine correspondences around a warm start y0 on RigSpec(k=10): the fourth
     one's critical point lies 1.5e-12 off the baseline, inside the excluded
-    tube, and its solve escapes the domain; a NaN row is appended."""
+    tube, and its solve escapes the domain. A row whose residual at y0
+    overflows and a NaN row are appended."""
     from riemcond.multiview import DOM_TOL, _baseline_distances
 
     rig = rc.gen_rig(rc.RigSpec(k=10, seed=0))
@@ -158,6 +168,7 @@ def _stacked_fixture():
         x = rc.mv_project(rig, y0 + rng.standard_normal(3) * 10 ** rng.uniform(-3, -1))
         rows.append(x + 10 ** rng.uniform(-6, -1) * rng.standard_normal(x.size))
     rows.insert(3, (h[:, :2] / h[:, 2:]).ravel())
+    rows.append(rc.mv_project(rig, y0) + 1e200 * rc.random_unit_normal(rig, y0, 0))
     rows.append(np.full(2 * rig.r, np.nan))
     return rig, np.array(rows), y0
 
@@ -185,6 +196,22 @@ def test_stacked_solve_matches_per_row_triangulate():
             assert res.first_order_norm == want.first_order_norm
             seen.add(want.status.value)
     assert seen == {"Converged", "Stalled", "MaxIters", "DomainEscape", "NonFinite"}
+
+
+def test_overflowing_start_residual_is_non_finite():
+    from riemcond.solver import _triangulate_rows
+
+    rig = rc.gen_rig(rc.RigSpec(k=4))
+    y0 = np.array([0.35, -0.2, 0.4])
+    v = rc.random_unit_normal(rig, y0, 0)
+    for k in (160, 200, 300):
+        a = rc.mv_project(rig, y0) + 10.0**k * v
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(rc.NonFinite, match="residual norm at the start point") as exc:
+                rc.triangulate(rig, a, warm_start=y0)
+            (row,) = _triangulate_rows(rig, a[None], y0)
+        assert type(row) is rc.NonFinite and str(row) == str(exc.value)
 
 
 def test_stacked_solve_reports_an_error_of_the_warm_start_on_every_row():

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .curvature import WeingartenData
-from .errors import ZeroOutput
+from .errors import ZeroOutput, _require_finite
 from .linalg import metric_cholesky
 
 # Relative threshold below which a singular value counts as zero (ill-posed).
@@ -59,8 +59,10 @@ class ProblemDerivative:
 
     def __post_init__(self):
         object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
+        _require_finite(self.A, "problem derivative A")
         if self.output_metric is not None:
             G = np.asarray(self.output_metric, dtype=float)
+            _require_finite(G, "output metric")
             metric_cholesky(G)  # raises NotSPD on failure
             object.__setattr__(self, "output_metric", G)
 
@@ -82,10 +84,12 @@ def spectral_norm_metric(M, G=None):
 def kappa_cpp(H) -> ConditionReport:
     """Condition number ||H^{-1}|| of a critical point with distance Hessian H.
 
-    H must be symmetric. Returns infinity (ill_posed) when the smallest
-    singular value of H falls below SING_TOL relative to the largest.
+    H must be symmetric; a NaN or infinity in it raises NonFinite. Returns
+    infinity (ill_posed) when the smallest singular value of H falls below
+    SING_TOL relative to the largest.
     """
     H = np.atleast_2d(np.asarray(H, dtype=float))
+    _require_finite(H, "distance Hessian H")
     evals, evecs = scipy.linalg.eigh(H)
     sigma = np.abs(evals)
     k = int(np.argmin(sigma))

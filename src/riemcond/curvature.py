@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import NotNormal, ZeroNormal
+from .errors import NotNormal, ZeroNormal, _require_finite
 from .linalg import compact_qr, congruence_by_inverse
 from .manifold import FD_HESS_STEP, Parametrization, tangent_frame
 
@@ -50,6 +50,7 @@ def second_fundamental_contraction(param: Parametrization, u, eta):
     """
     u = np.asarray(u, dtype=float)
     eta = np.asarray(eta, dtype=float)
+    _require_finite(eta, "normal vector eta")
     frame = tangent_frame(param, u)
     eta_norm = float(np.linalg.norm(eta))
     if eta_norm > 0:
@@ -87,6 +88,7 @@ def weingarten(S_hat, R):
 def weingarten_data(param: Parametrization, u, eta) -> WeingartenData:
     """Assemble frame, contraction, orthonormal Weingarten map, and H = I - S."""
     eta = np.asarray(eta, dtype=float)
+    _require_finite(eta, "normal vector eta")
     eta_norm = float(np.linalg.norm(eta))
     frame = tangent_frame(param, u)
     m = param.intrinsic_dim

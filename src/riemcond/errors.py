@@ -69,11 +69,13 @@ class NonFinite(RiemcondError):
 
 def _finite(v) -> bool:
     # a Python-level scan: for a handful of entries it is several times
-    # cheaper than np.isfinite(v).all(), and the LM checks every trial point
+    # cheaper than np.isfinite(v).all()
     return all(map(math.isfinite, v.ravel().tolist()))
 
 
 def _non_finite(v, what: str) -> NonFinite:
+    if v.ndim == 0:
+        return NonFinite(f"{what} {v} is not finite")
     bad = np.flatnonzero(~np.isfinite(v)).tolist()
     return NonFinite(f"{what} {v} is not finite (entries {bad})")
 

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.signal
 
 from .condition import ill_posedness_certificate
-from .errors import EmptyInput, InvalidGeometry, RiemcondError
+from .errors import EmptyInput, InvalidGeometry, RiemcondError, _require_finite
 from .linalg import compact_qr
 from .multiview import (
     Camera,
@@ -56,6 +56,8 @@ class RigSpec:
     focal: float = 1.0
 
     def __post_init__(self):
+        for name in ("k", "radius", "arc_degrees", "look_at", "focal"):
+            _require_finite(np.array(getattr(self, name), dtype=float), name)
         if self.k < 2:
             raise InvalidGeometry(f"need at least 2 cameras, got {self.k}")
         if self.radius <= 0 or self.focal <= 0:

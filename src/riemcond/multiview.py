@@ -24,7 +24,6 @@ from .errors import (
     InvalidGeometry,
     NotNormal,
     OutsideDomain,
-    _finite,
     _non_finite,
     _require_finite,
 )
@@ -51,6 +50,7 @@ class Camera:
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float).reshape(2))
         object.__setattr__(self, "c", np.asarray(self.c, dtype=float).reshape(3))
         object.__setattr__(self, "d", float(self.d))
+        _require_finite(self.matrix, "camera matrix")
         s = scipy.linalg.svdvals(self.matrix)
         if s[0] == 0.0 or s[2] <= 1e-10 * s[0]:
             raise InvalidGeometry("camera matrix must have rank 3")
@@ -185,8 +185,9 @@ def _baseline_distances(rig: CameraRig, Y):
 
 
 def _domain_rows(rig: CameraRig, Y):
-    """Depths (M, r), numerators (M, r, 2) and mv_domain_check verdicts (M,)
-    of the points Y (M, 3), each point checked once."""
+    """Depths (M, r), numerators (M, r, 2) and domain verdicts (M,) of the points
+    Y (M, 3), each point checked once: a point passes when it is finite and both
+    |depth| in every camera and its distance to the baseline exceed DOM_TOL."""
     ok = np.isfinite(Y).all(axis=1)
     if not ok.all():
         Y = np.where(ok[:, None], Y, 0.0)  # such points fail; zeros keep the arithmetic quiet
@@ -212,38 +213,31 @@ def _jacobian(rig: CameraRig, a, num):
 
 
 def mv_domain_check(rig: CameraRig, y) -> bool:
-    """True when y is finite, has safe depths in every camera and is off the baseline.
+    """Whether y is in the domain: the one-row view of _domain_rows."""
+    return bool(_domain_rows(rig, np.asarray(y, dtype=float)[None])[2][0])
 
-    The one-point verdict of _domain_rows, without its array bookkeeping:
-    the LM checks every trial point.
-    """
+
+def _checked(rig: CameraRig, y):
+    """Depths and numerators of the world point y; NonFinite or OutsideDomain off the domain."""
     y = np.asarray(y, dtype=float)
-    if not _finite(y) or np.abs(alphas(rig, y)).min() <= DOM_TOL:
-        return False
-    return _baseline_distances(rig, y[None])[0] > DOM_TOL
-
-
-def _require_domain(rig, y):
-    _require_finite(y, "world point")
-    if not mv_domain_check(rig, y):
+    a, num, ok = _domain_rows(rig, y[None])
+    if not ok[0]:
+        _require_finite(y, "world point")
         raise OutsideDomain(
             f"world point {y} lies on a principal plane "
             "or the baseline (or within tolerance of them)"
         )
+    return a[0], num[0]
 
 
 def mv_project(rig: CameraRig, y):
     """Stacked pinhole projection of y: a 2r-vector of image coordinates."""
-    y = np.asarray(y, dtype=float)
-    _require_domain(rig, y)
-    return _projection(alphas(rig, y), _numerators(rig, y))
+    return _projection(*_checked(rig, y))
 
 
 def mv_jacobian(rig: CameraRig, y):
     """2r x 3 derivative of the stacked projection at y."""
-    y = np.asarray(y, dtype=float)
-    _require_domain(rig, y)
-    return _jacobian(rig, alphas(rig, y), _numerators(rig, y))
+    return _jacobian(rig, *_checked(rig, y))
 
 
 def triangulate_linear(rig: CameraRig, x, minimal: bool = False):
@@ -290,11 +284,10 @@ class MultiviewFactors(NamedTuple):
     errors: tuple
 
 
-def _stacked_hat(rig: CameraRig, y, E):
-    """Closed-form S_hat (N, 3, 3) for every row of the normal stack E (N, 2r)."""
-    a = alphas(rig, y)
+def _stacked_hat(rig: CameraRig, a, num, E):
+    """Closed-form S_hat (N, 3, 3) of every normal in E (N, 2r), from the point's a and num."""
     eta_l = E.reshape(len(E), rig.r, 2)
-    beta = np.einsum("nlk,lk->nl", eta_l, _numerators(rig, y))
+    beta = np.einsum("nlk,lk->nl", eta_l, num)
     g = np.einsum("lki,nlk->nli", rig.A, eta_l)
     cc = rig.c[:, :, None] * rig.c[:, None, :]
     cg = rig.c[:, :, None] * g[:, :, None, :]
@@ -311,9 +304,9 @@ def mv_factors(rig: CameraRig, y, E) -> MultiviewFactors:
     normal is recorded in errors instead, and the other rows come out as
     if it were absent.
     """
-    y = np.asarray(y, dtype=float)
     E = np.asarray(E, dtype=float)
-    Q, R = compact_qr(mv_jacobian(rig, y))
+    a, num = _checked(rig, y)
+    Q, R = compact_qr(_jacobian(rig, a, num))
     if E.ndim != 2 or E.shape[1] != 2 * rig.r:
         raise NotNormal(f"eta must have length {2 * rig.r}, got rows of shape {E.shape[1:]}")
     finite = np.isfinite(E).all(axis=1)
@@ -322,7 +315,7 @@ def mv_factors(rig: CameraRig, y, E) -> MultiviewFactors:
         tangential = np.linalg.norm(E @ Q, axis=1)
     ok = finite & ~(tangential > NORMALITY_TOL * nrm)
     if ok.all():
-        S_hat = _stacked_hat(rig, y, E)
+        S_hat = _stacked_hat(rig, a, num, E)
         return MultiviewFactors(Q, R, S_hat, weingarten(S_hat, R), (None,) * len(E))
     errors = [None] * len(E)
     for n in np.flatnonzero(~ok).tolist():
@@ -330,7 +323,7 @@ def mv_factors(rig: CameraRig, y, E) -> MultiviewFactors:
             f"eta has tangential component {tangential[n]:.3e} (norm {nrm[n]:.3e})")
     S_hat = np.full((len(E), 3, 3), np.nan)
     S = S_hat.copy()
-    S_hat[ok] = _stacked_hat(rig, y, E[ok])
+    S_hat[ok] = _stacked_hat(rig, a, num, E[ok])
     S[ok] = weingarten(S_hat[ok], R)
     return MultiviewFactors(Q, R, S_hat, S, tuple(errors))
 

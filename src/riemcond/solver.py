@@ -8,21 +8,21 @@ refining a linear triangulation against the reprojection residual.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import DomainEscape, InvalidGeometry, NonFinite, RiemcondError
+from .errors import DomainEscape, InvalidGeometry, NonFinite, OutsideDomain, RiemcondError
 from .errors import _finite, _non_finite, _require_finite
 from .linalg import compact_qr
 from .manifold import Parametrization, project_tangent, tangent_frame
 from .multiview import (
     CameraRig,
+    _checked,
     _domain_rows,
     _jacobian,
     _projection,
-    mv_domain_check,
     mv_jacobian,
     mv_project,
     triangulate_linear,
@@ -44,6 +44,8 @@ class SolverOptions:
     step_tol: float = 1e-14
 
     def __post_init__(self):
+        for f in fields(self):
+            _require_finite(np.array(getattr(self, f.name), dtype=float), f.name)
         if self.max_iters < 1:
             raise InvalidGeometry("max_iters must be at least 1")
         for name in ("grad_tol", "step_tol"):
@@ -72,33 +74,32 @@ def _start_not_finite(u, r_norm) -> NonFinite:
     return NonFinite(f"residual norm at the start point {u} is not finite ({float(r_norm)})")
 
 
-def lm_minimize(
-    residual,
-    jacobian,
-    u0,
-    opts: SolverOptions | None = None,
-    domain_check=None,
-) -> SolveResult:
-    """Minimize 0.5 ||residual(u)||^2 with damped Gauss-Newton steps.
+def lm_minimize(evaluate, u0, opts: SolverOptions | None = None) -> SolveResult:
+    """Minimize 0.5 ||r(u)||^2 with damped Gauss-Newton steps.
 
+    evaluate(u) returns None off the domain, else the array r(u) and a
+    callable jac() for the Jacobian at u, called only at accepted points.
     Steps are accepted only when they strictly decrease the residual norm
     and realize a minimal fraction of the model's predicted reduction
     (plain accept-on-decrease stalls on large-residual problems, where the
     Gauss-Newton model underestimates the curvature and overshoots). The
     residual sequence is monotone. Exits when ||J^T r|| falls below
     grad_tol (1 + ||r||), when the step drops below step_tol, or at the
-    iteration cap. Trial points violating domain_check raise DomainEscape
-    after ten damping retries. A residual norm at u0 that is not finite
-    raises NonFinite; later trial points with one are rejected as ascents.
+    iteration cap. A start point off the domain raises OutsideDomain, ten
+    damping retries off it DomainEscape. A residual norm at u0 that is not
+    finite raises NonFinite; later trial points with one are rejected.
     """
     opts = opts or SolverOptions()
     u = np.array(u0, dtype=float)
-    r = np.asarray(residual(u), dtype=float)
+    start = evaluate(u)
+    if start is None:
+        raise OutsideDomain(f"start point {u} rejected by domain check")
+    r, jac = start
     with np.errstate(over="ignore"):  # an overflow is reported as NonFinite
         r_norm = np.linalg.norm(r)
     if not np.isfinite(r_norm):
         raise _start_not_finite(u, r_norm)
-    J = np.asarray(jacobian(u), dtype=float)
+    J = np.asarray(jac(), dtype=float)
 
     lam = INITIAL_DAMPING
     iterations = 0
@@ -118,21 +119,20 @@ def lm_minimize(
                 status = Status.Stalled
                 break
             u_try = u + delta
-            if domain_check is not None and not domain_check(u_try):
+            trial = evaluate(u_try)
+            if trial is None:
                 domain_failures += 1
                 if domain_failures > 10:
-                    raise DomainEscape(
-                        f"iterates left the admissible domain near u={u_try}"
-                    )
+                    raise DomainEscape(f"iterates left the admissible domain near u={u_try}")
                 lam *= DAMPING_UP
                 continue
-            r_try = np.asarray(residual(u_try), dtype=float)
+            r_try, jac = trial
             # predicted reduction of 0.5||r||^2 under the damped model
             predicted = 0.5 * delta @ (JtJ @ delta) + lam * (delta @ delta)
             actual = 0.5 * (r @ r - r_try @ r_try)
             if np.linalg.norm(r_try) < np.linalg.norm(r) and actual >= 0.25 * predicted:
                 u, r = u_try, r_try
-                J = np.asarray(jacobian(u), dtype=float)
+                J = np.asarray(jac(), dtype=float)
                 lam *= DAMPING_DOWN
                 iterations += 1
                 accepted = True
@@ -156,18 +156,20 @@ def project_point(param: Parametrization, a, u0, opts: SolverOptions | None = No
     """Critical point of the squared distance from a onto the manifold.
 
     At a converged exit the residual a - phi(u*) is normal to the manifold
-    (the critical-point certificate, see cpp_certificate).
+    (the critical-point certificate, see cpp_certificate). A start point
+    that the chart's domain check rejects raises OutsideDomain, as
+    tangent_frame does there.
     """
     a = np.asarray(a, dtype=float)
     _require_finite(a, "ambient point")
     _require_finite(np.asarray(u0, dtype=float), "start point")
-    return lm_minimize(
-        residual=lambda u: param(u) - a,
-        jacobian=param.jacobian,
-        u0=u0,
-        opts=opts,
-        domain_check=param.in_domain,
-    )
+
+    def evaluate(u):
+        if not param.in_domain(u):
+            return None
+        return param(u) - a, lambda: param.jacobian(u)
+
+    return lm_minimize(evaluate, u0, opts)
 
 
 def cpp_certificate(param: Parametrization, u, a) -> float:
@@ -186,7 +188,8 @@ def triangulate(
     """Gold-standard triangulation of the ambient correspondence a.
 
     Starts from the linear (DLT) solution unless warm_start supplies an
-    explicit world point, then refines the reprojection residual.
+    explicit world point, then refines the reprojection residual. The
+    start point must pass mv_domain_check.
     """
     a = np.asarray(a, dtype=float)
     _require_finite(a, "correspondence")
@@ -194,13 +197,15 @@ def triangulate(
         y0 = np.asarray(warm_start, dtype=float)
     else:
         y0 = triangulate_linear(rig, a, minimal=minimal_init)
-    return lm_minimize(
-        residual=lambda y: mv_project(rig, y) - a,
-        jacobian=lambda y: mv_jacobian(rig, y),
-        u0=y0,
-        opts=opts,
-        domain_check=lambda y: mv_domain_check(rig, y),
-    )
+    _checked(rig, y0)  # NonFinite or OutsideDomain, worded for the world point
+
+    def evaluate(y):
+        depths, num, inside = _domain_rows(rig, y[None])
+        if not inside[0]:
+            return None
+        return _projection(depths[0], num[0]) - a, lambda: _jacobian(rig, depths[0], num[0])
+
+    return lm_minimize(evaluate, y0, opts)
 
 
 def _dots(V, W):
@@ -234,9 +239,10 @@ def _triangulate_rows(rig: CameraRig, A, y0, opts: SolverOptions | None = None):
         return out
     y0 = np.array(y0, dtype=float)
     try:
-        x0, J0 = mv_project(rig, y0), mv_jacobian(rig, y0)
+        a0, num0 = _checked(rig, y0)
     except RiemcondError as exc:
         return [exc if res is None else res for res in out]
+    x0, J0 = _projection(a0, num0), _jacobian(rig, a0, num0)
     # the rows still running, one leading axis per array: row i stands for input row pos[i]
     m, target = pos.size, A[pos]
     s = SimpleNamespace(pos=pos, target=target, u=np.repeat(y0[None], m, axis=0), r=x0 - target,

@@ -299,6 +299,35 @@ def test_non_finite_chart_input_is_exit_2(argv, capsys):
     assert captured.err.startswith("error: ") and "not finite" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["triangulate", "--rig", "{rig}", "--corr", "{corr}", "--grad-tol", "inf"],
+    ["triangulate", "--rig", "{rig}", "--corr", "{corr}", "--step-tol", "nan"],
+    ["project", "--manifold", "graph2d", "--ambient", "[0.0, 1.0]", "--u0", "[0.1]",
+     "--grad-tol", "nan"],
+    ["validate", "--rig", "{rig}", "--point", "{point}", "--out", "{out}", "--step-tol", "inf"],
+    ["gen-rig", "--radius", "nan", "--out", "{out}"],
+    ["gen-rig", "--look-at", "0,inf,0", "--out", "{out}"],
+    ["kappa", "--rig", "{nan_rig}", "--point", "{point}"],
+    ["kappa", "--manifold", "graph2d", "--u", "[0.0]", "--eta-scale", "nan"],
+], ids=["grad-tol", "step-tol", "project", "validate", "radius", "look-at", "camera", "eta-scale"])
+def test_non_finite_setting_is_exit_2(argv, rig_file, point_file, tmp_path, capsys):
+    rig = rc.rig_from_dict(json.loads(rig_file.read_text()))
+    corr = tmp_path / "x.json"
+    corr.write_text(json.dumps({"x": rc.mv_project(rig, [0.3, -0.1, 0.2]).tolist()}))
+    cameras = rc.rig_to_dict(rig)["cameras"]
+    cameras[1][5] = float("nan")
+    nan_rig = tmp_path / "nan_rig.json"
+    nan_rig.write_text(json.dumps({"cameras": cameras}))
+    out = tmp_path / "out.json"
+    paths = {"rig": rig_file, "corr": corr, "point": point_file, "out": out, "nan_rig": nan_rig}
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "not finite" in captured.err
+    assert not out.exists()
+
+
 def test_parsed_defaults_are_the_library_defaults():
     parser = build_parser()
     gen = parser.parse_args(["gen-rig", "--out", "rig.json"])

@@ -235,3 +235,15 @@ def test_dual_route_report_and_diagnostic():
     )
     with pytest.warns(UserWarning, match="disagree"):
         rc.kappa_cpp_from_weingarten(bad)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: rc.kappa_cpp(np.array([[np.nan]])),
+    lambda: rc.kappa_cpp(np.diag([1.0, np.inf])),
+    lambda: rc.kappa_gcpp(rc.ProblemDerivative(A=np.eye(2)), np.diag([np.nan, 1.0])),
+    lambda: rc.ProblemDerivative(A=[[np.inf]]),
+    lambda: rc.ProblemDerivative(A=np.eye(2), output_metric=np.diag([1.0, np.nan])),
+], ids=["kappa_cpp-nan", "kappa_cpp-inf", "kappa_gcpp-H", "derivative-A", "derivative-metric"])
+def test_non_finite_matrix_raises_non_finite(make):
+    with pytest.raises(rc.NonFinite, match="is not finite"):
+        make()

@@ -164,3 +164,13 @@ def test_projector_route_matches_contraction_route():
         assert np.linalg.norm(S_contraction - S_projector) <= 1e-6 * max(
             1.0, np.linalg.norm(S_contraction)
         )
+
+
+@pytest.mark.parametrize("param, u, eta", [
+    (rc.graph2d(1.0), [0.0], [0.0, np.nan]),
+    (rc.sphere(1.0), [0.3, -0.2], [np.inf, 0.0, 0.0]),
+])
+def test_non_finite_eta_raises_non_finite(param, u, eta):
+    for route in (rc.weingarten_data, rc.second_fundamental_contraction):
+        with pytest.raises(rc.NonFinite, match="normal vector eta"):
+            route(param, np.array(u), np.array(eta))

@@ -51,6 +51,15 @@ def test_rig_spec_validation():
         rc.RigSpec(radius=-2.0)
 
 
+@pytest.mark.parametrize("setting", [
+    {"radius": np.nan}, {"focal": np.inf}, {"arc_degrees": np.nan}, {"look_at": (0.0, np.inf, 0.0)},
+])
+def test_non_finite_rig_spec_raises_non_finite(setting):
+    (name,) = setting
+    with pytest.raises(rc.NonFinite, match=f"{name} .* is not finite"):
+        rc.RigSpec(**setting)
+
+
 def test_random_unit_normal_contract():
     rig = _default_rig()
     eta = rc.random_unit_normal(rig, DEFAULT_Y, 11)

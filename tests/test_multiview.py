@@ -42,6 +42,14 @@ def test_camera_rank_invariant():
         rc.Camera.from_matrix(bad)
 
 
+@pytest.mark.parametrize("entry, value", [((0, 0), np.nan), ((2, 3), np.inf)])
+def test_non_finite_camera_raises_non_finite(entry, value):
+    P = CANONICAL.copy()
+    P[entry] = value
+    with pytest.raises(rc.NonFinite, match="camera matrix"):
+        rc.Camera.from_matrix(P)
+
+
 def test_rig_requires_distinct_centers():
     cam = rc.Camera.from_matrix(CANONICAL)
     with pytest.raises(rc.InvalidGeometry):
@@ -212,23 +220,33 @@ def test_cached_baseline_distance_matches_centers(make_rig):
 
 @pytest.mark.parametrize("make_rig", [_generic_rig, _half_affine_rig, _affine_rig])
 def test_stacked_domain_check_matches_per_point(make_rig):
-    from riemcond.multiview import _domain_rows
+    from riemcond.multiview import DOM_TOL, _domain_rows
 
     rig = make_rig()
     rng = np.random.default_rng(27)
     Y = rng.uniform(-2.0, 2.0, size=(40, 3))
     Y[3, 1], Y[4, 2], Y[5, 0] = np.nan, np.inf, -np.inf
     excluded = [3, 4, 5]
-    if rig.c[0].any():  # a point on camera 0's principal plane
+    if rig.c[0].any():  # a point on camera 0's principal plane, and one within DOM_TOL of it
         Y[1] -= (rig.c[0] @ Y[1] + rig.d[0]) / (rig.c[0] @ rig.c[0]) * rig.c[0]
-        excluded.append(1)
-    if rig.baseline_dir is not None:  # and one on the baseline
+        Y[6] = Y[1] + 0.5 * DOM_TOL * rig.c[0] / (rig.c[0] @ rig.c[0])
+        excluded += [1, 6]
+    if rig.baseline_dir is not None:  # and the same for the baseline
         Y[2] = rig.baseline_point + 0.3 * rig.baseline_dir
-        excluded.append(2)
+        off = np.cross(rig.baseline_dir, rng.standard_normal(3))
+        Y[7] = Y[2] + 0.5 * DOM_TOL * off / np.linalg.norm(off)
+        excluded += [2, 7]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _, _, ok = _domain_rows(rig, Y)
-    assert ok.tolist() == [rc.mv_domain_check(rig, y) for y in Y]
+
+    def oracle(y):
+        if not np.isfinite(y).all():
+            return False
+        depths = [(cam.matrix @ np.append(y, 1.0))[2] for cam in rig.cameras]
+        return min(map(abs, depths)) > DOM_TOL and _centers_baseline_distance(rig, y) > DOM_TOL
+
+    assert ok.tolist() == [oracle(y) for y in Y]
     assert not ok[excluded].any() and ok.sum() >= 30
 
 

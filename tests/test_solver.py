@@ -6,12 +6,17 @@ import pytest
 import riemcond as rc
 
 
+def _evaluator(residual, jacobian):
+    """lm_minimize's evaluate from a residual and a Jacobian defined everywhere."""
+    return lambda u: (residual(u), lambda: jacobian(u))
+
+
 def test_linear_least_squares_in_two_steps():
     rng = np.random.default_rng(3)
     M = 100.0 * rng.standard_normal((7, 3))
     z = rng.standard_normal(7)
     expected, *_ = np.linalg.lstsq(M, z, rcond=None)
-    res = rc.lm_minimize(lambda u: M @ u - z, lambda u: M, np.zeros(3))
+    res = rc.lm_minimize(_evaluator(lambda u: M @ u - z, lambda u: M), np.zeros(3))
     assert res.status is rc.Status.Converged
     assert res.iterations <= 2
     assert np.linalg.norm(res.u_star - expected) <= 1e-10
@@ -19,7 +24,7 @@ def test_linear_least_squares_in_two_steps():
 
 def test_zero_residual_returns_immediately():
     u0 = np.array([1.0, -2.0])
-    res = rc.lm_minimize(lambda u: u - u0, lambda u: np.eye(2), u0)
+    res = rc.lm_minimize(_evaluator(lambda u: u - u0, lambda u: np.eye(2)), u0)
     assert res.status is rc.Status.Converged
     assert res.iterations == 0
     assert res.residual_norm == 0.0
@@ -28,7 +33,7 @@ def test_zero_residual_returns_immediately():
 def test_parabola_residual_converges_to_vertex():
     p = rc.graph2d(1.0)
     target = np.array([0.0, 0.25])
-    res = rc.lm_minimize(lambda u: p(u) - target, p.jacobian, np.array([0.3]))
+    res = rc.lm_minimize(_evaluator(lambda u: p(u) - target, p.jacobian), np.array([0.3]))
     assert abs(res.u_star[0]) <= 1e-6
 
 
@@ -38,7 +43,7 @@ def test_descent_is_strictly_monotone():
     u0 = np.array([1.0, 1.0])
 
     def solve(max_iters):
-        return rc.lm_minimize(lambda u: p(u) - target, p.jacobian, u0,
+        return rc.lm_minimize(_evaluator(lambda u: p(u) - target, p.jacobian), u0,
                               opts=rc.SolverOptions(max_iters=max_iters))
 
     n = solve(200).iterations
@@ -52,13 +57,41 @@ def test_descent_is_strictly_monotone():
 
 
 def test_domain_escape_after_retries():
+    def evaluate(u):
+        if abs(u[0]) >= 1e-12:
+            return None
+        return u - 10.0, lambda: np.eye(1)
+
     with pytest.raises(rc.DomainEscape):
-        rc.lm_minimize(
-            lambda u: u - 10.0,
-            lambda u: np.eye(1),
-            np.array([0.0]),
-            domain_check=lambda u: abs(u[0]) < 1e-12,
-        )
+        rc.lm_minimize(evaluate, np.array([0.0]))
+
+
+def test_each_trial_point_is_evaluated_once(monkeypatch):
+    """Every LM trial point after the start reaches the depth computation once:
+    its domain verdict, residual and (when accepted) Jacobian share it."""
+    import riemcond.multiview as mv
+
+    calls = {}
+    alphas = mv.alphas
+
+    def counted(rig, y):
+        key = np.asarray(y, dtype=float).tobytes()
+        calls[key] = calls.get(key, 0) + 1
+        return alphas(rig, y)
+
+    rig = rc.gen_rig(rc.RigSpec(k=10, seed=0))
+    rng = np.random.default_rng(8)
+    monkeypatch.setattr(mv, "alphas", counted)
+    for _ in range(5):
+        x = rc.mv_project(rig, rng.uniform(-0.7, 0.7, size=3))
+        a = x + 1e-2 * rng.standard_normal(x.size)
+        y0 = rc.triangulate_linear(rig, a)
+        calls.clear()
+        res = rc.triangulate(rig, a, warm_start=y0)
+        assert res.iterations >= 2
+        trials = {key: n for key, n in calls.items() if key != y0.tobytes()}
+        assert len(trials) >= res.iterations
+        assert set(trials.values()) == {1}
 
 
 def test_max_iters_status():
@@ -76,6 +109,15 @@ def test_solver_options_validation():
         rc.SolverOptions(grad_tol=-1.0)
 
 
+@pytest.mark.parametrize("setting", [
+    {"grad_tol": np.inf}, {"grad_tol": np.nan}, {"step_tol": np.nan}, {"max_iters": np.inf},
+])
+def test_non_finite_solver_options_raise_non_finite(setting):
+    (name,) = setting
+    with pytest.raises(rc.NonFinite, match=f"{name} .* is not finite"):
+        rc.SolverOptions(**setting)
+
+
 def test_project_point_on_manifold_input():
     p = rc.paraboloid()
     u_true = np.array([0.2, -0.3])
@@ -90,6 +132,16 @@ def test_project_point_sphere_along_ray():
     x = s(u0)
     res = rc.project_point(s, 3.0 * x, u0 + np.array([0.05, -0.08]))
     assert np.linalg.norm(s(res.u_star) - x) <= 1e-7
+
+
+def test_project_point_from_a_start_outside_the_chart_domain_raises():
+    s = rc.sphere(1.0)
+    pole = np.array([0.3, np.pi / 2])
+    assert not s.in_domain(pole)
+    with pytest.raises(rc.OutsideDomain, match="rejected by domain check"):
+        rc.tangent_frame(s, pole)
+    with pytest.raises(rc.OutsideDomain, match="rejected by domain check"):
+        rc.project_point(s, np.array([0.1, 0.2, 2.0]), pole)
 
 
 def test_project_point_parabola_below_focal():

@@ -20,7 +20,6 @@ from .curvature import (
     second_fundamental_contraction,
     weingarten,
     weingarten_data,
-    weingarten_via_projector,
 )
 from .errors import (
     AtInfinity,

@@ -69,7 +69,7 @@ def _load_rig(path: str):
     data = _load_json(path)
     try:
         return rig_from_dict(data)
-    except ValueError as exc:
+    except (ValueError, NonFinite) as exc:
         raise CliInputError(f"{path}: {exc}") from exc
 
 

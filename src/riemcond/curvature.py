@@ -17,8 +17,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NotNormal, ZeroNormal, _require_finite
-from .linalg import compact_qr, congruence_by_inverse
-from .manifold import FD_HESS_STEP, Parametrization, tangent_frame
+from .linalg import congruence_by_inverse
+from .manifold import Parametrization, tangent_frame
 
 # Tangential-component tolerance for vectors claimed to be normal.
 NORMALITY_TOL = 1e-8
@@ -116,28 +116,3 @@ def critical_radii(c):
     with np.errstate(divide="ignore"):
         return np.where(c == 0.0, np.inf, 1.0 / np.abs(c))
 
-
-def weingarten_via_projector(param: Parametrization, u, eta):
-    """Weingarten map from the derivative of a normal extension of eta.
-
-    Extends eta along the manifold as N(x') = P_normal(x') eta and
-    differentiates numerically along unit tangent directions at step
-    FD_HESS_STEP; the tangential part of -dN is the shape operator. Kept
-    as an independent cross-check of the contraction-based route.
-    """
-    u = np.asarray(u, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    frame = tangent_frame(param, u)
-    m, step = param.intrinsic_dim, FD_HESS_STEP
-    S = np.empty((m, m))
-    for i in range(m):
-        # chart velocity realizing the i-th orthonormal tangent direction
-        w = scipy.linalg.solve_triangular(frame.R, np.eye(m)[i], lower=False)
-
-        def normal_field(up):
-            Qp, _ = compact_qr(param.jacobian(up))
-            return eta - Qp @ (Qp.T @ eta)
-
-        dN = (normal_field(u + step * w) - normal_field(u - step * w)) / (2.0 * step)
-        S[:, i] = frame.Q.T @ (-dN)
-    return 0.5 * (S + S.T)

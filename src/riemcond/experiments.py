@@ -195,8 +195,13 @@ def experiment_validate(
     tangent direction, re-solve the triangulation warm-started at the
     unperturbed solution y, and record the observed amplification
     kappa_est = ||y - y_est|| / ||E|| next to the theory value. All rows
-    are solved in one stacked call, each exactly as triangulate would.
+    are solved in one stacked call, each exactly as triangulate would. A
+    perturb_rel that is not finite raises NonFinite, one <= 0
+    InvalidGeometry, before anything is solved.
     """
+    _require_finite(np.array(perturb_rel, dtype=float), "perturb_rel")
+    if perturb_rel <= 0:
+        raise InvalidGeometry(f"perturb_rel must be positive, got {perturb_rel}")
     y = np.asarray(y, dtype=float)
     x = mv_project(rig, y)
     x_norm = float(np.linalg.norm(x))

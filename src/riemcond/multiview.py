@@ -22,6 +22,7 @@ from .errors import (
     AtInfinity,
     DegenerateKernel,
     InvalidGeometry,
+    NonFinite,
     NotNormal,
     OutsideDomain,
     _non_finite,
@@ -142,8 +143,8 @@ def rig_to_dict(rig: CameraRig) -> dict:
 
 def rig_from_dict(data: dict) -> CameraRig:
     """Parse the rig wire format; structural problems raise ValueError,
-    geometric ones (rank-deficient cameras, coincident centers) raise
-    InvalidGeometry."""
+    entries that are not finite NonFinite, geometric ones (rank-deficient
+    cameras, coincident centers) InvalidGeometry."""
     if not isinstance(data, dict) or not isinstance(data.get("cameras"), list):
         raise ValueError('rig must be a JSON object whose "cameras" field is a list')
     cams = []
@@ -154,6 +155,9 @@ def rig_from_dict(data: dict) -> CameraRig:
             raise ValueError(f"cameras[{i}] must hold numbers: {exc}") from exc
         if flat.shape != (12,):
             raise ValueError(f"cameras[{i}] must hold 12 numbers, got shape {flat.shape}")
+        bad = np.flatnonzero(~np.isfinite(flat)).tolist()
+        if bad:
+            raise NonFinite(f"cameras[{i}] is not finite (entries {bad})")
         cams.append(Camera.from_matrix(flat.reshape(3, 4)))
     return CameraRig(cameras=tuple(cams))
 

@@ -8,8 +8,8 @@ refining a linear triangulation against the reprojection residual.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, fields
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -70,8 +70,109 @@ class SolveResult:
     first_order_norm: float
 
 
-def _start_not_finite(u, r_norm) -> NonFinite:
-    return NonFinite(f"residual norm at the start point {u} is not finite ({float(r_norm)})")
+def _dots(V, W):
+    """Row-wise v @ w of two (M, k) stacks.
+
+    A (1, k) @ (k, 1) matmul per row runs the BLAS dot of the one-vector
+    `@` and of np.linalg.norm, so each row matches its one-row value
+    bitwise (einsum and norm(axis=1) sum in another order).
+    """
+    return (V[:, None, :] @ W[:, :, None])[:, 0, 0]
+
+
+def _lm_rows(evaluate, u, r, J, opts: SolverOptions):
+    """lm_minimize's iteration on the M rows of u (M, n) in lockstep.
+
+    r (M, m) and J (M, m, n) hold the residuals and Jacobians at the start
+    points u; the loop writes accepted points into u. evaluate(U, rows)
+    takes the trial points U (K, n) of the rows numbered `rows` and returns
+    their residuals (K, m), a list of K domain verdicts and jac(sel), the
+    Jacobians at the trial points numbered sel; residuals off the domain
+    are placeholders the loop ignores. A pass makes one stacked solve over
+    the running rows, one evaluate call on their trial points and one jac
+    call on the accepted ones. Each row keeps its own damping,
+    domain-failure count, iteration count and exit, decided on Python
+    floats. Every contraction is a stacked matmul or _dots, which run the
+    BLAS call of the one-row `@` on each slice, so a row's result does not
+    depend on the rows beside it. Returns, per row, a SolveResult or the
+    NonFinite or DomainEscape that lm_minimize raises.
+    """
+    out = [None] * len(u)
+    Jt = J.transpose(0, 2, 1)
+    with np.errstate(over="ignore"):  # an overflow is reported as NonFinite
+        g, JtJ = (Jt @ r[:, :, None])[:, :, 0], Jt @ J
+        rr, gg, uu = (_dots(v, v).tolist() for v in (r, g, u))
+    for i, v in enumerate(rr):
+        if not math.isfinite(v):
+            out[i] = NonFinite(f"residual norm at the start point {u[i]} is not finite "
+                               f"({math.sqrt(v)})")
+    # the running rows: position p holds input row live[p], its u, g = J^T r and
+    # JtJ = J^T J, and its damping, domain failures, iterations and squared norms
+    live = list(range(len(u)))
+    lam, fails, iters = [INITIAL_DAMPING] * len(u), [0] * len(u), [0] * len(u)
+    eye = np.eye(u.shape[1])
+
+    def finish(p, status):
+        out[live[p]] = SolveResult(u[p].copy(), math.sqrt(rr[p]), status, iters[p], math.sqrt(gg[p]))
+
+    moved = [p for p in live if out[p] is None]  # rows at the head of an outer iteration
+    while True:
+        for p in moved:
+            if iters[p] >= opts.max_iters:
+                finish(p, Status.MaxIters)
+            elif math.sqrt(gg[p]) <= opts.grad_tol * (1.0 + math.sqrt(rr[p])):
+                finish(p, Status.Converged)
+        keep = [p for p, i in enumerate(live) if out[i] is None]
+        if not keep:
+            return out
+        if len(keep) < len(live):
+            live, lam, fails, iters, rr, gg, uu = (
+                [v[p] for p in keep] for v in (live, lam, fails, iters, rr, gg, uu))
+            u, g, JtJ = (v.take(keep, 0) for v in (u, g, JtJ))
+        delta = np.linalg.solve(JtJ + np.array(lam)[:, None, None] * eye, -g[:, :, None])[:, :, 0]
+        dd = _dots(delta, delta).tolist()
+        # predicted reduction of 0.5||r||^2 under the damped model, less its lam ||delta||^2
+        model = _dots(0.5 * delta, (JtJ @ delta[:, :, None])[:, :, 0]).tolist()
+        for p in range(len(live)):
+            if math.sqrt(dd[p]) <= opts.step_tol * (1.0 + math.sqrt(uu[p])):
+                finish(p, Status.Stalled)
+        trial = [p for p, i in enumerate(live) if out[i] is None]
+        moved = []
+        if not trial:
+            continue
+        U = u + delta
+        if len(trial) < len(live):
+            U = U.take(trial, 0)
+        R, inside, jac = evaluate(U, [live[p] for p in trial])
+        rr_try = _dots(R, R).tolist()
+        accepted = []
+        for k, p in enumerate(trial):
+            if not inside[k]:
+                fails[p] += 1
+                if fails[p] > 10:
+                    out[live[p]] = DomainEscape(
+                        f"iterates left the admissible domain near u={U[k]}")
+                lam[p] *= DAMPING_UP
+            elif (math.sqrt(rr_try[k]) < math.sqrt(rr[p])
+                  and 0.5 * (rr[p] - rr_try[k]) >= 0.25 * (model[p] + lam[p] * dd[p])):
+                accepted.append(k)
+                moved.append(p)
+                rr[p] = rr_try[k]
+                lam[p] *= DAMPING_DOWN
+                iters[p] += 1
+                fails[p] = 0
+            else:
+                lam[p] *= DAMPING_UP
+                if lam[p] > 1e18:
+                    finish(p, Status.Stalled)
+        if accepted:
+            Ja, Ua, Ra = jac(accepted), U.take(accepted, 0), R.take(accepted, 0)
+            Jt = Ja.transpose(0, 2, 1)
+            ga = (Jt @ Ra[:, :, None])[:, :, 0]
+            at = np.array(moved)
+            u[at], g[at], JtJ[at] = Ua, ga, Jt @ Ja
+            for p, a, b in zip(moved, _dots(ga, ga).tolist(), _dots(Ua, Ua).tolist()):
+                gg[p], uu[p] = a, b
 
 
 def lm_minimize(evaluate, u0, opts: SolverOptions | None = None) -> SolveResult:
@@ -88,68 +189,25 @@ def lm_minimize(evaluate, u0, opts: SolverOptions | None = None) -> SolveResult:
     iteration cap. A start point off the domain raises OutsideDomain, ten
     damping retries off it DomainEscape. A residual norm at u0 that is not
     finite raises NonFinite; later trial points with one are rejected.
+    The iteration is _lm_rows on one row.
     """
-    opts = opts or SolverOptions()
     u = np.array(u0, dtype=float)
     start = evaluate(u)
     if start is None:
         raise OutsideDomain(f"start point {u} rejected by domain check")
     r, jac = start
-    with np.errstate(over="ignore"):  # an overflow is reported as NonFinite
-        r_norm = np.linalg.norm(r)
-    if not np.isfinite(r_norm):
-        raise _start_not_finite(u, r_norm)
-    J = np.asarray(jac(), dtype=float)
 
-    lam = INITIAL_DAMPING
-    iterations = 0
-    status = Status.MaxIters
-    for _ in range(opts.max_iters):
-        g = J.T @ r
-        if np.linalg.norm(g) <= opts.grad_tol * (1.0 + np.linalg.norm(r)):
-            status = Status.Converged
-            break
-        JtJ = J.T @ J
-        eye = np.eye(u.size)
-        accepted = False
-        domain_failures = 0
-        while not accepted:
-            delta = np.linalg.solve(JtJ + lam * eye, -g)
-            if np.linalg.norm(delta) <= opts.step_tol * (1.0 + np.linalg.norm(u)):
-                status = Status.Stalled
-                break
-            u_try = u + delta
-            trial = evaluate(u_try)
-            if trial is None:
-                domain_failures += 1
-                if domain_failures > 10:
-                    raise DomainEscape(f"iterates left the admissible domain near u={u_try}")
-                lam *= DAMPING_UP
-                continue
-            r_try, jac = trial
-            # predicted reduction of 0.5||r||^2 under the damped model
-            predicted = 0.5 * delta @ (JtJ @ delta) + lam * (delta @ delta)
-            actual = 0.5 * (r @ r - r_try @ r_try)
-            if np.linalg.norm(r_try) < np.linalg.norm(r) and actual >= 0.25 * predicted:
-                u, r = u_try, r_try
-                J = np.asarray(jac(), dtype=float)
-                lam *= DAMPING_DOWN
-                iterations += 1
-                accepted = True
-            else:
-                lam *= DAMPING_UP
-                if lam > 1e18:
-                    status = Status.Stalled
-                    break
-        if not accepted:
-            break
-    return SolveResult(
-        u_star=u,
-        residual_norm=float(np.linalg.norm(r)),
-        status=status,
-        iterations=iterations,
-        first_order_norm=float(np.linalg.norm(J.T @ r)),
-    )
+    def evaluate_row(U, _):
+        trial = evaluate(U[0])
+        if trial is None:
+            return r[None], [False], None  # the start residual as the ignored placeholder
+        return trial[0][None], [True], lambda _: np.asarray(trial[1](), dtype=float)[None]
+
+    J = np.asarray(jac(), dtype=float)
+    (res,) = _lm_rows(evaluate_row, u[None], r[None], J[None], opts or SolverOptions())
+    if isinstance(res, RiemcondError):
+        raise res
+    return res
 
 
 def project_point(param: Parametrization, a, u0, opts: SolverOptions | None = None) -> SolveResult:
@@ -188,143 +246,52 @@ def triangulate(
     """Gold-standard triangulation of the ambient correspondence a.
 
     Starts from the linear (DLT) solution unless warm_start supplies an
-    explicit world point, then refines the reprojection residual. The
-    start point must pass mv_domain_check.
+    explicit world point, then refines the reprojection residual: the one
+    row of _triangulate_rows. The start point must pass mv_domain_check.
     """
     a = np.asarray(a, dtype=float)
     _require_finite(a, "correspondence")
-    if warm_start is not None:
-        y0 = np.asarray(warm_start, dtype=float)
-    else:
-        y0 = triangulate_linear(rig, a, minimal=minimal_init)
-    _checked(rig, y0)  # NonFinite or OutsideDomain, worded for the world point
-
-    def evaluate(y):
-        depths, num, inside = _domain_rows(rig, y[None])
-        if not inside[0]:
-            return None
-        return _projection(depths[0], num[0]) - a, lambda: _jacobian(rig, depths[0], num[0])
-
-    return lm_minimize(evaluate, y0, opts)
-
-
-def _dots(V, W):
-    """Row-wise v @ w of two (M, k) stacks.
-
-    A (1, k) @ (k, 1) matmul per row runs the BLAS dot of the one-vector
-    `@` and of np.linalg.norm, so each row matches its one-row value
-    bitwise (einsum and norm(axis=1) sum in another order).
-    """
-    return (V[:, None, :] @ W[:, :, None])[:, 0, 0]
+    y0 = triangulate_linear(rig, a, minimal=minimal_init) if warm_start is None else warm_start
+    (res,) = _triangulate_rows(rig, a[None], y0, opts)
+    if isinstance(res, RiemcondError):
+        raise res
+    return res
 
 
 def _triangulate_rows(rig: CameraRig, A, y0, opts: SolverOptions | None = None):
     """triangulate(rig, a, warm_start=y0, opts=opts) for every row a of A (N, 2r).
 
-    The rows run lm_minimize's iteration in lockstep. Each keeps its own
-    damping, domain-failure count, iteration count and status, and leaves
-    the active set when it converges, stalls, reaches max_iters or escapes
-    the domain. A pass makes one stacked solve over the active rows, one
-    stacked projection and domain check over their trial points and one
-    stacked Jacobian over the accepted ones. Every contraction is a stacked
-    matmul, which runs the BLAS call of the one-row `@` on each slice, so
-    every row's result equals its triangulate call bitwise. Returns, per
-    row, a SolveResult or the RiemcondError triangulate would raise.
+    One _lm_rows call solves all rows. Returns, per row, a SolveResult or
+    the RiemcondError triangulate would raise; an error of y0 is every
+    row's.
     """
-    opts = opts or SolverOptions()
     A = np.asarray(A, dtype=float)
     out = [None if _finite(a) else _non_finite(a, "correspondence") for a in A]
-    pos = np.array([n for n, res in enumerate(out) if res is None], dtype=int)
-    if not pos.size:
+    pos = [n for n, res in enumerate(out) if res is None]
+    if not pos:
         return out
-    y0 = np.array(y0, dtype=float)
+    y0 = np.asarray(y0, dtype=float)
     try:
         a0, num0 = _checked(rig, y0)
     except RiemcondError as exc:
         return [exc if res is None else res for res in out]
-    x0, J0 = _projection(a0, num0), _jacobian(rig, a0, num0)
-    # the rows still running, one leading axis per array: row i stands for input row pos[i]
-    m, target = pos.size, A[pos]
-    s = SimpleNamespace(pos=pos, target=target, u=np.repeat(y0[None], m, axis=0), r=x0 - target,
-                        J=np.repeat(J0[None], m, axis=0), lam=np.full(m, INITIAL_DAMPING),
-                        fails=np.zeros(m, dtype=int), iters=np.zeros(m, dtype=int))
-    eye = np.eye(3)
+    target = A[pos]
 
-    def refresh():
-        """g = J^T r, JtJ = J^T J and the squared norms rr, gg, uu of the current u, r, J."""
-        Jt = s.J.transpose(0, 2, 1)
-        s.g, s.JtJ = (Jt @ s.r[:, :, None])[:, :, 0], Jt @ s.J
-        s.rr, s.gg, s.uu = (_dots(v, v) for v in (s.r, s.g, s.u))
-
-    def keep(mask):
-        for name, rows in vars(s).items():
-            setattr(s, name, rows[mask])
-
-    def finish(mask, status):
-        for i in mask.nonzero()[0].tolist():
-            out[s.pos[i]] = SolveResult(
-                u_star=s.u[i].copy(), residual_norm=float(np.sqrt(s.rr[i])), status=status,
-                iterations=int(s.iters[i]), first_order_norm=float(np.sqrt(s.gg[i])),
-            )
-
-    def outer_exits():
-        """Rows at the head of an outer iteration that are done: max_iters, then converged."""
-        maxed = s.iters >= opts.max_iters
-        conv = ~maxed & (np.sqrt(s.gg) <= opts.grad_tol * (1.0 + np.sqrt(s.rr)))
-        finish(maxed, Status.MaxIters)
-        finish(conv, Status.Converged)
-        return maxed | conv
-
-    with np.errstate(over="ignore"):  # an overflow is reported as NonFinite
-        refresh()
-    overflow = ~np.isfinite(s.rr)
-    for i in overflow.nonzero()[0].tolist():
-        out[s.pos[i]] = _start_not_finite(s.u[i], np.sqrt(s.rr[i]))
-    keep(~overflow)
-    leave = outer_exits()
-    while True:
-        if leave.any():
-            keep(~leave)
-        if not s.pos.size:
-            return out
-        delta = np.linalg.solve(s.JtJ + s.lam[:, None, None] * eye, -s.g[:, :, None])[:, :, 0]
-        dd = _dots(delta, delta)
-        stalled = np.sqrt(dd) <= opts.step_tol * (1.0 + np.sqrt(s.uu))
-        if stalled.any():
-            finish(stalled, Status.Stalled)
-            keep(~stalled)
-            delta, dd = delta[~stalled], dd[~stalled]
-            if not s.pos.size:
-                return out
-        u_try = s.u + delta
-        a, num, inside = _domain_rows(rig, u_try)
-        leave = np.zeros(s.pos.size, dtype=bool)
+    def evaluate(Y, rows):
+        a, num, inside = _domain_rows(rig, Y)
         if not inside.all():
-            s.fails += ~inside
-            leave = s.fails > 10
-            for i in leave.nonzero()[0].tolist():
-                out[s.pos[i]] = DomainEscape(
-                    f"iterates left the admissible domain near u={u_try[i]}")
-            # rows outside get a harmless placeholder; they are neither accepted nor stalled
+            # rows outside get a harmless placeholder; the loop ignores their residuals
             a = np.where(inside[:, None], a, 1.0)
             num = np.where(inside[:, None, None], num, 0.0)
-        r_try = _projection(a, num) - s.target
-        rr_try = _dots(r_try, r_try)
-        # predicted reduction of 0.5||r||^2 under the damped model
-        predicted = _dots(0.5 * delta, (s.JtJ @ delta[:, :, None])[:, :, 0]) + s.lam * dd
-        actual = 0.5 * (s.rr - rr_try)
-        accept = inside & (np.sqrt(rr_try) < np.sqrt(s.rr)) & (actual >= 0.25 * predicted)
-        s.lam = np.where(accept, s.lam * DAMPING_DOWN, s.lam * DAMPING_UP)
-        gave_up = inside & ~accept & (s.lam > 1e18)
-        finish(gave_up, Status.Stalled)
-        leave |= gave_up
-        if accept.any():
-            s.u[accept], s.r[accept] = u_try[accept], r_try[accept]
-            s.J[accept] = _jacobian(rig, a[accept], num[accept])
-            s.iters += accept
-            s.fails[accept] = 0
-            refresh()
-            leave |= outer_exits()
+        return (_projection(a, num) - target.take(rows, 0), inside.tolist(),
+                lambda sel: _jacobian(rig, a.take(sel, 0), num.take(sel, 0)))
+
+    m = len(pos)
+    u, J = np.repeat(y0[None], m, axis=0), np.repeat(_jacobian(rig, a0, num0)[None], m, axis=0)
+    results = _lm_rows(evaluate, u, _projection(a0, num0) - target, J, opts or SolverOptions())
+    for n, res in zip(pos, results):
+        out[n] = res
+    return out
 
 
 def mv_certificate(rig: CameraRig, y, a) -> float:

@@ -309,7 +309,9 @@ def test_non_finite_chart_input_is_exit_2(argv, capsys):
     ["gen-rig", "--look-at", "0,inf,0", "--out", "{out}"],
     ["kappa", "--rig", "{nan_rig}", "--point", "{point}"],
     ["kappa", "--manifold", "graph2d", "--u", "[0.0]", "--eta-scale", "nan"],
-], ids=["grad-tol", "step-tol", "project", "validate", "radius", "look-at", "camera", "eta-scale"])
+    ["validate", "--rig", "{rig}", "--point", "{point}", "--out", "{out}", "--perturb-rel", "nan"],
+], ids=["grad-tol", "step-tol", "project", "validate", "radius", "look-at", "camera", "eta-scale",
+        "perturb-rel"])
 def test_non_finite_setting_is_exit_2(argv, rig_file, point_file, tmp_path, capsys):
     rig = rc.rig_from_dict(json.loads(rig_file.read_text()))
     corr = tmp_path / "x.json"
@@ -325,6 +327,18 @@ def test_non_finite_setting_is_exit_2(argv, rig_file, point_file, tmp_path, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "not finite" in captured.err
+    assert not out.exists()
+    if "{nan_rig}" in argv:  # one line that names the file and the camera
+        assert captured.err == f"error: {nan_rig}: cameras[1] is not finite (entries [5])\n"
+
+
+def test_non_positive_perturb_rel_is_exit_1(rig_file, point_file, tmp_path, capsys):
+    out = tmp_path / "v.csv"
+    capsys.readouterr()
+    assert main(["validate", "--rig", str(rig_file), "--point", str(point_file),
+                 "--out", str(out), "--perturb-rel", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: perturb_rel must be positive, got 0.0\n"
     assert not out.exists()
 
 

@@ -244,6 +244,23 @@ def test_validate_records_per_row_errors(monkeypatch):
 
 
 
+@pytest.mark.parametrize("perturb_rel, error", [
+    (0.0, rc.InvalidGeometry), (-1e-6, rc.InvalidGeometry), (np.nan, rc.NonFinite),
+    (np.inf, rc.NonFinite),
+])
+def test_bad_perturb_rel_raises_before_solving(perturb_rel, error, monkeypatch):
+    import riemcond.experiments as exp
+
+    def no_solve(*args):
+        raise AssertionError("solved despite a bad perturb_rel")
+
+    monkeypatch.setattr(exp, "_triangulate_rows", no_solve)
+    rig = _default_rig()
+    eta = rc.random_unit_normal(rig, DEFAULT_Y, 0)
+    with pytest.raises(error, match="perturb_rel"):
+        rc.experiment_validate(rig, DEFAULT_Y, eta, [0.1, 1.0], perturb_rel=perturb_rel)
+
+
 def test_validate_records_carry_solver_status():
     rig = _default_rig()
     eta = rc.random_unit_normal(rig, DEFAULT_Y, 0)

@@ -1,15 +1,18 @@
-"""The validation protocol reproduces the benchmark's stored reference.
+"""The validation protocol reproduces the benchmark's stored reference, and
+cold triangulation passes the benchmark's own check.
 
 Runs the benchmark's six validation rays (normal seeds 4..9 on
 RigSpec(k=10), two-sided grid 1e-3..1e2) as whole grids and checks them
 against perfbench/reference.npz with the benchmark's own check_records and
 tolerances (kappa_est 1e-8, theory 1e-10, flags exact), so a last-bit change
-in the LM iteration fails here before a benchmark run. perfbench/ is only
-read: workloads.py is compiled from its source, which writes no bytecode
+in the LM iteration fails here before a benchmark run. The first calls of the
+triangulate workload go through its check_solve the same way. perfbench/ is
+only read: workloads.py is compiled from its source, which writes no bytecode
 cache next to it.
 """
 
 import importlib.util
+import itertools
 import sys
 from pathlib import Path
 
@@ -39,3 +42,14 @@ def test_validate_rays_match_benchmark_reference():
         verdict = wl.check_records(records, wl._ref_rows(ref, "validate", i), f"normal={seed}")
         assert verdict.failed == 0, verdict.problems[:5]
         assert len(records) == len(grid) == 200
+
+
+def test_triangulate_calls_pass_the_benchmark_check():
+    """The first 60 calls of the triangulate workload (seed 0), which takes its
+    k = 4, 10 and 40 rigs in turn: each cold solve and its kappa pass the
+    workload's check_solve (certificate, residual below DLT, kappa or ill_posed)."""
+    wl = _workloads()
+    assert wl.TRIANGULATE_KS == (4, 10, 40)
+    for call in itertools.islice(wl.triangulate_calls(0), 60):
+        verdict = call.check(call.run())
+        assert verdict.failed == 0, verdict.problems

@@ -67,8 +67,9 @@ def test_domain_escape_after_retries():
 
 
 def test_each_trial_point_is_evaluated_once(monkeypatch):
-    """Every LM trial point after the start reaches the depth computation once:
-    its domain verdict, residual and (when accepted) Jacobian share it."""
+    """Every LM point reaches the depth computation once: the start point's
+    domain verdict, residual and Jacobian share it, and so do each trial
+    point's verdict, residual and (when accepted) Jacobian."""
     import riemcond.multiview as mv
 
     calls = {}
@@ -89,6 +90,7 @@ def test_each_trial_point_is_evaluated_once(monkeypatch):
         calls.clear()
         res = rc.triangulate(rig, a, warm_start=y0)
         assert res.iterations >= 2
+        assert calls[y0.tobytes()] == 1
         trials = {key: n for key, n in calls.items() if key != y0.tobytes()}
         assert len(trials) >= res.iterations
         assert set(trials.values()) == {1}
@@ -226,6 +228,9 @@ def _stacked_fixture():
 
 
 def test_stacked_solve_matches_per_row_triangulate():
+    """Row independence of the lockstep loop: solving the fixture's rows in
+    one N-row _triangulate_rows call gives, row by row, the bits and the
+    error messages of solving each alone (triangulate is the one-row call)."""
     from riemcond.solver import _triangulate_rows
 
     rig, A, y0 = _stacked_fixture()

@@ -25,6 +25,7 @@ from .errors import NonFinite, RiemcondError
 from .experiments import (
     PERTURB_REL,
     RigSpec,
+    _unit_normal,
     experiment_sweep,
     experiment_validate,
     gen_rig,
@@ -33,9 +34,8 @@ from .experiments import (
     ratio_stats,
     records_to_csv,
 )
-from .linalg import compact_qr
 from .manifold import builtin, codim1_unit_normal, tangent_frame
-from .multiview import mv_jacobian, mv_kappa, mv_project, rig_from_dict, rig_to_dict
+from .multiview import _frame, _kappa_report, _projection, mv_project, rig_from_dict, rig_to_dict
 from .solver import SolverOptions, project_point, triangulate
 
 
@@ -178,15 +178,16 @@ def cmd_kappa(args) -> int:
             raise CliInputError("kappa --rig needs --point (world-point JSON file)")
         rig = _load_rig(args.rig)
         y = _load_vector(args.point, "y", 3)
-        x = mv_project(rig, y)
-        Q, _ = compact_qr(mv_jacobian(rig, y))
+        frame = _frame(rig, y)  # one domain check and QR frame serve x, eta, kappa and Q @ u
+        a, num, Q, _ = frame
+        x = _projection(a, num)
         if args.eta:
             raw = _load_vector(args.eta, "eta", 2 * rig.r)
             eta_vec = raw - Q @ (Q.T @ raw)  # project API input to the normal space
         else:
-            unit = random_unit_normal(rig, y, args.seed)
+            unit = _unit_normal(Q, args.seed)
             eta_vec = args.eta_scale * float(np.linalg.norm(x)) * unit
-        report = mv_kappa(rig, y, eta_vec)
+        report = _kappa_report(rig, frame, eta_vec)
         payload = {
             "kappa": report.kappa,
             "ill_posed": report.ill_posed,

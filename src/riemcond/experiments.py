@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.signal
 
 from .condition import ill_posedness_certificate
 from .errors import EmptyInput, InvalidGeometry, RiemcondError, _require_finite
@@ -128,8 +127,13 @@ def prefix_rig(rig: CameraRig, k: int) -> CameraRig:
 
 def random_unit_normal(rig: CameraRig, y, seed: int):
     """Unit normal at mu(y) from a projected standard-normal draw."""
-    rng = np.random.default_rng(seed)
     Q, _ = compact_qr(mv_jacobian(rig, y))
+    return _unit_normal(Q, seed)
+
+
+def _unit_normal(Q, seed: int):
+    """Unit vector orthogonal to the orthonormal columns of Q (a projected standard-normal draw)."""
+    rng = np.random.default_rng(seed)
     n = Q.shape[0]
     for _ in range(100):
         v = rng.standard_normal(n)
@@ -268,9 +272,20 @@ def detect_dips(sigma3: Sequence[float]):
 
     A dip is a peak of -log10(sigma_3) with a prominence of at least
     DIP_PROMINENCE decades, i.e. sigma_3 drops that far below its
-    surroundings.
+    surroundings. The profile must be 1-D (else InvalidGeometry), non-empty
+    (else EmptyInput) and finite (else NonFinite: a row without a value
+    reads as NaN).
     """
     s = np.asarray(sigma3, dtype=float)
+    if s.ndim != 1:
+        raise InvalidGeometry(f"sigma_3 profile must be 1-D, got shape {s.shape}")
+    if s.size == 0:
+        raise EmptyInput("sigma_3 profile is empty")
+    _require_finite(s, "sigma_3 profile")
+    # imported here, not with the package: scipy.signal is most of the package's
+    # import time and this is its only use
+    import scipy.signal
+
     floor = max(s.max(), 1e-300) * 1e-30
     depth = -np.log10(np.maximum(s, floor))
     peaks, _ = scipy.signal.find_peaks(depth, prominence=DIP_PROMINENCE)

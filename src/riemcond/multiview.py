@@ -300,6 +300,12 @@ def _stacked_hat(rig: CameraRig, a, num, E):
             - np.einsum("l,nlij->nij", 1.0 / a**2, cg + cg.transpose(0, 1, 3, 2)))
 
 
+def _frame(rig: CameraRig, y):
+    """(a, num, Q, R) at y: depths, numerators and the Jacobian's QR frame; y's errors raise."""
+    a, num = _checked(rig, y)
+    return (a, num) + compact_qr(_jacobian(rig, a, num))
+
+
 def mv_factors(rig: CameraRig, y, E) -> MultiviewFactors:
     """Frame at y once, then S_hat and S for every normal in the stack E (N, 2r).
 
@@ -309,8 +315,12 @@ def mv_factors(rig: CameraRig, y, E) -> MultiviewFactors:
     if it were absent.
     """
     E = np.asarray(E, dtype=float)
-    a, num = _checked(rig, y)
-    Q, R = compact_qr(_jacobian(rig, a, num))
+    return _factors(rig, _frame(rig, y), E)
+
+
+def _factors(rig: CameraRig, frame, E) -> MultiviewFactors:
+    """mv_factors of the float stack E from the _frame of y."""
+    a, num, Q, R = frame
     if E.ndim != 2 or E.shape[1] != 2 * rig.r:
         raise NotNormal(f"eta must have length {2 * rig.r}, got rows of shape {E.shape[1:]}")
     finite = np.isfinite(E).all(axis=1)
@@ -332,9 +342,9 @@ def mv_factors(rig: CameraRig, y, E) -> MultiviewFactors:
     return MultiviewFactors(Q, R, S_hat, S, tuple(errors))
 
 
-def _one_row(rig: CameraRig, y, eta) -> MultiviewFactors:
-    """mv_factors on the one-row stack [eta]; the row's error is raised."""
-    factors = mv_factors(rig, y, np.asarray(eta, dtype=float)[None])
+def _one_row(rig: CameraRig, frame, eta) -> MultiviewFactors:
+    """_factors on the one-row stack [eta]; the row's error is raised."""
+    factors = _factors(rig, frame, np.asarray(eta, dtype=float)[None])
     if factors.errors[0] is not None:
         raise factors.errors[0]
     return factors
@@ -347,12 +357,12 @@ def mv_weingarten_hat(rig: CameraRig, y, eta):
     2 (eta_l . (A_l y + b_l)) c_l c_l^T / alpha_l^3
     - (c_l (A_l^T eta_l)^T + (A_l^T eta_l) c_l^T) / alpha_l^2.
     """
-    return _one_row(rig, y, eta).S_hat[0]
+    return _one_row(rig, _frame(rig, y), eta).S_hat[0]
 
 
 def mv_weingarten(rig: CameraRig, y, eta):
     """Frame and Weingarten map at mu(y): returns (Q, R, S_hat, S)."""
-    Q, R, S_hat, S, _ = _one_row(rig, y, eta)
+    Q, R, S_hat, S, _ = _one_row(rig, _frame(rig, y), eta)
     return Q, R, S_hat[0], S[0]
 
 
@@ -416,8 +426,13 @@ def mv_kappa(rig: CameraRig, y, eta) -> ConditionReport:
     The worst_input_direction is in the orthonormal tangent coordinates of
     the frame Q at mu(y); the worst ambient perturbation is Q times it.
     """
+    return _kappa_report(rig, _frame(rig, y), eta)
+
+
+def _kappa_report(rig: CameraRig, frame, eta) -> ConditionReport:
+    """mv_kappa from the _frame of y, for a caller that needs its Q too."""
     eta = np.asarray(eta, dtype=float)
-    factors = _one_row(rig, y, eta)
+    factors = _one_row(rig, frame, eta)
     rows = mv_condition(factors.R, factors.S, [np.linalg.norm(eta)])
     ill = bool(rows.ill_posed[0])
     return ConditionReport(

@@ -1,5 +1,6 @@
 import inspect
 import json
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 import riemcond as rc
 from riemcond.cli import build_parser, main
+from riemcond.linalg import compact_qr
 
 
 @pytest.fixture
@@ -233,6 +235,45 @@ def test_kappa_with_explicit_eta_file(rig_file, point_file, tmp_path, capsys):
                  "--eta", str(eta_path)])
     assert code == 0
     assert "kappa =" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("explicit_eta", [False, True])
+def test_kappa_rig_takes_one_qr_frame(rig_file, point_file, tmp_path, capsys, monkeypatch,
+                                      explicit_eta):
+    """kappa --rig projects or draws eta, computes kappa and maps the worst direction
+    with one Jacobian QR, and reports what the library's mv_kappa gives."""
+    rig = rc.rig_from_dict(json.loads(rig_file.read_text()))
+    y = np.array([0.35, -0.2, 0.4])
+    out = tmp_path / "kappa.json"
+    argv = ["kappa", "--rig", str(rig_file), "--point", str(point_file), "--out", str(out)]
+    Q = compact_qr(rc.mv_jacobian(rig, y))[0]
+    if explicit_eta:
+        raw = np.random.default_rng(0).standard_normal(2 * rig.r)
+        eta_path = tmp_path / "eta.json"
+        eta_path.write_text(json.dumps({"eta": raw.tolist()}))
+        argv += ["--eta", str(eta_path)]
+        eta = raw - Q @ (Q.T @ raw)
+    else:
+        argv += ["--eta-scale", "0.1", "--seed", "3"]
+        eta = 0.1 * float(np.linalg.norm(rc.mv_project(rig, y))) * rc.random_unit_normal(rig, y, 3)
+    expected = rc.mv_kappa(rig, y, eta)
+
+    original, calls = compact_qr, []
+
+    def counted(J):
+        calls.append(1)
+        return original(J)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("riemcond") and getattr(module, "compact_qr", None) is original:
+            monkeypatch.setattr(module, "compact_qr", counted)
+    assert main(argv) == 0
+    assert len(calls) == 1
+    payload = json.loads(out.read_text())
+    assert payload["kappa"] == expected.kappa
+    assert payload["worst_input_direction"] == expected.worst_input_direction.tolist()
+    assert payload["worst_ambient_direction"] == (Q @ expected.worst_input_direction).tolist()
+    assert f"kappa = {expected.kappa!r}" in capsys.readouterr().out
 
 
 def test_triangulate_minimal_init(rig_file, tmp_path):

@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -156,6 +161,51 @@ def test_singular_offsets_align_with_sweep_dips():
                 gaps = [abs(np.log10(abs(t_side[i])) - np.log10(abs(off))) for i in dips]
                 step = np.log10(abs(t_side[1])) - np.log10(abs(t_side[0]))
                 assert min(gaps) <= 2.5 * abs(step)
+
+
+@pytest.mark.parametrize("profile, error, message", [
+    ([None, 1.0, 1e-3, 1.0, 1.0], rc.NonFinite, "entries [0]"),  # an error row's sigma3
+    ([1.0, 1.0, 1e-3, np.inf, 1.0], rc.NonFinite, "entries [3]"),
+    ([1.0, np.nan, 1e-3, 1.0, -np.inf], rc.NonFinite, "entries [1, 4]"),
+    ([], rc.EmptyInput, "empty"),
+    ([[1.0, 1e-3, 1.0]], rc.InvalidGeometry, "must be 1-D, got shape (1, 3)"),
+    (1e-3, rc.InvalidGeometry, "must be 1-D, got shape ()"),
+])
+def test_detect_dips_rejects_bad_profiles(profile, error, message):
+    with pytest.raises(error) as exc:
+        rc.detect_dips(np.array(profile, dtype=object))
+    assert message in str(exc.value)
+
+
+_COLD_IMPORT = """
+import json, sys
+import riemcond, riemcond.cli
+
+def signal_modules():
+    return sorted(m for m in sys.modules if m == "scipy.signal" or m.startswith("scipy.signal."))
+
+cold = signal_modules()
+try:
+    riemcond.detect_dips([])
+except riemcond.EmptyInput:
+    pass
+after_bad_input = signal_modules()
+dips = riemcond.detect_dips(json.loads(sys.argv[1])).tolist()
+print(json.dumps([cold, after_bad_input, dips, "scipy.signal" in sys.modules]))
+"""
+
+
+def test_import_does_not_load_scipy_signal():
+    """import riemcond (and its CLI) loads no scipy.signal module; the first
+    detect_dips call on a valid profile loads it and finds the same dips."""
+    profile = [1.0, 0.5, 1e-4, 0.5, 1.0, 0.8, 1.0, 1e-6, 1.0]  # 0.8: a crossing, not a dip
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rc.__file__)))
+    out = subprocess.run([sys.executable, "-c", _COLD_IMPORT, json.dumps(profile)],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    cold, after_bad_input, dips, loaded = json.loads(out)
+    assert cold == [] and after_bad_input == []
+    assert loaded
+    assert dips == rc.detect_dips(profile).tolist() == [2, 7]
 
 
 def test_validate_ratios_and_consistency():

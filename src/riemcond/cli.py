@@ -73,24 +73,23 @@ def _load_rig(path: str):
         raise CliInputError(f"{path}: {exc}") from exc
 
 
-def _load_vector(path: str, field: str, length: int | None = None):
+def _load_vector(path: str, field: str, length: int):
     data = _load_json(path)
     if not isinstance(data, dict) or field not in data:
         raise CliInputError(f'{path}: expected a JSON object with a "{field}" field')
     try:
         vec = np.asarray(data[field], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CliInputError(f'{path}: "{field}" must be a list of numbers: {exc}') from exc
-    if vec.ndim != 1 or (length is not None and vec.shape != (length,)):
-        want = f"({length},)" if length is not None else "a flat list"
-        raise CliInputError(f'{path}: "{field}" must be {want}, got shape {vec.shape}')
+    if vec.shape != (length,):
+        raise CliInputError(f'{path}: "{field}" must be ({length},), got shape {vec.shape}')
     return vec
 
 
 def _parse_inline_vector(text: str, name: str, length: int):
     try:
         vec = np.asarray(json.loads(text), dtype=float)
-    except (json.JSONDecodeError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, TypeError, ValueError, OverflowError) as exc:
         raise CliInputError(f"{name}: expected a JSON list of numbers, got {text!r}") from exc
     if vec.shape != (length,):
         raise CliInputError(f"{name}: expected a list of {length} numbers, got shape {vec.shape}")
@@ -166,7 +165,7 @@ def _builtin_from_args(args):
         raise CliInputError("--manifold-params must be a JSON object")
     try:
         return builtin(args.manifold, **params)
-    except TypeError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CliInputError(f"--manifold-params: {exc}") from exc
 
 
@@ -312,19 +311,29 @@ def _read_csv_columns(csv_path: str, columns):
     return rows
 
 
-def _series_segments(rows, column):
+def _csv_float(csv_path, n, column, text):
+    try:
+        return float(text)
+    except ValueError:
+        raise CliInputError(
+            f"{csv_path}: data row {n}, column {column!r}: {text!r} is not a number") from None
+
+
+def _series_segments(rows, column, csv_path):
     """Split one column into polyline segments in log-log coordinates.
 
     Gaps appear at missing/non-finite/non-positive values, at flagged
-    rows, and at sign changes of t_rel.
+    rows, at a t_rel that is zero or not finite, and at sign changes of
+    t_rel. A cell that is not a number raises CliInputError.
     """
     segments, current, positive = [], [], None
-    for row in rows:
+    for n, row in enumerate(rows, start=1):
         t_text, v_text = row.get("t_rel", ""), row.get(column, "")
         point = None
         if t_text and v_text and row.get("flagged", "false") != "true":
-            t, v = float(t_text), float(v_text)
-            if t != 0.0 and math.isfinite(v) and v > 0.0:
+            t = _csv_float(csv_path, n, "t_rel", t_text)
+            v = _csv_float(csv_path, n, column, v_text)
+            if t != 0.0 and math.isfinite(t) and math.isfinite(v) and v > 0.0:
                 point = (math.log10(abs(t)), math.log10(v))
         if current and (point is None or (t > 0) != positive):
             segments.append(current)
@@ -340,7 +349,7 @@ def _series_segments(rows, column):
 def emit_svg(csv_path: str, columns, out_path: str) -> None:
     """Minimal log-log line plot of CSV columns against |t_rel|."""
     rows = _read_csv_columns(csv_path, columns)
-    all_segments = {col: _series_segments(rows, col) for col in columns}
+    all_segments = {col: _series_segments(rows, col, csv_path) for col in columns}
     points = [p for segs in all_segments.values() for seg in segs for p in seg]
     if not points:
         raise CliInputError(f"{csv_path}: no plottable values in columns {columns}")
@@ -516,8 +525,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_merge_grid_token(argv))
     try:
         return args.func(args)
-    except (CliInputError, OSError, json.JSONDecodeError, csv.Error, UnicodeDecodeError,
-            NonFinite) as exc:
+    except (CliInputError, OSError, csv.Error, UnicodeDecodeError, NonFinite) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RiemcondError as exc:

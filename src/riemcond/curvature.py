@@ -48,18 +48,31 @@ def second_fundamental_contraction(param: Parametrization, u, eta):
     no normal projection of d^2 phi is needed inside the inner product
     because eta already is.
     """
+    return weingarten_data(param, u, eta).S_hat
+
+
+def weingarten(S_hat, R):
+    """Weingarten map in orthonormal coordinates: R^{-T} S_hat R^{-1}."""
+    return congruence_by_inverse(S_hat, R)
+
+
+def weingarten_data(param: Parametrization, u, eta) -> WeingartenData:
+    """Assemble frame, contraction, orthonormal Weingarten map, and H = I - S, on one frame."""
     u = np.asarray(u, dtype=float)
     eta = np.asarray(eta, dtype=float)
     _require_finite(eta, "normal vector eta")
-    frame = tangent_frame(param, u)
     eta_norm = float(np.linalg.norm(eta))
-    if eta_norm > 0:
-        tangential = np.linalg.norm(frame.Q.T @ eta)
-        if tangential > NORMALITY_TOL * eta_norm:
-            raise NotNormal(
-                f"eta has tangential component {tangential:.3e} (norm {eta_norm:.3e})"
-            )
+    frame = tangent_frame(param, u)
     m = param.intrinsic_dim
+    if eta_norm == 0.0:
+        S = np.zeros((m, m))
+        return WeingartenData(S_hat=np.zeros((m, m)), S=S, H=np.eye(m) - S,
+                              curvatures=np.empty(0), eta_norm=eta_norm)
+    tangential = np.linalg.norm(frame.Q.T @ eta)
+    if tangential > NORMALITY_TOL * eta_norm:
+        raise NotNormal(
+            f"eta has tangential component {tangential:.3e} (norm {eta_norm:.3e})"
+        )
     S_hat = np.empty((m, m))
     if param.hess_dirs is not None:
         for i in range(m):
@@ -77,30 +90,11 @@ def second_fundamental_contraction(param: Parametrization, u, eta):
         for i in range(m):
             for j in range(i, m):
                 S_hat[i, j] = S_hat[j, i] = param.second_derivative(u, i, j) @ eta
-    return 0.5 * (S_hat + S_hat.T)
-
-
-def weingarten(S_hat, R):
-    """Weingarten map in orthonormal coordinates: R^{-T} S_hat R^{-1}."""
-    return congruence_by_inverse(S_hat, R)
-
-
-def weingarten_data(param: Parametrization, u, eta) -> WeingartenData:
-    """Assemble frame, contraction, orthonormal Weingarten map, and H = I - S."""
-    eta = np.asarray(eta, dtype=float)
-    _require_finite(eta, "normal vector eta")
-    eta_norm = float(np.linalg.norm(eta))
-    frame = tangent_frame(param, u)
-    m = param.intrinsic_dim
-    if eta_norm == 0.0:
-        S_hat = np.zeros((m, m))
-        S = np.zeros((m, m))
-        curv = np.empty(0)
-    else:
-        S_hat = second_fundamental_contraction(param, u, eta)
-        S = weingarten(S_hat, frame.R)
-        curv = np.sort(scipy.linalg.eigvalsh(S)) / eta_norm
-    return WeingartenData(S_hat=S_hat, S=S, H=np.eye(m) - S, curvatures=curv, eta_norm=eta_norm)
+    S_hat = 0.5 * (S_hat + S_hat.T)
+    _require_finite(S_hat, "second fundamental form")  # an overflow of the contraction
+    S = weingarten(S_hat, frame.R)
+    return WeingartenData(S_hat=S_hat, S=S, H=np.eye(m) - S,
+                          curvatures=scipy.linalg.eigvalsh(S) / eta_norm, eta_norm=eta_norm)
 
 
 def principal_curvatures(wd: WeingartenData):

@@ -121,7 +121,12 @@ def gen_rig(spec: RigSpec) -> CameraRig:
 
 
 def prefix_rig(rig: CameraRig, k: int) -> CameraRig:
-    """First k cameras of a rig: the nested family used for monotonicity checks."""
+    """First k cameras of a rig: the nested family used for monotonicity checks.
+
+    Raises InvalidGeometry unless 2 <= k <= rig.r.
+    """
+    if not 2 <= k <= rig.r:
+        raise InvalidGeometry(f"prefix of {k} cameras: need 2 <= k <= {rig.r}")
     return CameraRig(cameras=rig.cameras[:k])
 
 

@@ -96,16 +96,18 @@ class TangentFrame:
 def tangent_frame(param: Parametrization, u) -> TangentFrame:
     """Compact QR frame of the Jacobian at u.
 
-    Raises NonFinite when u holds a NaN or an infinity, OutsideDomain when
-    the chart's own domain check rejects u, and RankDeficient when the
-    smallest singular value of the Jacobian drops below RANK_TOL times the
-    largest (u outside the smooth locus).
+    Raises NonFinite when u or the Jacobian at u (say one that overflows)
+    holds a NaN or an infinity, OutsideDomain when the chart's own domain
+    check rejects u, and RankDeficient when the smallest singular value of
+    the Jacobian drops below RANK_TOL times the largest (u outside the
+    smooth locus).
     """
     u = np.asarray(u, dtype=float)
     _require_finite(u, "chart point")
     if not param.in_domain(u):
         raise OutsideDomain(f"chart point {u} rejected by domain check")
     J = param.jacobian(u)
+    _require_finite(J, f"Jacobian at chart point {u}")
     Q, R = compact_qr(J)
     s = scipy.linalg.svdvals(R)
     if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0]:
@@ -154,9 +156,11 @@ def sphere(radius: float = 1.0, center=None) -> Parametrization:
     phi(u) = center + radius (cos u1 cos u2, sin u1 cos u2, sin u2);
     the chart degenerates at the poles, excluded by the domain check.
     """
+    _require_finite(np.array(radius, dtype=float), "sphere radius")
     if radius <= 0:
         raise InvalidGeometry(f"sphere radius must be positive, got {radius}")
     c = np.zeros(3) if center is None else np.asarray(center, dtype=float)
+    _require_finite(c, "sphere center")
     if c.shape != (3,):
         raise InvalidGeometry(f"sphere center must be a 3-vector, got shape {c.shape}")
     r = float(radius)
@@ -201,6 +205,7 @@ def sphere(radius: float = 1.0, center=None) -> Parametrization:
 def graph2d(coeff: float = 1.0) -> Parametrization:
     """Plane curve phi(u) = (u, coeff u^2): the parabola for coeff = 1."""
     a = float(coeff)
+    _require_finite(np.array(a), "graph2d coeff")
 
     def point(u):
         return np.array([u[0], a * u[0] ** 2])
@@ -240,13 +245,15 @@ def paraboloid() -> Parametrization:
 def affine(basis, offset=None) -> Parametrization:
     """Affine subspace phi(u) = offset + basis @ u (flat: zero curvature)."""
     B = np.asarray(basis, dtype=float)
-    if B.ndim != 2 or B.shape[0] < B.shape[1]:
-        raise InvalidGeometry(f"basis must be a tall n x m matrix, got shape {B.shape}")
+    _require_finite(B, "affine basis")
+    if B.ndim != 2 or not B.shape[0] >= B.shape[1] >= 1:
+        raise InvalidGeometry(f"basis must be a tall n x m matrix, m >= 1, got shape {B.shape}")
     n, m = B.shape
     s = scipy.linalg.svdvals(B)
     if s[0] == 0.0 or s[-1] <= 1e-12 * s[0]:
         raise InvalidGeometry("affine basis is rank-deficient")
     o = np.zeros(n) if offset is None else np.asarray(offset, dtype=float)
+    _require_finite(o, "affine offset")
     if o.shape != (n,):
         raise InvalidGeometry(f"offset must have shape ({n},), got {o.shape}")
 

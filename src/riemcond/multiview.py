@@ -56,6 +56,15 @@ class Camera:
         if s[0] == 0.0 or s[2] <= 1e-10 * s[0]:
             raise InvalidGeometry("camera matrix must have rank 3")
 
+    # the generated methods would compare and hash the array fields themselves
+    def __eq__(self, other):
+        if not isinstance(other, Camera):
+            return NotImplemented
+        return np.array_equal(self.matrix, other.matrix)
+
+    def __hash__(self):
+        return hash(tuple(self.matrix.ravel().tolist()))  # -0.0 and 0.0 hash alike
+
     @property
     def matrix(self):
         """The 3 x 4 projection matrix."""
@@ -151,7 +160,7 @@ def rig_from_dict(data: dict) -> CameraRig:
     for i, row in enumerate(data["cameras"]):
         try:
             flat = np.asarray(row, dtype=float)
-        except TypeError as exc:
+        except (TypeError, OverflowError) as exc:
             raise ValueError(f"cameras[{i}] must hold numbers: {exc}") from exc
         if flat.shape != (12,):
             raise ValueError(f"cameras[{i}] must hold 12 numbers, got shape {flat.shape}")
@@ -210,7 +219,11 @@ def _jacobian(rig: CameraRig, a, num):
     """Derivative (..., 2r, 3) of the stacked projection from its depths and numerators."""
     # libm pow, as the per-camera a_l ** 2 did: a * a and np.square differ in the last
     # bit for ~0.1% of inputs, and LM solves near focal points amplify that to ~1e-6
-    a2 = np.array([math.pow(t, 2) for t in a.ravel().tolist()]).reshape(a.shape)
+    try:
+        a2 = np.array([math.pow(t, 2) for t in a.ravel().tolist()]).reshape(a.shape)
+    except OverflowError:  # a depth past ~1e154, whose square is inf (a * a gives that)
+        with np.errstate(over="ignore"):
+            a2 = a * a
     outer = num[..., None] * rig.c[:, None, :]
     J = rig.A / a[..., None, None] - outer / a2[..., None, None]
     return J.reshape(a.shape[:-1] + (-1, 3))

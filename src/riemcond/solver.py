@@ -262,8 +262,8 @@ def _triangulate_rows(rig: CameraRig, A, y0, opts: SolverOptions | None = None):
     """triangulate(rig, a, warm_start=y0, opts=opts) for every row a of A (N, 2r).
 
     One _lm_rows call solves all rows. Returns, per row, a SolveResult or
-    the RiemcondError triangulate would raise; an error of y0 is every
-    row's.
+    the RiemcondError triangulate would raise; an error of y0 (NonFinite or
+    OutsideDomain) raises.
     """
     A = np.asarray(A, dtype=float)
     out = [None if _finite(a) else _non_finite(a, "correspondence") for a in A]
@@ -271,10 +271,7 @@ def _triangulate_rows(rig: CameraRig, A, y0, opts: SolverOptions | None = None):
     if not pos:
         return out
     y0 = np.asarray(y0, dtype=float)
-    try:
-        a0, num0 = _checked(rig, y0)
-    except RiemcondError as exc:
-        return [exc if res is None else res for res in out]
+    a0, num0 = _checked(rig, y0)
     target = A[pos]
 
     def evaluate(Y, rows):

@@ -206,6 +206,22 @@ def test_malformed_input_file_is_exit_2(option, payload, rig_file, point_file, t
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_integer_too_large_for_a_float_is_exit_2(rig_file, point_file, tmp_path, capsys):
+    huge = str(10**400)  # valid JSON that float() cannot hold
+    cameras = json.loads(rig_file.read_text())["cameras"]
+    big_rig, big_point = tmp_path / "big_rig.json", tmp_path / "big_point.json"
+    big_rig.write_text(json.dumps({"cameras": cameras}).replace(repr(cameras[0][0]), huge, 1))
+    big_point.write_text(f'{{"y": [{huge}, 0, 0]}}')
+    for argv in (["kappa", "--rig", str(big_rig), "--point", str(point_file)],
+                 ["kappa", "--rig", str(rig_file), "--point", str(big_point)],
+                 ["kappa", "--manifold", "graph2d", "--u", f"[{huge}]"],
+                 ["kappa", "--manifold", "graph2d", "--manifold-params", f'{{"coeff": {huge}}}',
+                  "--u", "[0.1]"]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_wrong_arity_correspondence_is_exit_2(rig_file, tmp_path):
     corr = tmp_path / "short.json"
     corr.write_text(json.dumps({"x": [1.0, 2.0]}))
@@ -276,6 +292,45 @@ def test_kappa_rig_takes_one_qr_frame(rig_file, point_file, tmp_path, capsys, mo
     assert f"kappa = {expected.kappa!r}" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name, params, u, scale", [
+    ("graph2d", "{}", [0.2], 0.3),
+    ("sphere", '{"radius": 2.0}', [0.3, -0.2], -0.7),
+    ("paraboloid", "{}", [0.1, 0.4], 0.0),
+], ids=["graph2d", "sphere", "paraboloid"])
+def test_chart_route_takes_one_tangent_frame_per_weingarten_map(
+        name, params, u, scale, tmp_path, capsys, monkeypatch):
+    """weingarten_data checks eta and changes basis on one frame, so kappa --manifold
+    takes three: its own for the normal, then one per Weingarten map."""
+    param = rc.builtin(name, **json.loads(params))
+    normal = rc.codim1_unit_normal(rc.tangent_frame(param, u))
+    want = rc.weingarten_data(param, u, scale * normal)
+    report = rc.kappa_cpp_from_weingarten(want)
+    offsets = rc.ill_posedness_certificate(rc.weingarten_data(param, u, normal).curvatures)
+    out = tmp_path / "kappa.json"
+    original, calls = rc.tangent_frame, []
+
+    def counted(param, u):
+        calls.append(1)
+        return original(param, u)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("riemcond") and getattr(module, "tangent_frame", 0) is original:
+            monkeypatch.setattr(module, "tangent_frame", counted)
+    got = rc.weingarten_data(param, u, scale * normal)
+    assert len(calls) == 1
+    for field in ("S_hat", "S", "H", "curvatures"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+    calls.clear()
+    capsys.readouterr()
+    assert main(["kappa", "--manifold", name, "--manifold-params", params, "--u", json.dumps(u),
+                 "--eta-scale", repr(scale), "--out", str(out)]) == 0
+    assert len(calls) == 3
+    assert f"kappa = {report.kappa!r}" in capsys.readouterr().out
+    payload = json.loads(out.read_text())
+    assert payload["kappa"] == report.kappa
+    assert payload["singular_offsets"] == offsets.tolist()
+
+
 def test_triangulate_minimal_init(rig_file, tmp_path):
     rig = rc.rig_from_dict(json.loads(rig_file.read_text()))
     y = np.array([0.2, 0.05, -0.15])
@@ -301,6 +356,24 @@ def test_plot_renders_gaps_for_inf_and_flagged(tmp_path):
     text = out.read_text()
     # two interior gaps split the series into three segments
     assert text.count("<polyline") + text.count("<circle") == 3
+
+
+@pytest.mark.parametrize("column, row", [("kappa", 2), ("t_rel", 3)])
+def test_plot_non_numeric_cell_is_exit_2(column, row, tmp_path, capsys):
+    csv_path = tmp_path / "bad.csv"
+    rows = ["t_rel,kappa,kappa_lo,kappa_hi,sigma3,ill_posed,kappa_est,ratio,flagged"]
+    for i, t in enumerate([0.01, 0.1, 1.0]):
+        cells = {"t_rel": repr(t), "kappa": repr(2.0 + i)}
+        if i + 1 == row:
+            cells[column] = "abc"
+        rows.append(f"{cells['t_rel']},{cells['kappa']},,,1.0,false,,,false")
+    csv_path.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "bad.svg"
+    capsys.readouterr()
+    assert main(["plot", "--csv", str(csv_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {csv_path}: data row {row}, column {column!r}: 'abc' is not a number\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, option", [("kappa", "--point"), ("project", "--corr")])
@@ -351,8 +424,22 @@ def test_non_finite_chart_input_is_exit_2(argv, capsys):
     ["kappa", "--rig", "{nan_rig}", "--point", "{point}"],
     ["kappa", "--manifold", "graph2d", "--u", "[0.0]", "--eta-scale", "nan"],
     ["validate", "--rig", "{rig}", "--point", "{point}", "--out", "{out}", "--perturb-rel", "nan"],
+    # doubled braces: every argument goes through str.format
+    ["kappa", "--manifold", "sphere", "--manifold-params", '{{"radius": NaN}}',
+     "--u", "[0.1, 0.2]"],
+    ["kappa", "--manifold", "sphere", "--manifold-params", '{{"center": [0, NaN, 0]}}',
+     "--u", "[0.1, 0.2]"],
+    ["kappa", "--manifold", "graph2d", "--manifold-params", '{{"coeff": Infinity}}',
+     "--u", "[0.1]"],
+    ["kappa", "--manifold", "affine", "--manifold-params",
+     '{{"basis": [[1, 0], [0, NaN], [0, 0]]}}', "--u", "[0.1, 0.2]"],
+    ["kappa", "--manifold", "affine", "--manifold-params",
+     '{{"basis": [[1, 0], [0, 1], [0, 0]], "offset": [0, NaN, 0]}}', "--u", "[0.1, 0.2]"],
+    ["project", "--manifold", "graph2d", "--manifold-params", '{{"coeff": -Infinity}}',
+     "--ambient", "[0.0, 1.0]", "--u0", "[0.1]"],
 ], ids=["grad-tol", "step-tol", "project", "validate", "radius", "look-at", "camera", "eta-scale",
-        "perturb-rel"])
+        "perturb-rel", "sphere-radius", "sphere-center", "graph2d-coeff", "affine-basis",
+        "affine-offset", "project-coeff"])
 def test_non_finite_setting_is_exit_2(argv, rig_file, point_file, tmp_path, capsys):
     rig = rc.rig_from_dict(json.loads(rig_file.read_text()))
     corr = tmp_path / "x.json"

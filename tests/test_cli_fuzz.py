@@ -1,0 +1,151 @@
+"""The command line never escapes with a traceback on bad input.
+
+Hypothesis drives cli.main with random JSON for the rig, world-point,
+normal and correspondence files (also valid files with one entry
+replaced), with builtin manifold parameters that include NaN and
+infinities, and with random text cells in a plot CSV. Every call must
+return one of the documented exit codes 0, 1 or 2; any exception that
+escapes main fails the test.
+"""
+
+import csv
+import json
+import math
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import riemcond as rc
+from riemcond.cli import main
+from riemcond.experiments import CSV_HEADER
+
+FUZZ_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+Y = [0.35, -0.2, 0.4]
+RIG = rc.gen_rig(rc.RigSpec(k=3, seed=1))
+CAMERAS = rc.rig_to_dict(RIG)["cameras"]
+VALID = {"y": Y, "x": rc.mv_project(RIG, Y).tolist(), "eta": [0.01 * i for i in range(6)]}
+
+# 10**400 parses as a Python int too large for a float
+SPECIAL = st.sampled_from([float("nan"), float("inf"), -float("inf"), 0.0, -0.0, 1e308,
+                           10**400, -10**400])
+NUMBERS = st.floats(allow_nan=True, allow_infinity=True) | SPECIAL | st.integers()
+LEAVES = st.none() | st.booleans() | NUMBERS | st.text(max_size=6)
+JSON = st.recursive(LEAVES, lambda inner: st.lists(inner, max_size=4)
+                    | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=8)
+TEXT = st.text(st.characters(codec="utf-8"), max_size=8)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _replace_one(draw, value):
+    """value (a JSON list or object, possibly nested) with one entry, at any depth, replaced."""
+    if isinstance(value, (list, dict)) and value and draw(st.integers(0, 3)):
+        keys = list(range(len(value))) if isinstance(value, list) else list(value)
+        key = draw(st.sampled_from(keys))
+        copy = list(value) if isinstance(value, list) else dict(value)
+        copy[key] = _replace_one(draw, value[key])
+        return copy
+    return draw(SPECIAL | JSON)
+
+
+@st.composite
+def input_files(draw):
+    """Payloads of the rig file and of the point, normal and correspondence files."""
+    files = {"rig": {"cameras": CAMERAS}, **{field: {field: v} for field, v in VALID.items()}}
+    for name in draw(st.sets(st.sampled_from(sorted(files)), min_size=1)):
+        files[name] = draw(JSON) if draw(st.booleans()) else _replace_one(draw, files[name])
+    return files
+
+
+@given(st.data())
+@FUZZ_SETTINGS
+def test_fuzzed_input_files_exit_0_1_or_2(workdir, data):
+    files = data.draw(input_files())
+    paths = {name: workdir / f"{name}.json" for name in files}
+    for name, payload in files.items():
+        paths[name].write_text(json.dumps(payload))
+    out = str(workdir / "out")
+    commands = {
+        "kappa": ["kappa", "--rig", paths["rig"], "--point", paths["y"], "--eta-scale", "0.1"],
+        "kappa-eta": ["kappa", "--rig", paths["rig"], "--point", paths["y"], "--eta", paths["eta"]],
+        "triangulate": ["triangulate", "--rig", paths["rig"], "--corr", paths["x"]],
+        "sweep": ["sweep", "--rig", paths["rig"], "--point", paths["y"], "--grid=-1:1:2",
+                  "--out", out],
+        "validate": ["validate", "--rig", paths["rig"], "--point", paths["y"], "--grid=-1:1:2",
+                     "--out", out],
+    }
+    argv = commands[data.draw(st.sampled_from(sorted(commands)))]
+    assert main([str(arg) for arg in argv]) in (0, 1, 2)
+
+
+BUILTIN_PARAMS = {
+    "sphere": {"radius": 2.0, "center": [0.0, 1.0, -1.0]},
+    "graph2d": {"coeff": 1.5},
+    "paraboloid": {},
+    "affine": {"basis": [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]], "offset": [1.0, 2.0, 3.0]},
+}
+CHART_POINTS = {"sphere": [0.3, -0.2], "graph2d": [0.2], "paraboloid": [0.1, 0.4],
+                "affine": [0.1, 0.2]}
+
+
+@st.composite
+def manifold_params(draw):
+    """A builtin name and its parameters, each kept, made special or fuzzed; or random JSON."""
+    name = draw(st.sampled_from(sorted(BUILTIN_PARAMS)))
+    params = {}
+    for key, valid in BUILTIN_PARAMS[name].items():
+        how = draw(st.sampled_from(["keep", "omit", "special", "replace"]))
+        if how == "keep":
+            params[key] = valid
+        elif how == "special":
+            params[key] = draw(SPECIAL)
+        elif how == "replace":
+            params[key] = _replace_one(draw, valid)
+    if draw(st.integers(0, 9)) == 0:
+        params = draw(JSON)
+    return name, json.dumps(params)
+
+
+@given(manifold_params(), st.sampled_from(["kappa", "project"]), SPECIAL | st.floats(-2, 2))
+@settings(FUZZ_SETTINGS, max_examples=200)  # a call takes about 7 ms
+def test_fuzzed_manifold_params_exit_0_1_or_2(workdir, case, command, scale):
+    name, params = case
+    u = json.dumps(CHART_POINTS[name])
+    # --option=value: argparse would read a value such as "-inf" as an option
+    argv = ["--manifold", name, f"--manifold-params={params}"]
+    if command == "kappa":
+        argv = ["kappa", *argv, "--u", u, f"--eta-scale={scale!r}"]
+    else:
+        ambient = json.dumps([scale, 0.5, 0.25][: 2 if name == "graph2d" else 3])
+        argv = ["project", *argv, f"--ambient={ambient}", "--u0", u]
+    assert main(argv) in (0, 1, 2)
+
+
+CELLS = TEXT | SPECIAL.map(repr) | st.floats(1e-3, 1e3).map(repr) | st.sampled_from(
+    ["", "nan", "inf", "-inf", "true", "false", "1e999", "0"])
+
+
+@given(st.lists(st.tuples(CELLS, CELLS, CELLS), min_size=1, max_size=5),
+       st.sampled_from(["kappa", "kappa,sigma3", "ratio"]) | TEXT)
+@FUZZ_SETTINGS
+def test_fuzzed_plot_csv_cells_exit_0_1_or_2(workdir, rows, columns):
+    path, out = workdir / "cells.csv", workdir / "cells.svg"
+    header = CSV_HEADER.split(",")
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for t_rel, value, flagged in rows:
+            cells = dict.fromkeys(header, "")
+            cells.update(t_rel=t_rel, kappa=value, sigma3=value, ratio=value, flagged=flagged)
+            writer.writerow(cells.values())
+    code = main(["plot", "--csv", str(path), f"--columns={columns}", "--out", str(out)])
+    assert code in (0, 1, 2)
+    if code == 0:  # every plotted coordinate is a finite number
+        coords = re.findall(r'(?:cx|cy|points)="([^"]*)"', out.read_text())
+        assert all(math.isfinite(float(v)) for c in coords for v in re.split("[ ,]", c))

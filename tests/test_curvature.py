@@ -175,3 +175,12 @@ def test_non_finite_eta_raises_non_finite(param, u, eta):
     for route in (rc.weingarten_data, rc.second_fundamental_contraction):
         with pytest.raises(rc.NonFinite, match="normal vector eta"):
             route(param, np.array(u), np.array(eta))
+
+
+def test_overflowing_chart_raises_non_finite():
+    """A finite but huge builtin parameter overflows the Jacobian or the contraction."""
+    with pytest.raises(rc.NonFinite, match="Jacobian at chart point"):
+        rc.tangent_frame(rc.graph2d(1e308), [0.1])
+    _, u, outward, _ = _sphere_instance(radius=1.0)  # the unit sphere's point is its normal
+    with pytest.raises(rc.NonFinite, match="second fundamental form"):
+        rc.weingarten_data(rc.sphere(1e308), u, outward)

@@ -253,6 +253,15 @@ def test_nested_rigs_monotone_kappa_at_zero():
     assert all(b <= a + 1e-13 for a, b in zip(kappas, kappas[1:]))
 
 
+def test_prefix_rig_takes_two_to_all_cameras():
+    rig10 = _default_rig()
+    for k in (2, 10):
+        assert rc.prefix_rig(rig10, k) == rc.CameraRig(cameras=rig10.cameras[:k])
+    for k in (-8, -1, 0, 1, 11):
+        with pytest.raises(rc.InvalidGeometry, match="need 2 <= k <= 10"):
+            rc.prefix_rig(rig10, k)
+
+
 def test_csv_schema_and_determinism():
     rig = _default_rig()
     eta = rc.random_unit_normal(rig, DEFAULT_Y, 0)

@@ -117,6 +117,23 @@ def test_builtin_dispatcher():
         rc.builtin("sphere", radius=-1.0)
     with pytest.raises(rc.InvalidGeometry):
         rc.affine(basis=np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]]))
+    for empty in ([[]], [[], []], np.zeros((0, 0))):
+        with pytest.raises(rc.InvalidGeometry, match="m >= 1"):
+            rc.affine(basis=empty)
+
+
+@pytest.mark.parametrize("name, params, entry", [
+    ("sphere", {"radius": np.nan}, "sphere radius"),
+    ("sphere", {"radius": np.inf}, "sphere radius"),
+    ("sphere", {"center": [0.0, np.nan, 0.0]}, "sphere center"),
+    ("graph2d", {"coeff": np.inf}, "graph2d coeff"),
+    ("graph2d", {"coeff": -np.inf}, "graph2d coeff"),
+    ("affine", {"basis": [[1.0, 0.0], [0.0, np.nan], [0.0, 0.0]]}, "affine basis"),
+    ("affine", {"basis": np.eye(3)[:, :2], "offset": [0.0, np.nan, 0.0]}, "affine offset"),
+], ids=["radius-nan", "radius-inf", "center", "coeff-inf", "coeff-minus-inf", "basis", "offset"])
+def test_non_finite_builtin_parameter_raises_non_finite(name, params, entry):
+    with pytest.raises(rc.NonFinite, match=entry):
+        rc.builtin(name, **params)
 
 
 def test_analytic_jacobians_match_finite_differences():

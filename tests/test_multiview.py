@@ -300,6 +300,18 @@ def test_rig_equality_and_wire_format_unchanged():
     assert np.array_equal(again.baseline_dir, rig.baseline_dir)
 
 
+def test_loaded_rigs_compare_and_hash_by_their_matrices():
+    data = rc.rig_to_dict(_generic_rig(k=4, seed=18))
+    first, second = rc.rig_from_dict(data), rc.rig_from_dict(data)
+    assert first == second and hash(first) == hash(second)
+    assert first.cameras[0] == second.cameras[0] and first.cameras[0] != first.cameras[1]
+    assert first != _generic_rig(k=4, seed=19) and first != "rig"
+    assert len({first, second}) == 1
+    flipped = rc.Camera.from_matrix(np.where(first.cameras[0].matrix == 0.0, -0.0,
+                                             first.cameras[0].matrix))
+    assert flipped == first.cameras[0] and hash(flipped) == hash(first.cameras[0])
+
+
 def test_non_finite_world_point_is_typed():
     rig = _generic_rig(k=3, seed=19)
     for bad in ([np.nan, 0.0, 0.0], [0.1, np.inf, 0.2]):

@@ -271,14 +271,18 @@ def test_overflowing_start_residual_is_non_finite():
         assert type(row) is rc.NonFinite and str(row) == str(exc.value)
 
 
-def test_stacked_solve_reports_an_error_of_the_warm_start_on_every_row():
+def test_stacked_solve_raises_an_error_of_the_warm_start():
+    """A warm start off the domain is an error of the call, not of a row: both
+    callers check their start point first, so the stacked solve raises it."""
     from riemcond.solver import _triangulate_rows
 
     rig, A, _ = _stacked_fixture()
     on_plane = np.array([0.0, 0.0, -rig.d[0] / rig.c[0, 2]])  # camera 0's principal plane
     assert abs(rig.c[0] @ on_plane + rig.d[0]) < 1e-12
-    got = _triangulate_rows(rig, A, on_plane)
-    assert [type(res).__name__ for res in got] == ["OutsideDomain"] * (len(A) - 1) + ["NonFinite"]
+    with pytest.raises(rc.OutsideDomain, match="principal plane"):
+        _triangulate_rows(rig, A, on_plane)
+    with pytest.raises(rc.OutsideDomain, match="principal plane"):
+        rc.triangulate(rig, A[0], warm_start=on_plane)
     assert _triangulate_rows(rig, A[:0], on_plane) == []
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .condition import ill_posedness_certificate, kappa_cpp_from_weingarten
 from .curvature import weingarten_data
-from .errors import NonFinite, RiemcondError
+from .errors import NonFinite, RiemcondError, _require_finite_setting
 from .experiments import (
     PERTURB_REL,
     RigSpec,
@@ -172,6 +172,7 @@ def _builtin_from_args(args):
 def cmd_kappa(args) -> int:
     if bool(args.rig) == bool(args.manifold):
         raise CliInputError("kappa needs exactly one of --rig or --manifold")
+    _require_finite_setting(args.eta_scale, "--eta-scale")
     if args.rig:
         if args.point is None:
             raise CliInputError("kappa --rig needs --point (world-point JSON file)")

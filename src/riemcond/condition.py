@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .curvature import WeingartenData
 from .errors import ZeroOutput, _require_finite
@@ -76,8 +75,10 @@ def spectral_norm_metric(M, G=None):
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if G is not None:
-        M = metric_cholesky(G) @ M
-    U, s, Vt = scipy.linalg.svd(M, full_matrices=False)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+            M = metric_cholesky(G) @ M
+    _require_finite(M, "matrix M" if G is None else "matrix M in the output metric")
+    _, s, Vt = np.linalg.svd(M, full_matrices=False)
     return float(s[0]), Vt[0]
 
 
@@ -90,7 +91,7 @@ def kappa_cpp(H) -> ConditionReport:
     """
     H = np.atleast_2d(np.asarray(H, dtype=float))
     _require_finite(H, "distance Hessian H")
-    evals, evecs = scipy.linalg.eigh(H)
+    evals, evecs = np.linalg.eigh(H)
     sigma = np.abs(evals)
     k = int(np.argmin(sigma))
     sigma_min, sigma_max = float(sigma[k]), float(sigma.max())
@@ -126,7 +127,7 @@ def kappa_gcpp(pd: ProblemDerivative, H) -> ConditionReport:
     base = kappa_cpp(H)
     if base.ill_posed:
         return base
-    M = scipy.linalg.solve(H, pd.A.T, assume_a="sym").T  # A H^{-1}
+    M = np.linalg.solve(H, pd.A.T).T  # A H^{-1}
     sigma1, v = spectral_norm_metric(M, pd.output_metric)
     base.components["sigma1_AHinv"] = sigma1
     return ConditionReport(

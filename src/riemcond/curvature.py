@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotNormal, ZeroNormal, _require_finite
 from .linalg import congruence_by_inverse
@@ -61,7 +60,9 @@ def weingarten_data(param: Parametrization, u, eta) -> WeingartenData:
     u = np.asarray(u, dtype=float)
     eta = np.asarray(eta, dtype=float)
     _require_finite(eta, "normal vector eta")
-    eta_norm = float(np.linalg.norm(eta))
+    with np.errstate(over="ignore"):  # overflows here and below are reported as NonFinite
+        eta_norm = float(np.linalg.norm(eta))
+    _require_finite(np.array(eta_norm), "norm of normal vector eta")
     frame = tangent_frame(param, u)
     m = param.intrinsic_dim
     if eta_norm == 0.0:
@@ -90,11 +91,13 @@ def weingarten_data(param: Parametrization, u, eta) -> WeingartenData:
         for i in range(m):
             for j in range(i, m):
                 S_hat[i, j] = S_hat[j, i] = param.second_derivative(u, i, j) @ eta
-    S_hat = 0.5 * (S_hat + S_hat.T)
-    _require_finite(S_hat, "second fundamental form")  # an overflow of the contraction
-    S = weingarten(S_hat, frame.R)
+    with np.errstate(over="ignore", invalid="ignore"):
+        S_hat = 0.5 * (S_hat + S_hat.T)
+        _require_finite(S_hat, "second fundamental form")  # an overflow of the contraction
+        S = weingarten(S_hat, frame.R)
+    _require_finite(S, "Weingarten map")  # R^{-1} can overflow it even from a finite S_hat
     return WeingartenData(S_hat=S_hat, S=S, H=np.eye(m) - S,
-                          curvatures=scipy.linalg.eigvalsh(S) / eta_norm, eta_norm=eta_norm)
+                          curvatures=np.linalg.eigvalsh(S) / eta_norm, eta_norm=eta_norm)
 
 
 def principal_curvatures(wd: WeingartenData):

@@ -83,3 +83,10 @@ def _non_finite(v, what: str) -> NonFinite:
 def _require_finite(v, what: str):
     if not _finite(v):
         raise _non_finite(v, what)
+
+
+def _require_finite_setting(value, what: str):
+    try:  # an integer past the float range does not convert: NonFinite too
+        _require_finite(np.array(value, dtype=float), what)
+    except OverflowError:
+        raise NonFinite(f"{what} is too large for a float") from None

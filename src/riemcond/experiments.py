@@ -14,7 +14,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .condition import ill_posedness_certificate
-from .errors import EmptyInput, InvalidGeometry, RiemcondError, _require_finite
+from .errors import EmptyInput, InvalidGeometry, RiemcondError
+from .errors import _require_finite, _require_finite_setting
 from .linalg import compact_qr
 from .multiview import (
     Camera,
@@ -56,7 +57,7 @@ class RigSpec:
 
     def __post_init__(self):
         for name in ("k", "radius", "arc_degrees", "look_at", "focal"):
-            _require_finite(np.array(getattr(self, name), dtype=float), name)
+            _require_finite_setting(getattr(self, name), name)
         if self.k < 2:
             raise InvalidGeometry(f"need at least 2 cameras, got {self.k}")
         if self.radius <= 0 or self.focal <= 0:
@@ -208,7 +209,7 @@ def experiment_validate(
     perturb_rel that is not finite raises NonFinite, one <= 0
     InvalidGeometry, before anything is solved.
     """
-    _require_finite(np.array(perturb_rel, dtype=float), "perturb_rel")
+    _require_finite_setting(perturb_rel, "perturb_rel")
     if perturb_rel <= 0:
         raise InvalidGeometry(f"perturb_rel must be positive, got {perturb_rel}")
     y = np.asarray(y, dtype=float)
@@ -287,14 +288,25 @@ def detect_dips(sigma3: Sequence[float]):
     if s.size == 0:
         raise EmptyInput("sigma_3 profile is empty")
     _require_finite(s, "sigma_3 profile")
-    # imported here, not with the package: scipy.signal is most of the package's
-    # import time and this is its only use
-    import scipy.signal
-
     floor = max(s.max(), 1e-300) * 1e-30
-    depth = -np.log10(np.maximum(s, floor))
-    peaks, _ = scipy.signal.find_peaks(depth, prominence=DIP_PROMINENCE)
-    return peaks
+    peaks, prominences = _peak_prominences(-np.log10(np.maximum(s, floor)))
+    return peaks[prominences >= DIP_PROMINENCE]
+
+
+def _peak_prominences(x):
+    """Peaks of the 1-D profile x (a sample or flat run above both neighbours, at its middle
+    rounded down; never an end sample) and their topographic prominences: the height
+    above the higher of the minima on each side before x rises above it or ends."""
+    steps = np.flatnonzero(x[1:] != x[:-1])
+    up = x[steps + 1] > x[steps]
+    tops = np.flatnonzero(up[:-1] & ~up[1:])  # a rise, a flat run (maybe empty), a fall
+    peaks = (steps[tops] + 1 + steps[tops + 1]) // 2
+    prominences = []
+    for p in peaks.tolist():
+        lo = np.flatnonzero(np.r_[True, x[:p] > x[p]])[-1]  # just past the last higher sample
+        hi = p + np.flatnonzero(np.r_[x[p:] > x[p], True])[0]  # at the next higher one
+        prominences.append(x[p] - max(x[lo:p + 1].min(), x[p:hi].min()))
+    return peaks, np.array(prominences)
 
 
 CSV_HEADER = "t_rel,kappa,kappa_lo,kappa_hi,sigma3,ill_posed,kappa_est,ratio,flagged"

@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dtrtrs
 
-from .errors import NotSPD, SingularR
+from .errors import NotSPD, SingularR, _require_finite
 
 # Relative |diagonal| floor at or below which a triangular factor is singular.
 TRIANGULAR_TOL = 1e-14
@@ -18,20 +16,36 @@ def compact_qr(J):
     """Compact QR of a tall matrix with the diag(R) > 0 sign convention.
 
     The sign normalization makes the frame deterministic: two computations
-    of the same Jacobian give bit-identical Q and R.
+    of the same Jacobian give bit-identical Q and R. Q is Fortran-ordered,
+    as LAPACK writes it. A NaN or an infinity in J raises NonFinite.
     """
     J = np.asarray(J, dtype=float)
-    Q, R = scipy.linalg.qr(J, mode="economic")
+    _require_finite(J, "matrix to factor by QR")
+    Q, R = np.linalg.qr(J)
     d = np.sign(np.diag(R))
     d[d == 0] = 1.0
-    return Q * d, d[:, None] * R
+    # LAPACK's layout: from a C-ordered Q, Q @ u runs another BLAS kernel and differs in
+    # the last bit, which the validation solve amplifies past its reference tolerance
+    return np.asfortranarray(Q) * d, d[:, None] * R
+
+
+def _forward_substitution(R, B):
+    """X with R^T X = B for upper-triangular R (m, m), along the leading axis of B.
+    Elementwise, not a matmul, so no entry of X depends on what else B stacks."""
+    X = np.empty_like(B)
+    for i in range(len(R)):
+        s = B[i]
+        for j in range(i):
+            s = s - R[j, i] * X[j]
+        X[i] = s / R[i, i]
+    return X
 
 
 def congruence_by_inverse(S_hat, R):
     """Return R^{-T} S_hat R^{-1} for upper-triangular R, symmetrized.
 
-    S_hat may be one m x m matrix or a stack (N, m, m): each triangular
-    solve then takes the N m columns of the whole stack at once.
+    S_hat may be one m x m matrix or a stack (N, m, m): each of the two
+    triangular solves is one forward substitution over the whole stack.
     Raises SingularR when R is numerically singular (its diagonal carries
     the singular values of the triangular factor up to conditioning).
     """
@@ -41,14 +55,10 @@ def congruence_by_inverse(S_hat, R):
         raise SingularR(f"triangular factor singular: |diag| range {diag.min():.3e}..{diag.max():.3e}")
     S_hat = np.asarray(S_hat, dtype=float)
     m = len(R)
-    blocks = S_hat.reshape(-1, m, m)
-    n = len(blocks)
     # R^{-T} S_hat = solve(R^T, S_hat) on the block row [S_hat_1 ... S_hat_N],
-    # then (.) R^{-1} = solve(R^T, (.)^T)^T on the block row of transposes;
-    # LAPACK trtrs directly, the routine solve_triangular wraps, at a tenth of its overhead
-    Y, _ = dtrtrs(R, blocks.transpose(1, 0, 2).reshape(m, n * m), lower=0, trans=1)
-    W, _ = dtrtrs(R, Y.reshape(m, n, m).transpose(2, 1, 0).reshape(m, n * m), lower=0, trans=1)
-    S = W.reshape(m, n, m).transpose(1, 2, 0)
+    # then (.) R^{-1} = solve(R^T, (.)^T)^T on the block row of transposes
+    Y = _forward_substitution(R, S_hat.reshape(-1, m, m).transpose(1, 0, 2))
+    S = _forward_substitution(R, Y.transpose(2, 1, 0)).transpose(1, 2, 0)
     return (0.5 * (S + S.transpose(0, 2, 1))).reshape(S_hat.shape)
 
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidGeometry, OutsideDomain, RankDeficient, _require_finite
 from .linalg import compact_qr
@@ -109,7 +108,7 @@ def tangent_frame(param: Parametrization, u) -> TangentFrame:
     J = param.jacobian(u)
     _require_finite(J, f"Jacobian at chart point {u}")
     Q, R = compact_qr(J)
-    s = scipy.linalg.svdvals(R)
+    s = np.linalg.svd(R, compute_uv=False)
     if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0]:
         raise RankDeficient(
             f"Jacobian rank-deficient at u={u}: singular values {s[-1]:.3e}..{s[0]:.3e}"
@@ -137,7 +136,7 @@ def codim1_unit_normal(frame: TangentFrame):
     n, m = frame.Q.shape
     if n - m != 1:
         raise InvalidGeometry(f"codimension is {n - m}, not 1")
-    full, _ = scipy.linalg.qr(frame.Q, mode="full")
+    full, _ = np.linalg.qr(frame.Q, mode="complete")
     eta = full[:, m]
     k = int(np.argmax(np.abs(eta)))
     if eta[k] < 0:
@@ -249,7 +248,7 @@ def affine(basis, offset=None) -> Parametrization:
     if B.ndim != 2 or not B.shape[0] >= B.shape[1] >= 1:
         raise InvalidGeometry(f"basis must be a tall n x m matrix, m >= 1, got shape {B.shape}")
     n, m = B.shape
-    s = scipy.linalg.svdvals(B)
+    s = np.linalg.svd(B, compute_uv=False)
     if s[0] == 0.0 or s[-1] <= 1e-12 * s[0]:
         raise InvalidGeometry("affine basis is rank-deficient")
     o = np.zeros(n) if offset is None else np.asarray(offset, dtype=float)

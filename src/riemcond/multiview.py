@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from .condition import SING_TOL, ConditionReport, kappa_bounds
 from .curvature import NORMALITY_TOL, weingarten
@@ -52,7 +51,7 @@ class Camera:
         object.__setattr__(self, "c", np.asarray(self.c, dtype=float).reshape(3))
         object.__setattr__(self, "d", float(self.d))
         _require_finite(self.matrix, "camera matrix")
-        s = scipy.linalg.svdvals(self.matrix)
+        s = np.linalg.svd(self.matrix, compute_uv=False)
         if s[0] == 0.0 or s[2] <= 1e-10 * s[0]:
             raise InvalidGeometry("camera matrix must have rank 3")
 
@@ -82,7 +81,7 @@ class Camera:
 
     def center_homogeneous(self):
         """Unit homogeneous kernel vector of P (the camera center)."""
-        _, _, Vt = scipy.linalg.svd(self.matrix)
+        _, _, Vt = np.linalg.svd(self.matrix)
         return Vt[-1]
 
     def center(self):
@@ -270,8 +269,10 @@ def triangulate_linear(rig: CameraRig, x, minimal: bool = False):
     _require_finite(x, "correspondence")
     P = rig.P[:2] if minimal else rig.P
     xy = x[: 2 * len(P)].reshape(-1, 2)
-    M = (xy[:, :, None] * P[:, 2:3, :] - P[:, :2, :]).reshape(-1, 4)
-    _, s, Vt = scipy.linalg.svd(M)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        M = (xy[:, :, None] * P[:, 2:3, :] - P[:, :2, :]).reshape(-1, 4)
+    _require_finite(M, "overflowing DLT system")
+    _, s, Vt = np.linalg.svd(M)
     # gap measured against the matrix scale: a kernel direction is ambiguous
     # both when sigma_3 ~ sigma_4 and when both vanish together
     if s[2] - s[3] <= 1e-8 * s[0]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DomainEscape, InvalidGeometry, NonFinite, OutsideDomain, RiemcondError
-from .errors import _finite, _non_finite, _require_finite
+from .errors import _finite, _non_finite, _require_finite, _require_finite_setting
 from .linalg import compact_qr
 from .manifold import Parametrization, project_tangent, tangent_frame
 from .multiview import (
@@ -45,7 +45,7 @@ class SolverOptions:
 
     def __post_init__(self):
         for f in fields(self):
-            _require_finite(np.array(getattr(self, f.name), dtype=float), f.name)
+            _require_finite_setting(getattr(self, f.name), f.name)
         if self.max_iters < 1:
             raise InvalidGeometry("max_iters must be at least 1")
         for name in ("grad_tol", "step_tol"):

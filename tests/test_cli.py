@@ -1,5 +1,7 @@
 import inspect
 import json
+import os
+import subprocess
 import sys
 from dataclasses import fields
 
@@ -212,7 +214,12 @@ def test_integer_too_large_for_a_float_is_exit_2(rig_file, point_file, tmp_path,
     big_rig, big_point = tmp_path / "big_rig.json", tmp_path / "big_point.json"
     big_rig.write_text(json.dumps({"cameras": cameras}).replace(repr(cameras[0][0]), huge, 1))
     big_point.write_text(f'{{"y": [{huge}, 0, 0]}}')
-    for argv in (["kappa", "--rig", str(big_rig), "--point", str(point_file)],
+    corr = tmp_path / "x.json"
+    rig = rc.rig_from_dict({"cameras": cameras})
+    corr.write_text(json.dumps({"x": rc.mv_project(rig, [0.3, -0.1, 0.2]).tolist()}))
+    for argv in (["gen-rig", "--k", huge, "--out", str(tmp_path / "r.json")],
+                 ["triangulate", "--rig", str(rig_file), "--corr", str(corr), "--max-iters", huge],
+                 ["kappa", "--rig", str(big_rig), "--point", str(point_file)],
                  ["kappa", "--rig", str(rig_file), "--point", str(big_point)],
                  ["kappa", "--manifold", "graph2d", "--u", f"[{huge}]"],
                  ["kappa", "--manifold", "graph2d", "--manifold-params", f'{{"coeff": {huge}}}',
@@ -495,3 +502,50 @@ def test_malformed_look_at_is_exit_2(look_at, tmp_path, capsys):
     assert exc.value.code == 2
     assert "--look-at: expected three comma-separated numbers" in capsys.readouterr().err
     assert not (tmp_path / "rig.json").exists()
+
+
+# The command line in a fresh interpreter in which any import of scipy fails.
+_NO_SCIPY_CLI = ("import sys; sys.modules['scipy'] = None; "
+                 "from riemcond.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+def _run_cli(argv, cwd):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rc.__file__)))
+    return subprocess.run([sys.executable, "-c", _NO_SCIPY_CLI, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    (tmp_path / "p.json").write_text(json.dumps({"y": [0.35, -0.2, 0.4]}))
+    rig = rc.gen_rig(rc.RigSpec(k=4, seed=1))
+    x = rc.mv_project(rig, [0.3, -0.1, 0.2]) + 1e-3
+    (tmp_path / "x.json").write_text(json.dumps({"x": x.tolist()}))
+    rig_args = ["--rig", "rig.json", "--point", "p.json"]
+    for argv in (
+        ["gen-rig", "--k", "4", "--seed", "1", "--out", "rig.json"],
+        ["kappa", *rig_args, "--eta-scale", "0.1"],
+        ["kappa", "--manifold", "sphere", "--u", "[0.1, 0.2]", "--eta-scale", "0.5"],
+        ["project", "--manifold", "sphere", "--ambient", "[0.0, 2.0, 0.0]", "--u0", "[1.4, 0.1]"],
+        ["triangulate", "--rig", "rig.json", "--corr", "x.json", "--out", "y.json"],
+        ["sweep", *rig_args, "--grid", "-2:3:40", "--out", "s.csv"],
+        ["validate", *rig_args, "--grid", "-2:0:6", "--one-sided", "--out", "v.csv"],
+        ["plot", "--csv", "s.csv", "--columns", "kappa", "--out", "s.svg"],
+    ):
+        proc = _run_cli(argv, tmp_path)
+        assert proc.returncode == 0, (argv, proc.stderr)
+    assert rc.rig_from_dict(json.loads((tmp_path / "rig.json").read_text())) == rig
+    assert (tmp_path / "s.svg").read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("argv", [
+    ["kappa", "--manifold", "sphere", "--manifold-params", '{"radius": 1e308}',
+     "--u", "[0.1, 0.2]", "--eta-scale", "0.5"],
+    ["kappa", "--manifold", "sphere", "--u", "[0.1, 0.2]", "--eta-scale", "1e308"],
+    ["kappa", "--manifold", "graph2d", "--u", "[0.0]", "--eta-scale", "inf"],
+], ids=["sphere-radius", "eta-norm", "eta-scale"])
+def test_overflow_prints_only_the_error(argv, tmp_path):
+    proc = _run_cli(argv, tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "Warning" not in proc.stderr
+    assert "not finite" in proc.stderr

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,18 @@ def test_spectral_norm_metric_rejects_bad_metric():
         rc.spectral_norm_metric(np.eye(2), G=np.array([[1.0, 0.0], [0.0, -1.0]]))
     with pytest.raises(rc.NotSPD):
         rc.spectral_norm_metric(np.eye(2), G=np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("M, G, what", [
+    (np.array([[1.0, np.inf], [0.0, 1.0]]), None, r"(?s)matrix M .* \(entries \[1\]\)"),
+    (np.array([[np.nan, 0.0]]), None, r"(?s)matrix M .* \(entries \[0\]\)"),
+    (np.array([[1e308]]), np.array([[4.0]]), "matrix M in the output metric"),
+], ids=["inf", "nan", "metric-overflow"])
+def test_spectral_norm_metric_rejects_non_finite(M, G, what):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(rc.NonFinite, match=what):
+            rc.spectral_norm_metric(M, G)
 
 
 def test_kappa_cpp_identity_and_parabola():

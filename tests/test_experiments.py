@@ -5,8 +5,12 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.signal
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import riemcond as rc
+from riemcond.experiments import _peak_prominences
 
 DEFAULT_Y = np.array([0.35, -0.2, 0.4])
 
@@ -179,33 +183,89 @@ def test_detect_dips_rejects_bad_profiles(profile, error, message):
 
 _COLD_IMPORT = """
 import json, sys
+import numpy as np
 import riemcond, riemcond.cli
 
-def signal_modules():
-    return sorted(m for m in sys.modules if m == "scipy.signal" or m.startswith("scipy.signal."))
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
-cold = signal_modules()
+loaded = {"import": scipy_modules()}
 try:
     riemcond.detect_dips([])
 except riemcond.EmptyInput:
     pass
-after_bad_input = signal_modules()
 dips = riemcond.detect_dips(json.loads(sys.argv[1])).tolist()
-print(json.dumps([cold, after_bad_input, dips, "scipy.signal" in sys.modules]))
+loaded["detect_dips"] = scipy_modules()
+rig = riemcond.gen_rig(riemcond.RigSpec(k=4, seed=1))
+y = np.array([0.35, -0.2, 0.4])
+eta = riemcond.random_unit_normal(rig, y, 0)
+riemcond.experiment_sweep(rig, y, eta, riemcond.log_grid(-2, 1, 5))
+loaded["experiment_sweep"] = scipy_modules()
+riemcond.experiment_validate(rig, y, eta, riemcond.log_grid(-2, 0, 3, two_sided=False))
+loaded["experiment_validate"] = scipy_modules()
+riemcond.triangulate(rig, riemcond.mv_project(rig, y) + 1e-3)
+loaded["triangulate"] = scipy_modules()
+print(json.dumps([loaded, dips]))
 """
 
 
 def test_import_does_not_load_scipy_signal():
-    """import riemcond (and its CLI) loads no scipy.signal module; the first
-    detect_dips call on a valid profile loads it and finds the same dips."""
+    """Neither import riemcond (and its CLI) nor a detect_dips, sweep, validation
+    or triangulation call loads any scipy module; detect_dips finds the dips."""
     profile = [1.0, 0.5, 1e-4, 0.5, 1.0, 0.8, 1.0, 1e-6, 1.0]  # 0.8: a crossing, not a dip
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rc.__file__)))
     out = subprocess.run([sys.executable, "-c", _COLD_IMPORT, json.dumps(profile)],
                          env=env, capture_output=True, text=True, check=True).stdout
-    cold, after_bad_input, dips, loaded = json.loads(out)
-    assert cold == [] and after_bad_input == []
-    assert loaded
+    loaded, dips = json.loads(out)
+    assert loaded == dict.fromkeys(
+        ["import", "detect_dips", "experiment_sweep", "experiment_validate", "triangulate"], [])
     assert dips == rc.detect_dips(profile).tolist() == [2, 7]
+
+
+# levels drawn from a few values, so that plateaus and ties are common
+_PROFILES = st.one_of(
+    st.lists(st.integers(0, 4).map(float), max_size=40),
+    st.lists(st.floats(-5.0, 5.0), max_size=40),
+).map(np.array)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_PROFILES)
+def test_peak_prominences_match_scipy(x):
+    peaks, prominences = _peak_prominences(x)
+    expected = scipy.signal.find_peaks(x)[0]
+    np.testing.assert_array_equal(peaks, expected)
+    np.testing.assert_array_equal(prominences, scipy.signal.peak_prominences(x, expected)[0])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from([1e-8, 1e-4, 0.3, 0.5, 1.0]), min_size=1, max_size=40))
+def test_detect_dips_matches_find_peaks(sigma3):
+    assert rc.detect_dips(sigma3).tolist() == _scipy_dips(sigma3).tolist()
+
+
+def test_detect_dips_matches_find_peaks_on_sweep_profiles():
+    """The sigma_3 profiles of demo 03 and acceptance criterion 9."""
+    rig10 = _default_rig()
+    grid = rc.log_grid(-3, 4, 300)
+    found = 0
+    for k in (2, 3, 5, 10):
+        rig = rc.prefix_rig(rig10, k)
+        recs = rc.experiment_sweep(rig, DEFAULT_Y, rc.random_unit_normal(rig, DEFAULT_Y, 0), grid)
+        t = np.array([r.t_rel for r in recs])
+        sig = np.array([r.sigma3 for r in recs])
+        for sign in (-1, 1):
+            dips = rc.detect_dips(sig[np.sign(t) == sign])
+            assert dips.tolist() == _scipy_dips(sig[np.sign(t) == sign]).tolist()
+            found += len(dips)
+    assert found > 0
+
+
+def _scipy_dips(sigma3):
+    """detect_dips as scipy.signal.find_peaks computes it."""
+    s = np.asarray(sigma3, dtype=float)
+    depth = -np.log10(np.maximum(s, max(s.max(), 1e-300) * 1e-30))
+    return scipy.signal.find_peaks(depth, prominence=rc.experiments.DIP_PROMINENCE)[0]
 
 
 def test_validate_ratios_and_consistency():

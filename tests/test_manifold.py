@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import riemcond as rc
+from riemcond.linalg import compact_qr
 
 
 def test_affine_plane_frame_is_identity_blocks():
@@ -150,6 +151,21 @@ def test_analytic_jacobians_match_finite_differences():
             Jf = param.jacobian_fd(u)
             denom = max(np.linalg.norm(Ja), 1e-30)
             assert np.linalg.norm(Ja - Jf) / denom <= 1e-6
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_compact_qr_rejects_non_finite(entry):
+    J = np.arange(6.0).reshape(3, 2)
+    J[2, 1] = entry
+    with pytest.raises(rc.NonFinite, match=r"(?s)matrix to factor by QR .* \(entries \[5\]\)"):
+        compact_qr(J)
+
+
+def test_compact_qr_frame_is_fortran_ordered():
+    J = np.random.default_rng(3).normal(size=(8, 3))
+    Q, R = compact_qr(J)
+    assert Q.flags.f_contiguous and (np.diag(R) > 0).all()
+    np.testing.assert_allclose(Q @ R, J, atol=1e-14)
 
 
 def test_codim1_unit_normal():

@@ -33,6 +33,11 @@ from .multiview import (
 INITIAL_DAMPING = 1e-3
 DAMPING_UP = 10.0
 DAMPING_DOWN = 0.1
+# Accepted steps lower the damping no further than this: at 0.0 a rejected
+# step could not raise it, and the row would retry the same step forever.
+# 200 accepted steps from INITIAL_DAMPING stay above it.
+MIN_DAMPING = 1e-300
+MAX_DAMPING = 1e18  # a row whose damping passes this on a rejected step stalls
 
 
 @dataclass(frozen=True)
@@ -88,14 +93,24 @@ def _lm_rows(evaluate, u, r, J, opts: SolverOptions):
     takes the trial points U (K, n) of the rows numbered `rows` and returns
     their residuals (K, m), a list of K domain verdicts and jac(sel), the
     Jacobians at the trial points numbered sel; residuals off the domain
-    are placeholders the loop ignores. A pass makes one stacked solve over
-    the running rows, one evaluate call on their trial points and one jac
-    call on the accepted ones. Each row keeps its own damping,
+    are placeholders the loop ignores.
+
+    A rejected trial leaves a row's u, J^T r and J^T J as they are, so the
+    dampings of its next trials are known in advance. Each pass therefore
+    tries a ladder of dampings per running row: rung j damps by the row's
+    damping times DAMPING_UP, j times over, and no rung goes past the first
+    one above MAX_DAMPING. A row has one rung at the start and after each
+    acceptance, and twice as many after a pass whose rungs were all
+    rejected. A pass makes one stacked solve over every rung, one evaluate
+    call on the rungs before each row's first step_tol stall and one jac
+    call on the accepted ones; each row then replays its rungs in order,
+    as passes of one trial each, up to its first acceptance or exit, and
+    the rungs past that are wasted. Each row keeps its own damping,
     domain-failure count, iteration count and exit, decided on Python
     floats. Every contraction is a stacked matmul or _dots, which run the
     BLAS call of the one-row `@` on each slice, so a row's result does not
-    depend on the rows beside it. Returns, per row, a SolveResult or the
-    NonFinite or DomainEscape that lm_minimize raises.
+    depend on the rows or rungs beside it. Returns, per row, a SolveResult
+    or the NonFinite or DomainEscape that lm_minimize raises.
     """
     out = [None] * len(u)
     Jt = J.transpose(0, 2, 1)
@@ -107,9 +122,9 @@ def _lm_rows(evaluate, u, r, J, opts: SolverOptions):
             out[i] = NonFinite(f"residual norm at the start point {u[i]} is not finite "
                                f"({math.sqrt(v)})")
     # the running rows: position p holds input row live[p], its u, g = J^T r and
-    # JtJ = J^T J, and its damping, domain failures, iterations and squared norms
+    # JtJ = J^T J, and its damping, domain failures, iterations, squared norms and rungs
     live = list(range(len(u)))
-    lam, fails, iters = [INITIAL_DAMPING] * len(u), [0] * len(u), [0] * len(u)
+    lam, fails, iters, rungs = ([v] * len(u) for v in (INITIAL_DAMPING, 0, 0, 1))
     eye = np.eye(u.shape[1])
 
     def finish(p, status):
@@ -126,45 +141,74 @@ def _lm_rows(evaluate, u, r, J, opts: SolverOptions):
         if not keep:
             return out
         if len(keep) < len(live):
-            live, lam, fails, iters, rr, gg, uu = (
-                [v[p] for p in keep] for v in (live, lam, fails, iters, rr, gg, uu))
+            live, lam, fails, iters, rr, gg, uu, rungs = (
+                [v[p] for p in keep] for v in (live, lam, fails, iters, rr, gg, uu, rungs))
             u, g, JtJ = (v.take(keep, 0) for v in (u, g, JtJ))
-        delta = np.linalg.solve(JtJ + np.array(lam)[:, None, None] * eye, -g[:, :, None])[:, :, 0]
+        if max(rungs) == 1:
+            src, damp, uj, gj, JtJj = range(len(live)), lam, u, g, JtJ
+        else:  # rung j belongs to row src[j] and damps by damp[j]
+            src, damp = [], []
+            for p, (v, n) in enumerate(zip(lam, rungs)):
+                for _ in range(n):
+                    src.append(p)
+                    damp.append(v)
+                    if v > MAX_DAMPING:
+                        break
+                    v *= DAMPING_UP
+            uj, gj, JtJj = (v.take(src, 0) for v in (u, g, JtJ))
+        delta = np.linalg.solve(JtJj + np.array(damp)[:, None, None] * eye, -gj[:, :, None])[:, :, 0]
         dd = _dots(delta, delta).tolist()
         # predicted reduction of 0.5||r||^2 under the damped model, less its lam ||delta||^2
-        model = _dots(0.5 * delta, (JtJ @ delta[:, :, None])[:, :, 0]).tolist()
-        for p in range(len(live)):
-            if math.sqrt(dd[p]) <= opts.step_tol * (1.0 + math.sqrt(uu[p])):
-                finish(p, Status.Stalled)
-        trial = [p for p, i in enumerate(live) if out[i] is None]
+        model = _dots(0.5 * delta, (JtJj @ delta[:, :, None])[:, :, 0]).tolist()
+        trial, stalled = [], [False] * len(live)  # the rungs evaluated, before each row's stall
+        for j, p in enumerate(src):
+            if stalled[p]:
+                continue
+            if math.sqrt(dd[j]) <= opts.step_tol * (1.0 + math.sqrt(uu[p])):
+                stalled[p] = True
+            else:
+                trial.append(j)
         moved = []
-        if not trial:
-            continue
-        U = u + delta
-        if len(trial) < len(live):
-            U = U.take(trial, 0)
-        R, inside, jac = evaluate(U, [live[p] for p in trial])
-        rr_try = _dots(R, R).tolist()
-        accepted = []
-        for k, p in enumerate(trial):
+        if trial:
+            U = uj + delta
+            if len(trial) < len(src):
+                U = U.take(trial, 0)
+            R, inside, jac = evaluate(U, [live[src[j]] for j in trial])
+            rr_try = _dots(R, R).tolist()
+        accepted, decided = [], [False] * len(live)
+        for k, j in enumerate(trial):
+            p = src[j]
+            if decided[p]:
+                continue
             if not inside[k]:
                 fails[p] += 1
                 if fails[p] > 10:
                     out[live[p]] = DomainEscape(
                         f"iterates left the admissible domain near u={U[k]}")
+                    decided[p] = True
                 lam[p] *= DAMPING_UP
             elif (math.sqrt(rr_try[k]) < math.sqrt(rr[p])
-                  and 0.5 * (rr[p] - rr_try[k]) >= 0.25 * (model[p] + lam[p] * dd[p])):
+                  and 0.5 * (rr[p] - rr_try[k]) >= 0.25 * (model[j] + lam[p] * dd[j])):
                 accepted.append(k)
                 moved.append(p)
                 rr[p] = rr_try[k]
-                lam[p] *= DAMPING_DOWN
+                lam[p] = max(lam[p] * DAMPING_DOWN, MIN_DAMPING)
                 iters[p] += 1
                 fails[p] = 0
+                rungs[p] = 1
+                decided[p] = True
             else:
                 lam[p] *= DAMPING_UP
-                if lam[p] > 1e18:
+                if lam[p] > MAX_DAMPING:
                     finish(p, Status.Stalled)
+                    decided[p] = True
+        for p, done in enumerate(decided):
+            if done:
+                continue
+            if stalled[p]:  # every rung before the stall was rejected
+                finish(p, Status.Stalled)
+            else:
+                rungs[p] *= 2
         if accepted:
             Ja, Ua, Ra = jac(accepted), U.take(accepted, 0), R.take(accepted, 0)
             Jt = Ja.transpose(0, 2, 1)
@@ -197,14 +241,15 @@ def lm_minimize(evaluate, u0, opts: SolverOptions | None = None) -> SolveResult:
         raise OutsideDomain(f"start point {u} rejected by domain check")
     r, jac = start
 
-    def evaluate_row(U, _):
-        trial = evaluate(U[0])
-        if trial is None:
-            return r[None], [False], None  # the start residual as the ignored placeholder
-        return trial[0][None], [True], lambda _: np.asarray(trial[1](), dtype=float)[None]
+    def evaluate_rows(U, _):
+        trials = [evaluate(v) for v in U]
+        # the start residual is the ignored placeholder of a point off the domain
+        R = np.array([r if t is None else t[0] for t in trials], dtype=float)
+        return R, [t is not None for t in trials], lambda sel: np.array(
+            [np.asarray(trials[k][1](), dtype=float) for k in sel])
 
     J = np.asarray(jac(), dtype=float)
-    (res,) = _lm_rows(evaluate_row, u[None], r[None], J[None], opts or SolverOptions())
+    (res,) = _lm_rows(evaluate_rows, u[None], r[None], J[None], opts or SolverOptions())
     if isinstance(res, RiemcondError):
         raise res
     return res

@@ -542,8 +542,11 @@ def test_every_command_runs_without_scipy(tmp_path):
      "--u", "[0.1, 0.2]", "--eta-scale", "0.5"],
     ["kappa", "--manifold", "sphere", "--u", "[0.1, 0.2]", "--eta-scale", "1e308"],
     ["kappa", "--manifold", "graph2d", "--u", "[0.0]", "--eta-scale", "inf"],
-], ids=["sphere-radius", "eta-norm", "eta-scale"])
+    ["kappa", "--rig", "rig.json", "--point", "p.json", "--eta-scale", "1e200"],
+], ids=["sphere-radius", "eta-norm", "eta-scale", "rig-eta-norm"])
 def test_overflow_prints_only_the_error(argv, tmp_path):
+    (tmp_path / "rig.json").write_text(json.dumps(rc.rig_to_dict(rc.gen_rig(rc.RigSpec(k=4)))))
+    (tmp_path / "p.json").write_text(json.dumps({"y": [0.35, -0.2, 0.4]}))
     proc = _run_cli(argv, tmp_path)
     assert proc.returncode == 2
     assert proc.stdout == ""

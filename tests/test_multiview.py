@@ -176,6 +176,34 @@ def test_kernel_matches_per_camera_oracle(k):
     assert checked >= 250
 
 
+@pytest.mark.parametrize("k", [2, 10, 40])
+def test_stacked_hat_matches_einsum_bitwise(k):
+    """The kernel's two-term sums over image coordinates, written as products,
+    keep the bits of the einsums they replaced, on which the validation
+    reference depends."""
+    from riemcond.multiview import _checked, _stacked_hat
+
+    rig = _generic_rig(k=k, seed=6)
+    rng = np.random.default_rng(k)
+    checked = 0
+    for _ in range(40):
+        y = rng.uniform(-0.7, 0.7, size=3)
+        if not rc.mv_domain_check(rig, y):
+            continue
+        a, num = _checked(rig, y)
+        E = 10.0 ** rng.uniform(-5, 5) * rng.standard_normal((int(rng.integers(1, 120)), 2 * k))
+        eta_l = E.reshape(len(E), k, 2)
+        beta = np.einsum("nlk,lk->nl", eta_l, num)
+        g = np.einsum("lki,nlk->nli", rig.A, eta_l)
+        cc = rig.c[:, :, None] * rig.c[:, None, :]
+        cg = rig.c[:, :, None] * g[:, :, None, :]
+        want = (np.einsum("nl,lij->nij", 2.0 * beta / a**3, cc)
+                - np.einsum("l,nlij->nij", 1.0 / a**2, cg + cg.transpose(0, 1, 3, 2)))
+        assert _stacked_hat(rig, a, num, E).tobytes() == want.tobytes()
+        checked += 1
+    assert checked >= 20
+
+
 def _centers_baseline_distance(rig, y):
     """Distance to the line through the first two centers, from fresh SVDs."""
     h0 = rig.cameras[0].center_homogeneous()
@@ -354,6 +382,11 @@ def test_non_finite_normal_is_typed():
         rc.mv_kappa(rig, y, eta)
     records = rc.experiment_sweep(rig, y, np.full(6, np.nan), [0.1, 1.0])
     assert all(rec.flagged and "NonFinite" in rec.error for rec in records)
+    # finite entries whose norm overflows: kappa would come out with NaN bounds
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(rc.NonFinite, match="norm of normal vector eta inf is not finite"):
+            rc.mv_kappa(rig, y, 1e200 * _random_normal_at(rig, y, 0))
 
 
 def test_factors_record_row_errors_and_keep_other_rows():

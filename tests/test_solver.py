@@ -1,9 +1,17 @@
+import functools
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from lm_oracle import lm_rows_one_trial
 
 import riemcond as rc
+import riemcond.solver as solver
 
 
 def _evaluator(residual, jacobian):
@@ -298,3 +306,139 @@ def test_validate_records_do_not_depend_on_chunking():
         assert len(whole) == len(chunked) == len(grid)
         for got, want in zip(chunked, whole):
             np.testing.assert_equal(vars(got), vars(want))
+
+
+def _same_outcome(got, want):
+    """Bitwise agreement of two solve outcomes: SolveResults or row errors."""
+    if isinstance(want, rc.RiemcondError):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert isinstance(got, rc.SolveResult)
+    assert got.u_star.tobytes() == want.u_star.tobytes()
+    assert got.residual_norm == want.residual_norm
+    assert got.status is want.status
+    assert got.iterations == want.iterations
+    assert got.first_order_norm == want.first_order_norm
+
+
+def _one_trial(solve, exits=None):
+    """solve() with the one-trial-per-pass oracle in place of the damping ladder."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_lm_rows", functools.partial(lm_rows_one_trial, exits=exits))
+        return solve()
+
+
+def _outcome(solve):
+    try:
+        return solve()
+    except rc.RiemcondError as exc:
+        return exc
+
+
+LADDER_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+# step_tol 1e-300 leaves the damping cap as the only stall, so both stalls occur
+STEP_TOLS = st.sampled_from([1e-14, 1e-300])
+
+
+@LADDER_SETTINGS
+@given(k=st.integers(2, 12), seed=st.integers(0, 2**16),
+       y=st.tuples(*[st.floats(-1.0, 1.0)] * 3), noise=st.floats(-9.0, 1.0),
+       rows=st.integers(1, 6), max_iters=st.integers(1, 300), step_tol=STEP_TOLS)
+def test_ladder_matches_one_trial_loop_on_triangulation(k, seed, y, noise, rows, max_iters,
+                                                        step_tol):
+    """The damping ladder makes the one-trial loop's arithmetic and decisions:
+    every row of a stacked triangulation comes out with its bits."""
+    from riemcond.solver import _triangulate_rows
+
+    rig = rc.gen_rig(rc.RigSpec(k=k, seed=seed))
+    y = np.array(y)
+    assume(rc.mv_domain_check(rig, y))
+    x = rc.mv_project(rig, y)
+    A = x + 10.0**noise * np.random.default_rng(seed).standard_normal((rows, x.size))
+    opts = rc.SolverOptions(max_iters=max_iters, step_tol=step_tol)
+    got = _triangulate_rows(rig, A, y, opts)
+    want = _one_trial(lambda: _triangulate_rows(rig, A, y, opts))
+    for g, w in zip(got, want, strict=True):
+        _same_outcome(g, w)
+
+
+@LADDER_SETTINGS
+@given(chart=st.sampled_from(["sphere", "paraboloid", "graph2d"]), seed=st.integers(0, 2**16),
+       noise=st.floats(-9.0, 1.0), max_iters=st.integers(1, 300), step_tol=STEP_TOLS)
+def test_ladder_matches_one_trial_loop_on_projection(chart, seed, noise, max_iters, step_tol):
+    p = rc.builtin(chart)
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(-1.0, 1.0, size=p.intrinsic_dim)
+    a = p(u) + 10.0**noise * rng.standard_normal(p.ambient_dim)
+    u0 = u + 0.1 * rng.standard_normal(u.size)
+    opts = rc.SolverOptions(max_iters=max_iters, step_tol=step_tol)
+    got = _outcome(lambda: rc.project_point(p, a, u0, opts))
+    _same_outcome(got, _one_trial(lambda: _outcome(lambda: rc.project_point(p, a, u0, opts))))
+
+
+def test_ladder_matches_one_trial_loop_at_every_exit():
+    """Each way a row can end, by the oracle's account, with the same bits."""
+    from riemcond.solver import _triangulate_rows
+
+    rig, A, y0 = _stacked_fixture()
+    exits = []
+    for opts in (None, rc.SolverOptions(max_iters=2), rc.SolverOptions(step_tol=1e-300)):
+        got = _triangulate_rows(rig, A, y0, opts)
+        for g, w in zip(got, _one_trial(lambda: _triangulate_rows(rig, A, y0, opts), exits),
+                        strict=True):
+            _same_outcome(g, w)
+
+    def evaluate(u):  # only the start point is inside
+        return None if abs(u[0]) >= 1e-12 else (u - 10.0, lambda: np.eye(1))
+
+    solve = functools.partial(_outcome, lambda: rc.lm_minimize(evaluate, np.array([0.0])))
+    _same_outcome(solve(), _one_trial(solve, exits))
+    assert {reason for _, reason in exits} == {
+        "grad_tol", "max_iters", "step_tol", "damping_cap", "domain", "start"}
+
+
+def test_ladder_cuts_the_passes_of_validation(monkeypatch):
+    """On the benchmark's six validation rays in 10-row calls, a call makes
+    31.1 stacked passes on average with one trial per row and pass (p90 27.6),
+    most of them retrying a rejected row; the ladder takes a streak in fewer."""
+    solves = []
+    solve = np.linalg.solve
+
+    def counted(*args):
+        solves[-1] += 1
+        return solve(*args)
+
+    rig = rc.gen_rig(rc.RigSpec(k=10, seed=0))
+    y = np.array([0.35, -0.2, 0.4])
+    grid = rc.log_grid(-3.0, 2.0, 100)
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    for seed in range(4, 10):
+        eta = rc.random_unit_normal(rig, y, seed)
+        for c in range(0, len(grid), 10):
+            solves.append(0)
+            rc.experiment_validate(rig, y, eta, grid[c:c + 10], perturb_rel=1e-6)
+    assert len(solves) == 120
+    assert np.mean(solves) <= 21 and np.percentile(solves, 90) <= 15
+
+
+_UNDERFLOW_CASE = """
+import numpy as np
+import riemcond as rc
+rig = rc.gen_rig(rc.RigSpec(k=10, seed=0))
+y = np.array([0.35, -0.2, 0.4])
+(rec,) = rc.experiment_validate(rig, y, rc.random_unit_normal(rig, y, 7), [49.770235643321136],
+                                perturb_rel=1e-6, opts=rc.SolverOptions(max_iters=400))
+print(rec.status.value, rec.iterations)
+"""
+
+
+def test_damping_that_would_underflow_keeps_rising_on_rejection():
+    """This row accepts more than 320 steps, after which 1e-3 * 0.1**k is 0.0;
+    a zero damping could not rise on a rejection, and the row retried the
+    same step forever. The damping floor lets it rise and the solve ends."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rc.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _UNDERFLOW_CASE], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    status, iterations = proc.stdout.split()
+    assert status in {"Stalled", "Converged"} and 320 < int(iterations) < 400

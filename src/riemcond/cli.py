@@ -179,7 +179,7 @@ def cmd_kappa(args) -> int:
         rig = _load_rig(args.rig)
         y = _load_vector(args.point, "y", 3)
         frame = _frame(rig, y)  # one domain check and QR frame serve x, eta, kappa and Q @ u
-        a, num, Q, _ = frame
+        a, num, _, Q, _ = frame
         x = _projection(a, num)
         if args.eta:
             raw = _load_vector(args.eta, "eta", 2 * rig.r)

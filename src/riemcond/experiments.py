@@ -20,11 +20,14 @@ from .linalg import compact_qr
 from .multiview import (
     Camera,
     CameraRig,
+    _condition,
+    _factors,
+    _frame,
+    _jet,
+    _one_row,
+    _projection,
     mv_condition,
-    mv_factors,
     mv_jacobian,
-    mv_project,
-    mv_weingarten,
 )
 from .solver import SolverOptions, Status, _triangulate_rows
 
@@ -158,37 +161,47 @@ def log_grid(lo: float, hi: float, count: int, two_sided: bool = True):
     return np.concatenate([-pos[::-1], pos])
 
 
-def _theory_rows(rig, y, eta, t_grid, x_norm):
-    """Sweep records over t_grid from one kernel call, the frame Q, and the
-    worst direction of every row (None for error rows).
+def _theory_rows(rig, jet, eta, t_grid, x_norm, validate):
+    """Records over t_grid from one kernel call on the _jet of y and, for
+    validate, the frame Q and the worst direction of each good row, by row.
 
-    Row n uses the normal t_n ||x|| eta; an error of y applies to every row,
-    an error of one row to that row alone.
+    Row n uses the normal tau_n eta, tau_n = t_n ||x||; an error of y applies
+    to every row, an error of one row to that row alone. Validate takes each
+    row's curvatures from its own S, so no row depends on how the grid is
+    split into calls. A sweep reads no singular vectors, and S is linear in
+    the normal: the row whose offset is nearest 1 in scale gives the
+    curvatures c of eta, and row n has sign(tau_n) c (zeros at tau = 0).
     """
     t = np.asarray(t_grid, dtype=float)
+    t_rel, tau = t.tolist(), t * x_norm
     try:
-        factors = mv_factors(rig, y, np.multiply.outer(t * x_norm, np.asarray(eta, dtype=float)))
+        frame = jet + compact_qr(jet[2])  # a Jacobian that is not finite: every row's error
+        factors = _factors(rig, frame, np.multiply.outer(tau, np.asarray(eta, dtype=float)))
         good = [n for n, err in enumerate(factors.errors) if err is None]
-        cond = mv_condition(factors.R, factors.S[good], np.abs(t[good]) * x_norm)
+        S, tau = factors.S[good], tau[good]
+        if validate:
+            cond = mv_condition(factors.R, S, np.abs(tau))
+        else:
+            with np.errstate(divide="ignore"):
+                k = np.argmin(np.abs(np.log(np.abs(tau)))) if len(tau) else None
+            c = np.zeros(3) if k is None or tau[k] == 0.0 else np.linalg.eigvalsh(S[k]) / tau[k]
+            cond = _condition(factors.R, S, np.sign(tau)[:, None] * c, np.abs(tau), vectors=False)
     except RiemcondError as exc:
-        return [_error_record(t_rel, exc) for t_rel in t], None, [None] * len(t)
-    records = [None if err is None else _error_record(t_rel, err)
-               for t_rel, err in zip(t, factors.errors)]
-    worst = [None] * len(t)
-    rows = zip(good, cond.kappa.tolist(), cond.bounds_lo.tolist(), cond.bounds_hi.tolist(),
-               cond.sigma[:, 2].tolist(), cond.ill_posed.tolist(), cond.worst)
-    for n, kappa, lo, hi, sigma3, ill, u in rows:
-        records[n] = SweepRecord(t_rel=float(t[n]), kappa=kappa, bounds=(lo, hi),
-                                 sigma3=sigma3, ill_posed=ill)
-        worst[n] = u
-    return records, factors.Q, worst
+        return [_error_record(v, exc) for v in t_rel], None, None
+    records = [None if err is None else _error_record(v, err)
+               for v, err in zip(t_rel, factors.errors)]
+    columns = (cond.kappa.tolist(), cond.bounds_lo.tolist(), cond.bounds_hi.tolist(),
+               cond.sigma[:, 2].tolist(), cond.ill_posed.tolist())
+    for n, kappa, lo, hi, sigma3, ill in zip(good, *columns):
+        records[n] = SweepRecord(t_rel[n], kappa, (lo, hi), sigma3, ill)
+    return records, factors.Q, dict(zip(good, cond.worst)) if validate else None
 
 
 def experiment_sweep(rig: CameraRig, y, eta, t_grid: Sequence[float]):
     """Theoretical condition numbers along a(t) = x + t ||x|| eta over t_grid."""
-    y = np.asarray(y, dtype=float)
-    x_norm = float(np.linalg.norm(mv_project(rig, y)))
-    return _theory_rows(rig, y, eta, t_grid, x_norm)[0]
+    jet = _jet(rig, y)
+    x_norm = float(np.linalg.norm(_projection(jet[0], jet[1])))
+    return _theory_rows(rig, jet, eta, t_grid, x_norm, validate=False)[0]
 
 
 def experiment_validate(
@@ -213,23 +226,24 @@ def experiment_validate(
     if perturb_rel <= 0:
         raise InvalidGeometry(f"perturb_rel must be positive, got {perturb_rel}")
     y = np.asarray(y, dtype=float)
-    x = mv_project(rig, y)
+    jet = _jet(rig, y)  # one domain check and Jacobian: x, the theory and the solves' start
+    x = _projection(jet[0], jet[1])
     x_norm = float(np.linalg.norm(x))
     eta = np.asarray(eta, dtype=float)
-    records, Q, worst = _theory_rows(rig, y, eta, t_grid, x_norm)
+    records, Q, worst = _theory_rows(rig, jet, eta, t_grid, x_norm, validate=True)
     todo, perturbed, perturbations = [], [], []
-    for n, (rec, u) in enumerate(zip(records, worst)):
+    for n, rec in enumerate(records):
         if rec.error is not None:
             continue
         if not np.isfinite(rec.kappa):
             rec.flagged = True
             continue
         a = x + rec.t_rel * x_norm * eta
-        E = perturb_rel * np.linalg.norm(a) * (Q @ u)
+        E = perturb_rel * np.linalg.norm(a) * (Q @ worst[n])
         todo.append(n)
         perturbed.append(a + E)
         perturbations.append(E)
-    results = _triangulate_rows(rig, perturbed, y, opts)
+    results = _triangulate_rows(rig, perturbed, y, opts, jet)
     for n, E, result in zip(todo, perturbations, results):
         rec = records[n]
         if isinstance(result, RiemcondError):
@@ -267,9 +281,9 @@ def singular_offsets_rel(rig: CameraRig, y, eta):
     nonzero eigenvalues c_i of the Weingarten map in the unit direction
     eta, in units of ||x||.
     """
-    y = np.asarray(y, dtype=float)
-    x_norm = float(np.linalg.norm(mv_project(rig, y)))
-    S_unit = mv_weingarten(rig, y, eta)[3]
+    frame = _frame(rig, y)
+    x_norm = float(np.linalg.norm(_projection(frame[0], frame[1])))
+    S_unit = _one_row(rig, frame, eta).S[0]
     return ill_posedness_certificate(np.linalg.eigvalsh(S_unit)) / x_norm
 
 

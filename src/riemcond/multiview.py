@@ -197,16 +197,16 @@ def _baseline_distances(rig: CameraRig, Y):
 
 
 def _domain_rows(rig: CameraRig, Y):
-    """Depths (M, r), numerators (M, r, 2) and domain verdicts (M,) of the points
-    Y (M, 3), each point checked once: a point passes when it is finite and both
-    |depth| in every camera and its distance to the baseline exceed DOM_TOL."""
+    """Depths (M, r), numerators (M, r, 2) and domain verdicts (a list of M bools) of
+    the points Y (M, 3), each point checked once: a point passes when it is finite and
+    both |depth| in every camera and its distance to the baseline exceed DOM_TOL."""
     ok = np.isfinite(Y).all(axis=1)
     if not ok.all():
         Y = np.where(ok[:, None], Y, 0.0)  # such points fail; zeros keep the arithmetic quiet
     a, num = alphas(rig, Y), _numerators(rig, Y)
     ok &= np.abs(a).min(axis=1) > DOM_TOL
-    ok[ok] = [dist > DOM_TOL for dist in _baseline_distances(rig, Y[ok])]
-    return a, num, ok
+    dist = iter(_baseline_distances(rig, Y[ok]))
+    return a, num, [passed and next(dist) > DOM_TOL for passed in ok.tolist()]
 
 
 def _projection(a, num):
@@ -230,7 +230,7 @@ def _jacobian(rig: CameraRig, a, num):
 
 def mv_domain_check(rig: CameraRig, y) -> bool:
     """Whether y is in the domain: the one-row view of _domain_rows."""
-    return bool(_domain_rows(rig, np.asarray(y, dtype=float)[None])[2][0])
+    return _domain_rows(rig, np.asarray(y, dtype=float)[None])[2][0]
 
 
 def _checked(rig: CameraRig, y):
@@ -316,10 +316,16 @@ def _stacked_hat(rig: CameraRig, a, num, E):
             - np.einsum("l,nlij->nij", 1.0 / a**2, cg + cg.transpose(0, 1, 3, 2)))
 
 
-def _frame(rig: CameraRig, y):
-    """(a, num, Q, R) at y: depths, numerators and the Jacobian's QR frame; y's errors raise."""
+def _jet(rig: CameraRig, y):
+    """(a, num, J) at y: depths, numerators and Jacobian; y's domain errors raise."""
     a, num = _checked(rig, y)
-    return (a, num) + compact_qr(_jacobian(rig, a, num))
+    return a, num, _jacobian(rig, a, num)
+
+
+def _frame(rig: CameraRig, y):
+    """(a, num, J, Q, R) at y: the _jet of y and the compact QR of its Jacobian."""
+    jet = _jet(rig, y)
+    return jet + compact_qr(jet[2])
 
 
 def mv_factors(rig: CameraRig, y, E) -> MultiviewFactors:
@@ -336,7 +342,7 @@ def mv_factors(rig: CameraRig, y, E) -> MultiviewFactors:
 
 def _factors(rig: CameraRig, frame, E) -> MultiviewFactors:
     """mv_factors of the float stack E from the _frame of y."""
-    a, num, Q, R = frame
+    a, num, _, Q, R = frame
     if E.ndim != 2 or E.shape[1] != 2 * rig.r:
         raise NotNormal(f"eta must have length {2 * rig.r}, got rows of shape {E.shape[1:]}")
     finite = np.isfinite(E).all(axis=1)
@@ -387,7 +393,7 @@ def mv_weingarten(rig: CameraRig, y, eta):
     return Q, R, S_hat[0], S[0]
 
 
-def kappa_from_factors(R, S, sigma_R):
+def kappa_from_factors(R, S, sigma_R, _vectors=True):
     """kappa = 1 / sigma_3((I - S) R) plus the worst tangent direction.
 
     Returns (kappa, ill_posed, u, singular_values) where u is the third
@@ -396,22 +402,25 @@ def kappa_from_factors(R, S, sigma_R):
     the larger of sigma_1((I - S) R) and sigma_1(R) so that I - S ~ 0
     (all directions focal at once) is detected as ill-posed too.
     sigma_R holds the singular values of R, descending. S may be a stack
-    (N, 3, 3); every result then gains the leading axis N.
+    (N, 3, 3); every result then gains the leading axis N. A caller that
+    reads no direction passes _vectors=False: the SVD then computes the
+    singular values alone, and u is None.
     """
-    U, s, _ = np.linalg.svd((np.eye(3) - S) @ R)
+    M = (np.eye(3) - S) @ R
+    U, s = np.linalg.svd(M)[:2] if _vectors else (None, np.linalg.svd(M, compute_uv=False))
     scale = np.maximum(s[..., 0], sigma_R[0])
     ill = (scale == 0.0) | (s[..., 2] <= SING_TOL * scale)
     with np.errstate(divide="ignore"):
         kappa = np.where(ill, np.inf, 1.0 / s[..., 2])
-    return kappa, ill, np.ascontiguousarray(U[..., :, 2]), s
+    return kappa, ill, None if U is None else np.ascontiguousarray(U[..., :, 2]), s
 
 
 class ConditionRows(NamedTuple):
     """Condition numbers of N critical pairs that share the frame factor R.
 
     kappa, ill_posed, bounds_lo and bounds_hi are (N,); worst (N, 3) holds
-    the worst tangent directions and sigma (N, 3) the singular values of
-    (I - S) R; sigma_R and kappa_S = 1 / sigma_3(R) belong to R alone.
+    the worst tangent directions (None if not asked for) and sigma (N, 3) the
+    singular values of (I - S) R; sigma_R and kappa_S belong to R alone.
     """
 
     kappa: np.ndarray
@@ -431,12 +440,18 @@ def mv_condition(R, S, eta_norms) -> ConditionRows:
     collapses the bounds to kappa_S. Every small-matrix factorization is
     one call on the whole stack.
     """
-    sigma_R = np.linalg.svd(R, compute_uv=False)
-    kappa, ill, worst, s = kappa_from_factors(R, S, sigma_R)
-    kappa_S = np.inf if sigma_R[2] <= SING_TOL * sigma_R[0] else 1.0 / float(sigma_R[2])
     eta_norms = np.asarray(eta_norms, dtype=float)
     # a zero normal has S = 0, so dividing by 1 gives the curvatures 0 and factors 1
     curv = np.linalg.eigvalsh(S) / np.where(eta_norms > 0, eta_norms, 1.0)[:, None]
+    return _condition(R, S, curv, eta_norms)
+
+
+def _condition(R, S, curv, eta_norms, vectors=True) -> ConditionRows:
+    """mv_condition for rows whose curvatures curv (N, 3) the caller already has,
+    as a sweep has them for a whole ray; vectors=False leaves worst None."""
+    sigma_R = np.linalg.svd(R, compute_uv=False)
+    kappa, ill, worst, s = kappa_from_factors(R, S, sigma_R, _vectors=vectors)
+    kappa_S = np.inf if sigma_R[2] <= SING_TOL * sigma_R[0] else 1.0 / float(sigma_R[2])
     lo, hi = kappa_bounds(kappa_S, curv, eta_norms)
     return ConditionRows(kappa, ill, worst, s, sigma_R, kappa_S, lo, hi)
 

@@ -19,9 +19,9 @@ from .linalg import compact_qr
 from .manifold import Parametrization, project_tangent, tangent_frame
 from .multiview import (
     CameraRig,
-    _checked,
     _domain_rows,
     _jacobian,
+    _jet,
     _projection,
     mv_jacobian,
     mv_project,
@@ -303,12 +303,13 @@ def triangulate(
     return res
 
 
-def _triangulate_rows(rig: CameraRig, A, y0, opts: SolverOptions | None = None):
+def _triangulate_rows(rig: CameraRig, A, y0, opts: SolverOptions | None = None, jet=None):
     """triangulate(rig, a, warm_start=y0, opts=opts) for every row a of A (N, 2r).
 
     One _lm_rows call solves all rows. Returns, per row, a SolveResult or
     the RiemcondError triangulate would raise; an error of y0 (NonFinite or
-    OutsideDomain) raises.
+    OutsideDomain) raises. jet is the multiview._jet of y0 when the caller
+    has it already.
     """
     A = np.asarray(A, dtype=float)
     out = [None if _finite(a) else _non_finite(a, "correspondence") for a in A]
@@ -316,20 +317,21 @@ def _triangulate_rows(rig: CameraRig, A, y0, opts: SolverOptions | None = None):
     if not pos:
         return out
     y0 = np.asarray(y0, dtype=float)
-    a0, num0 = _checked(rig, y0)
+    a0, num0, J0 = jet or _jet(rig, y0)
     target = A[pos]
 
     def evaluate(Y, rows):
         a, num, inside = _domain_rows(rig, Y)
-        if not inside.all():
+        if not all(inside):
             # rows outside get a harmless placeholder; the loop ignores their residuals
-            a = np.where(inside[:, None], a, 1.0)
-            num = np.where(inside[:, None, None], num, 0.0)
-        return (_projection(a, num) - target.take(rows, 0), inside.tolist(),
+            mask = np.array(inside)
+            a = np.where(mask[:, None], a, 1.0)
+            num = np.where(mask[:, None, None], num, 0.0)
+        return (_projection(a, num) - target.take(rows, 0), inside,
                 lambda sel: _jacobian(rig, a.take(sel, 0), num.take(sel, 0)))
 
     m = len(pos)
-    u, J = np.repeat(y0[None], m, axis=0), np.repeat(_jacobian(rig, a0, num0)[None], m, axis=0)
+    u, J = np.repeat(y0[None], m, axis=0), np.repeat(J0[None], m, axis=0)
     results = _lm_rows(evaluate, u, _projection(a0, num0) - target, J, opts or SolverOptions())
     for n, res in zip(pos, results):
         out[n] = res

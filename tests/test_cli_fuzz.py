@@ -6,15 +6,24 @@ replaced), with builtin manifold parameters that include NaN and
 infinities, and with random text cells in a plot CSV. Every call must
 return one of the documented exit codes 0, 1 or 2; any exception that
 escapes main fails the test.
+
+The draws replay: derandomize=True seeds each test from its source, and no
+strategy iterates a set, whose order of strings follows the per-process
+hash seed (PYTHONHASHSEED). Every run of the same source draws the same
+examples, so a failure found once is found again.
 """
 
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import riemcond as rc
@@ -58,7 +67,8 @@ def _replace_one(draw, value):
 def input_files(draw):
     """Payloads of the rig file and of the point, normal and correspondence files."""
     files = {"rig": {"cameras": CAMERAS}, **{field: {field: v} for field, v in VALID.items()}}
-    for name in draw(st.sets(st.sampled_from(sorted(files)), min_size=1)):
+    # sorted: a set of strings iterates in an order that changes from process to process
+    for name in sorted(draw(st.sets(st.sampled_from(sorted(files)), min_size=1))):
         files[name] = draw(JSON) if draw(st.booleans()) else _replace_one(draw, files[name])
     return files
 
@@ -131,8 +141,11 @@ CELLS = TEXT | SPECIAL.map(repr) | st.floats(1e-3, 1e3).map(repr) | st.sampled_f
     ["", "nan", "inf", "-inf", "true", "false", "1e999", "0"])
 
 
-@given(st.lists(st.tuples(CELLS, CELLS, CELLS), min_size=1, max_size=5),
-       st.sampled_from(["kappa", "kappa,sigma3", "ratio"]) | TEXT)
+CSV_ROWS = st.lists(st.tuples(CELLS, CELLS, CELLS), min_size=1, max_size=5)
+COLUMNS = st.sampled_from(["kappa", "kappa,sigma3", "ratio"]) | TEXT
+
+
+@given(CSV_ROWS, COLUMNS)
 @FUZZ_SETTINGS
 def test_fuzzed_plot_csv_cells_exit_0_1_or_2(workdir, rows, columns):
     path, out = workdir / "cells.csv", workdir / "cells.svg"
@@ -149,3 +162,40 @@ def test_fuzzed_plot_csv_cells_exit_0_1_or_2(workdir, rows, columns):
     if code == 0:  # every plotted coordinate is a finite number
         coords = re.findall(r'(?:cx|cy|points)="([^"]*)"', out.read_text())
         assert all(math.isfinite(float(v)) for c in coords for v in re.split("[ ,]", c))
+
+
+STRATEGIES = {"input_files": input_files(), "manifold_params": manifold_params(),
+              "csv_cells": st.tuples(CSV_ROWS, COLUMNS)}
+
+
+def _examples(name, count=40):
+    """repr of the first count examples that the fuzz settings draw from STRATEGIES[name]."""
+    seen = []
+
+    @given(STRATEGIES[name])
+    @settings(FUZZ_SETTINGS, max_examples=count, phases=[Phase.generate])
+    def record(value):
+        seen.append(repr(value))
+
+    record()
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+def test_strategies_draw_the_same_examples_twice_in_one_process(name):
+    first = _examples(name)
+    assert len(first) == 40 and len(set(first)) > 1
+    assert _examples(name) == first
+
+
+def test_examples_do_not_depend_on_the_string_hash_seed():
+    """Two processes with different PYTHONHASHSEED values draw the same examples."""
+    here = Path(__file__).resolve().parent
+    script = (f"import sys; sys.path.insert(0, {str(here)!r}); import test_cli_fuzz as f; "
+              "print([f._examples(name) for name in sorted(f.STRATEGIES)])")
+    path = os.pathsep.join([str(here.parent / "src"), os.environ.get("PYTHONPATH", "")])
+    runs = [subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           timeout=120, check=True,
+                           env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)).stdout
+            for seed in ("1", "2")]
+    assert runs[0] == runs[1] and runs[0].count("cameras") > 10

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import riemcond as rc
 from riemcond.experiments import _peak_prominences
+from riemcond.linalg import compact_qr
 
 DEFAULT_Y = np.array([0.35, -0.2, 0.4])
 
@@ -120,14 +121,117 @@ def test_sweep_affine_rig_constant_kappa():
 
 
 def test_sweep_matches_mv_kappa_rows():
+    """Each sweep row against its own mv_kappa call, on prefix rigs k = 2, 3, 5, 10
+    and a two-sided grid that crosses the ray's singular offsets. The sweep takes
+    the curvatures c of the whole ray from one row. A row's own S gives them to
+    within a few 1e-14 of max |c_i| (k = 2 and 3 read up to 2.6e-14), and the
+    smallest factor |1 - c_i tau| of a bound divides the resulting error
+    max |c_i tau| 1e-14. The largest bound differences away from and near
+    (min factor < 1e-2) the singular offsets are printed."""
+    for k in (2, 3, 5, 10):
+        rig = rc.prefix_rig(_default_rig(), k)
+        eta = rc.random_unit_normal(rig, DEFAULT_Y, 0)
+        grid = rc.log_grid(-3, 3, 150)
+        offsets = rc.singular_offsets_rel(rig, DEFAULT_Y, eta)
+        assert sum(grid[0] < t < grid[-1] for t in offsets) >= 2  # it crosses singular offsets
+        recs = rc.experiment_sweep(rig, DEFAULT_Y, eta, grid)
+        x_norm = np.linalg.norm(rc.mv_project(rig, DEFAULT_Y))
+        c = np.linalg.eigvalsh(rc.mv_weingarten(rig, DEFAULT_Y, eta)[3])
+        far = near = 0.0
+        for t, rec in zip(grid, recs):
+            tau = t * x_norm
+            rep = rc.mv_kappa(rig, DEFAULT_Y, tau * eta)
+            assert rec.kappa == pytest.approx(rep.kappa, rel=1e-12)
+            assert rec.sigma3 == pytest.approx(rep.components["sigma3"], rel=1e-12)
+            err = max(0.0 if got == want else abs(got / want - 1.0)
+                      for got, want in zip(rec.bounds, (rep.bounds_lo, rep.bounds_hi)))
+            factors = np.abs(1.0 - c * tau)
+            assert err <= 1e-13 * max(1.0, np.abs(c * tau).max()) / factors.min()
+            if factors.min() >= 1e-2:
+                far = max(far, err)
+            else:
+                near = max(near, err)
+        print(f"k={k}: largest relative bound difference {far:.2e}, near singular offsets {near:.2e}")
+
+
+def test_sweep_solves_one_curvature_per_ray_and_no_vectors(monkeypatch):
+    """A sweep calls eigvalsh on one 3 x 3 map at a time and runs the stacked SVD for
+    values only; validate, which perturbs along the worst directions, computes them."""
+    calls = []
+    real_svd, real_eigvalsh = np.linalg.svd, np.linalg.eigvalsh
+
+    def svd(a, *args, **kwargs):
+        calls.append(("svd", np.ndim(a), kwargs.get("compute_uv", True)))
+        return real_svd(a, *args, **kwargs)
+
+    def eigvalsh(a, *args, **kwargs):
+        calls.append(("eigvalsh", np.ndim(a), None))
+        return real_eigvalsh(a, *args, **kwargs)
+
     rig = _default_rig()
     eta = rc.random_unit_normal(rig, DEFAULT_Y, 0)
-    grid = rc.log_grid(-2, 1, 7)
-    recs = rc.experiment_sweep(rig, DEFAULT_Y, eta, grid)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    rc.experiment_sweep(rig, DEFAULT_Y, eta, rc.log_grid(-2, 1, 20))
+    assert ("eigvalsh", 2, None) in calls and ("svd", 3, False) in calls
+    assert all(ndim == 2 for name, ndim, _ in calls if name == "eigvalsh")
+    assert all(not uv for name, ndim, uv in calls if name == "svd" and ndim == 3)
+    calls.clear()
+    rc.experiment_validate(rig, DEFAULT_Y, eta, [0.01, 1.0])
+    assert [uv for name, ndim, uv in calls if name == "svd" and ndim == 3] == [True]
+
+
+@pytest.mark.parametrize("protocol", ["sweep", "validate"])
+def test_nan_non_normal_and_zero_offset_rows(protocol):
+    """Rows of a NaN eta, of an eta with a tangential part, and at t = 0 are what the
+    one-row mv_kappa gives: its error, message included, or, at t = 0, bounds equal
+    to kappa_S (a zero normal is normal whatever eta is)."""
+    run = rc.experiment_sweep if protocol == "sweep" else rc.experiment_validate
+    rig = _default_rig()
     x_norm = np.linalg.norm(rc.mv_project(rig, DEFAULT_Y))
-    for t, rec in zip(grid, recs):
-        rep = rc.mv_kappa(rig, DEFAULT_Y, t * x_norm * eta)
-        assert rec.kappa == pytest.approx(rep.kappa, rel=1e-12)
+    unit = rc.random_unit_normal(rig, DEFAULT_Y, 0)
+    tangent = compact_qr(rc.mv_jacobian(rig, DEFAULT_Y))[0][:, 0]
+    grid = [-1.0, 0.0, 0.1]
+    for eta in (np.full(2 * rig.r, np.nan), unit + 0.5 * tangent):
+        for t, rec in zip(grid, run(rig, DEFAULT_Y, eta, grid)):
+            try:
+                rep = rc.mv_kappa(rig, DEFAULT_Y, t * x_norm * eta)
+            except rc.RiemcondError as exc:
+                assert rec.error == f"{type(exc).__name__}: {exc}"
+                assert rec.flagged and np.isnan(rec.kappa) and np.isnan(rec.bounds).all()
+                continue
+            assert t == 0.0 and rec.error is None and not np.isnan(eta).any()
+            assert rec.bounds == (rep.bounds_lo, rep.bounds_hi) == (rep.components["kappa_S"],) * 2
+            assert rec.kappa == pytest.approx(rep.kappa, rel=1e-14)
+
+
+@pytest.mark.parametrize("protocol", ["sweep", "validate"])
+def test_experiment_checks_y_once_and_takes_one_qr_frame(protocol, monkeypatch):
+    """One domain check of y serves x, the theory kernel and the solves' start, and
+    one Jacobian QR the frame; the errors of y keep their type and message."""
+    import riemcond.linalg as linalg
+    import riemcond.multiview as mv
+
+    run = rc.experiment_sweep if protocol == "sweep" else rc.experiment_validate
+    rig = _default_rig()
+    eta = rc.random_unit_normal(rig, DEFAULT_Y, 0)
+    counts = {"_checked": 0, "compact_qr": 0}
+    for name, real in (("_checked", mv._checked), ("compact_qr", linalg.compact_qr)):
+        def counted(*args, real=real, name=name):
+            counts[name] += 1
+            return real(*args)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("riemcond") and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    records = run(rig, DEFAULT_Y, eta, [0.01, 1.0])
+    assert counts == {"_checked": 1, "compact_qr": 1}
+    assert all(rec.error is None for rec in records)
+    on_plane = np.array([0.0, 0.0, -rig.d[0] / rig.c[0, 2]])
+    with pytest.raises(rc.OutsideDomain, match="principal plane"):
+        run(rig, on_plane, eta, [0.01, 1.0])
+    with pytest.raises(rc.NonFinite, match=r"world point \[nan"):
+        run(rig, [np.nan, 0.0, 0.0], eta, [0.01, 1.0])
 
 
 def test_small_offset_band_keeps_kappa_flat():
@@ -347,8 +451,8 @@ def test_validate_records_per_row_errors(monkeypatch):
     grid = rc.log_grid(-2, 0, 4, two_sided=False)
     real_rows = exp._triangulate_rows
 
-    def flaky(rig_, A, y0, opts=None):
-        results = real_rows(rig_, A, y0, opts)
+    def flaky(rig_, A, y0, *rest):
+        results = real_rows(rig_, A, y0, *rest)
         results[1] = rc.DomainEscape("synthetic failure")  # the second row's solve fails
         return results
 

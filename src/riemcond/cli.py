@@ -30,7 +30,6 @@ from .experiments import (
     experiment_validate,
     gen_rig,
     log_grid,
-    random_unit_normal,
     ratio_stats,
     records_to_csv,
 )
@@ -263,16 +262,19 @@ def cmd_project(args) -> int:
 
 
 def _ray(args):
-    """Rig, world point, seeded unit normal and offset grid of a sweep or validation run."""
+    """(Rig, point, seeded unit normal, grid) of a sweep or validation run, and the point's
+    _frame: one domain check and QR serve the normal and the run."""
     rig = _load_rig(args.rig)
     y = _load_vector(args.point, "y", 3)
     lo, hi, count = _parse_grid(args.grid)
-    return rig, y, random_unit_normal(rig, y, args.seed), log_grid(
-        lo, hi, count, two_sided=not args.one_sided)
+    frame = _frame(rig, y)
+    return (rig, y, _unit_normal(frame[3], args.seed),
+            log_grid(lo, hi, count, two_sided=not args.one_sided)), frame
 
 
 def cmd_sweep(args) -> int:
-    records = experiment_sweep(*_ray(args))
+    ray, frame = _ray(args)
+    records = experiment_sweep(*ray, _frame_of_y=frame)
     _atomic_write(args.out, records_to_csv(records))
     print(f"wrote {args.out} ({len(records)} rows)", file=sys.stderr)
     return 0
@@ -280,7 +282,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_validate(args) -> int:
     opts = _from_field_args(SolverOptions, args)
-    records = experiment_validate(*_ray(args), perturb_rel=args.perturb_rel, opts=opts)
+    ray, frame = _ray(args)
+    records = experiment_validate(*ray, args.perturb_rel, opts, _frame_of_y=frame)
     _atomic_write(args.out, records_to_csv(records))
     arith, geo, excluded = ratio_stats(records)
     print(

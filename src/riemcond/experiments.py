@@ -14,6 +14,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .condition import ill_posedness_certificate
+from .curvature import weingarten
 from .errors import EmptyInput, InvalidGeometry, RiemcondError
 from .errors import _require_finite, _require_finite_setting
 from .linalg import compact_qr
@@ -26,6 +27,7 @@ from .multiview import (
     _jet,
     _one_row,
     _projection,
+    _stacked_hat,
     mv_condition,
     mv_jacobian,
 )
@@ -162,56 +164,55 @@ def log_grid(lo: float, hi: float, count: int, two_sided: bool = True):
 
 
 def _theory_rows(rig, jet, eta, t_grid, x_norm, validate):
-    """Records over t_grid from one kernel call on the _jet of y and, for
+    """Records over t_grid from one kernel call on the _jet (or _frame) of y and, for
     validate, the frame Q and the worst direction of each good row, by row.
 
-    Row n uses the normal tau_n eta, tau_n = t_n ||x||; an error of y applies
-    to every row, an error of one row to that row alone. Validate takes each
-    row's curvatures from its own S, so no row depends on how the grid is
-    split into calls. A sweep reads no singular vectors, and S is linear in
-    the normal: the row whose offset is nearest 1 in scale gives the
-    curvatures c of eta, and row n has sign(tau_n) c (zeros at tau = 0).
+    Row n uses the normal tau_n eta, tau_n = t_n ||x||, and has its own verdict; an
+    error of y applies to every row. Validate builds each row's S from its own normal,
+    so no row depends on how the grid is split into calls. A sweep reads no singular
+    vectors, and S is linear in the normal: the good row whose offset is nearest 1 in
+    scale gives the map S_eta of eta, and row n has tau_n S_eta and its eigenvalues.
     """
     t = np.asarray(t_grid, dtype=float)
     t_rel, tau = t.tolist(), t * x_norm
-    try:
-        frame = jet + compact_qr(jet[2])  # a Jacobian that is not finite: every row's error
-        factors = _factors(rig, frame, np.multiply.outer(tau, np.asarray(eta, dtype=float)))
+    try:  # the QR in here: a Jacobian that is not finite is every row's error
+        frame = jet if len(jet) == 5 else jet + compact_qr(jet[2])
+        E = np.multiply.outer(tau, np.asarray(eta, dtype=float))
+        factors = _factors(rig, frame, E, maps=validate)
         good = [n for n, err in enumerate(factors.errors) if err is None]
-        S, tau = factors.S[good], tau[good]
+        sel = good if len(good) < len(t) else slice(None)  # a view when every row is good
+        tau = tau[sel]
         if validate:
-            cond = mv_condition(factors.R, S, np.abs(tau))
+            cond = mv_condition(factors.R, factors.S[sel], np.abs(tau))
         else:
             with np.errstate(divide="ignore"):
-                k = np.argmin(np.abs(np.log(np.abs(tau)))) if len(tau) else None
-            c = np.zeros(3) if k is None or tau[k] == 0.0 else np.linalg.eigvalsh(S[k]) / tau[k]
-            cond = _condition(factors.R, S, np.sign(tau)[:, None] * c, np.abs(tau), vectors=False)
+                k = np.argmin(np.abs(np.log(np.abs(tau)))) if tau.any() else None
+            S_eta = np.zeros((3, 3))  # every row at tau = 0 (or none): every S is 0
+            if k is not None:
+                S_hat = _stacked_hat(rig, *frame[:2], E[good[k]][None])
+                S_eta = weingarten(S_hat, factors.R)[0] / tau[k]
+            c = np.multiply.outer(np.sign(tau), np.linalg.eigvalsh(S_eta))
+            cond = _condition(factors.R, np.multiply.outer(tau, S_eta), c, abs(tau), vectors=False)
     except RiemcondError as exc:
         return [_error_record(v, exc) for v in t_rel], None, None
-    records = [None if err is None else _error_record(v, err)
-               for v, err in zip(t_rel, factors.errors)]
-    columns = (cond.kappa.tolist(), cond.bounds_lo.tolist(), cond.bounds_hi.tolist(),
+    rows = map(SweepRecord, t[sel].tolist(), cond.kappa.tolist(),
+               zip(cond.bounds_lo.tolist(), cond.bounds_hi.tolist()),
                cond.sigma[:, 2].tolist(), cond.ill_posed.tolist())
-    for n, kappa, lo, hi, sigma3, ill in zip(good, *columns):
-        records[n] = SweepRecord(t_rel[n], kappa, (lo, hi), sigma3, ill)
+    records = [next(rows) if err is None else _error_record(v, err)
+               for v, err in zip(t_rel, factors.errors)]
     return records, factors.Q, dict(zip(good, cond.worst)) if validate else None
 
 
-def experiment_sweep(rig: CameraRig, y, eta, t_grid: Sequence[float]):
+def experiment_sweep(rig: CameraRig, y, eta, t_grid: Sequence[float], _frame_of_y=None):
     """Theoretical condition numbers along a(t) = x + t ||x|| eta over t_grid."""
-    jet = _jet(rig, y)
+    jet = _frame_of_y or _jet(rig, y)  # a caller that drew eta from the _frame of y passes it
     x_norm = float(np.linalg.norm(_projection(jet[0], jet[1])))
     return _theory_rows(rig, jet, eta, t_grid, x_norm, validate=False)[0]
 
 
-def experiment_validate(
-    rig: CameraRig,
-    y,
-    eta,
-    t_grid: Sequence[float],
-    perturb_rel: float = PERTURB_REL,
-    opts: SolverOptions | None = None,
-):
+def experiment_validate(rig: CameraRig, y, eta, t_grid: Sequence[float],
+                        perturb_rel: float = PERTURB_REL, opts: SolverOptions | None = None,
+                        _frame_of_y=None):
     """Worst-direction perturbation study along the normal ray.
 
     Per grid point: perturb a(t) by perturb_rel ||a(t)|| in the worst
@@ -226,7 +227,7 @@ def experiment_validate(
     if perturb_rel <= 0:
         raise InvalidGeometry(f"perturb_rel must be positive, got {perturb_rel}")
     y = np.asarray(y, dtype=float)
-    jet = _jet(rig, y)  # one domain check and Jacobian: x, the theory and the solves' start
+    jet = _frame_of_y or _jet(rig, y)  # one domain check and Jacobian: x, theory, solves
     x = _projection(jet[0], jet[1])
     x_norm = float(np.linalg.norm(x))
     eta = np.asarray(eta, dtype=float)
@@ -243,7 +244,7 @@ def experiment_validate(
         todo.append(n)
         perturbed.append(a + E)
         perturbations.append(E)
-    results = _triangulate_rows(rig, perturbed, y, opts, jet)
+    results = _triangulate_rows(rig, perturbed, y, opts, jet[:3])
     for n, E, result in zip(todo, perturbations, results):
         rec = records[n]
         if isinstance(result, RiemcondError):

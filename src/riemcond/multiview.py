@@ -272,7 +272,7 @@ def triangulate_linear(rig: CameraRig, x, minimal: bool = False):
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         M = (xy[:, :, None] * P[:, 2:3, :] - P[:, :2, :]).reshape(-1, 4)
     _require_finite(M, "overflowing DLT system")
-    _, s, Vt = np.linalg.svd(M)
+    _, s, Vt = np.linalg.svd(M, full_matrices=False)  # Vt alone: no 2r x 2r U
     # gap measured against the matrix scale: a kernel direction is ambiguous
     # both when sigma_3 ~ sigma_4 and when both vanish together
     if s[2] - s[3] <= 1e-8 * s[0]:
@@ -340,8 +340,9 @@ def mv_factors(rig: CameraRig, y, E) -> MultiviewFactors:
     return _factors(rig, _frame(rig, y), E)
 
 
-def _factors(rig: CameraRig, frame, E) -> MultiviewFactors:
-    """mv_factors of the float stack E from the _frame of y."""
+def _factors(rig: CameraRig, frame, E, maps=True) -> MultiviewFactors:
+    """mv_factors of the float stack E from the _frame of y; maps=False gives the row
+    verdicts alone (S_hat and S None), for a caller that builds the maps itself."""
     a, num, _, Q, R = frame
     if E.ndim != 2 or E.shape[1] != 2 * rig.r:
         raise NotNormal(f"eta must have length {2 * rig.r}, got rows of shape {E.shape[1:]}")
@@ -350,9 +351,6 @@ def _factors(rig: CameraRig, frame, E) -> MultiviewFactors:
         nrm = np.linalg.norm(E, axis=1)
         tangential = np.linalg.norm(E @ Q, axis=1)
     ok = finite & np.isfinite(nrm) & ~(tangential > NORMALITY_TOL * nrm)
-    if ok.all():
-        S_hat = _stacked_hat(rig, a, num, E)
-        return MultiviewFactors(Q, R, S_hat, weingarten(S_hat, R), (None,) * len(E))
     errors = [None] * len(E)
     for n in np.flatnonzero(~ok).tolist():
         if not finite[n]:
@@ -362,6 +360,11 @@ def _factors(rig: CameraRig, frame, E) -> MultiviewFactors:
         else:
             errors[n] = NotNormal(
                 f"eta has tangential component {tangential[n]:.3e} (norm {nrm[n]:.3e})")
+    if not maps:
+        return MultiviewFactors(Q, R, None, None, tuple(errors))
+    if ok.all():
+        S_hat = _stacked_hat(rig, a, num, E)
+        return MultiviewFactors(Q, R, S_hat, weingarten(S_hat, R), tuple(errors))
     S_hat = np.full((len(E), 3, 3), np.nan)
     S = S_hat.copy()
     S_hat[ok] = _stacked_hat(rig, a, num, E[ok])

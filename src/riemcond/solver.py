@@ -7,6 +7,7 @@ refining a linear triangulation against the reprojection residual.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 from dataclasses import dataclass, fields
@@ -156,7 +157,14 @@ def _lm_rows(evaluate, u, r, J, opts: SolverOptions):
                         break
                     v *= DAMPING_UP
             uj, gj, JtJj = (v.take(src, 0) for v in (u, g, JtJ))
-        delta = np.linalg.solve(JtJj + np.array(damp)[:, None, None] * eye, -gj[:, :, None])[:, :, 0]
+        A, b = JtJj + np.array(damp)[:, None, None] * eye, -gj[:, :, None]
+        try:
+            delta = np.linalg.solve(A, b)[:, :, 0]
+        except np.linalg.LinAlgError:  # a rung whose damping is lost against J^T J is singular:
+            delta = np.zeros(gj.shape)  # it takes no step, so its row stalls
+            for j in range(len(A)):
+                with contextlib.suppress(np.linalg.LinAlgError):
+                    delta[j] = np.linalg.solve(A[j:j + 1], b[j:j + 1])[0, :, 0]
         dd = _dots(delta, delta).tolist()
         # predicted reduction of 0.5||r||^2 under the damped model, less its lam ||delta||^2
         model = _dots(0.5 * delta, (JtJj @ delta[:, :, None])[:, :, 0]).tolist()

@@ -129,6 +129,36 @@ def test_validate_summary(rig_file, point_file, tmp_path, capsys):
     assert lines[1].split(",")[6] != ""
 
 
+@pytest.mark.parametrize("command", ["sweep", "validate"])
+def test_ray_commands_check_the_point_once(command, rig_file, point_file, tmp_path,
+                                           monkeypatch):
+    """sweep and validate draw the normal from the frame the run takes: one domain check
+    of y and one Jacobian QR per run (two each before), and the CSV the library route
+    random_unit_normal + experiment_* writes, byte for byte."""
+    import riemcond.linalg as linalg
+    import riemcond.multiview as mv
+
+    out = tmp_path / "out.csv"
+    args = [command, "--rig", str(rig_file), "--point", str(point_file), "--seed", "3",
+            "--grid", "-3:0:8", "--out", str(out)]
+    rig = rc.rig_from_dict(json.loads(rig_file.read_text()))
+    y = np.array([0.35, -0.2, 0.4])
+    run = rc.experiment_sweep if command == "sweep" else rc.experiment_validate
+    want = rc.records_to_csv(run(rig, y, rc.random_unit_normal(rig, y, 3), rc.log_grid(-3, 0, 8)))
+    counts = {"_checked": 0, "compact_qr": 0}
+    for name, real in (("_checked", mv._checked), ("compact_qr", linalg.compact_qr)):
+        def counted(*a, real=real, name=name):
+            counts[name] += 1
+            return real(*a)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("riemcond") and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    assert main(args) == 0
+    assert counts == {"_checked": 1, "compact_qr": 1}
+    assert out.read_bytes() == want.encode()
+
+
 def test_plot_from_sweep(rig_file, point_file, tmp_path):
     csv_path = tmp_path / "s.csv"
     assert main(["sweep", "--rig", str(rig_file), "--point", str(point_file),

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.signal
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import riemcond as rc
@@ -120,14 +120,35 @@ def test_sweep_affine_rig_constant_kappa():
     assert np.abs(kappas - kappas[0]).max() <= 1e-12 * kappas[0]
 
 
+# First-order rounding bound of a sweep row against its own mv_kappa call, in units of
+# eps kappa max(||R||_2, ||S R||_2); the largest factor read on the tests' rays is ~36.
+FIRST_ORDER_C = 256
+
+
+def _first_order_c(got, want, kappa, R, S):
+    """|got / want - 1| of a kappa or sigma_3 over eps kappa max(||R||_2, ||S R||_2).
+
+    The sweep builds row n's map as tau_n S_eta from one row's map S_k / tau_k, so its
+    M = (I - S) R differs from the M of the row's own map by rounding, of order
+    eps ||M|| <= 2 eps max(||R||_2, ||S R||_2). sigma_3 moves by at most ||dM||, so
+    kappa = 1 / sigma_3 and sigma_3 move by kappa ||dM|| relative, to first order.
+    """
+    if got == want:
+        return 0.0
+    scale = max(np.linalg.norm(R, 2), np.linalg.norm(S @ R, 2))
+    return abs(got / want - 1.0) / (np.finfo(float).eps * kappa * scale)
+
+
 def test_sweep_matches_mv_kappa_rows():
     """Each sweep row against its own mv_kappa call, on prefix rigs k = 2, 3, 5, 10
-    and a two-sided grid that crosses the ray's singular offsets. The sweep takes
-    the curvatures c of the whole ray from one row. A row's own S gives them to
-    within a few 1e-14 of max |c_i| (k = 2 and 3 read up to 2.6e-14), and the
-    smallest factor |1 - c_i tau| of a bound divides the resulting error
-    max |c_i tau| 1e-14. The largest bound differences away from and near
-    (min factor < 1e-2) the singular offsets are printed."""
+    and a two-sided grid that crosses the ray's singular offsets. kappa and sigma_3
+    hold the first-order bound FIRST_ORDER_C eps kappa max(||R||_2, |tau| ||S_eta R||_2)
+    (a fixed 1e-12 fails near the singular offsets: 1.03e-12 at k = 5, t = -434), and
+    the largest factor C is printed. The sweep takes the curvatures c of the whole ray
+    from one row's map, which gives them to within a few 1e-14 of max |c_i| (k = 2 and
+    3 read up to 2.6e-14), and the smallest factor |1 - c_i tau| of a bound divides the
+    resulting error max |c_i tau| 1e-14. The largest bound differences away from and
+    near (min factor < 1e-2) the singular offsets are printed."""
     for k in (2, 3, 5, 10):
         rig = rc.prefix_rig(_default_rig(), k)
         eta = rc.random_unit_normal(rig, DEFAULT_Y, 0)
@@ -137,12 +158,15 @@ def test_sweep_matches_mv_kappa_rows():
         recs = rc.experiment_sweep(rig, DEFAULT_Y, eta, grid)
         x_norm = np.linalg.norm(rc.mv_project(rig, DEFAULT_Y))
         c = np.linalg.eigvalsh(rc.mv_weingarten(rig, DEFAULT_Y, eta)[3])
-        far = near = 0.0
+        far = near = largest_c = 0.0
         for t, rec in zip(grid, recs):
             tau = t * x_norm
             rep = rc.mv_kappa(rig, DEFAULT_Y, tau * eta)
-            assert rec.kappa == pytest.approx(rep.kappa, rel=1e-12)
-            assert rec.sigma3 == pytest.approx(rep.components["sigma3"], rel=1e-12)
+            _, R, _, S = rc.mv_weingarten(rig, DEFAULT_Y, tau * eta)
+            assert rec.ill_posed == rep.ill_posed
+            for got, want in ((rec.kappa, rep.kappa), (rec.sigma3, rep.components["sigma3"])):
+                largest_c = max(largest_c, _first_order_c(got, want, rep.kappa, R, S))
+            assert largest_c <= FIRST_ORDER_C
             err = max(0.0 if got == want else abs(got / want - 1.0)
                       for got, want in zip(rec.bounds, (rep.bounds_lo, rep.bounds_hi)))
             factors = np.abs(1.0 - c * tau)
@@ -151,7 +175,8 @@ def test_sweep_matches_mv_kappa_rows():
                 far = max(far, err)
             else:
                 near = max(near, err)
-        print(f"k={k}: largest relative bound difference {far:.2e}, near singular offsets {near:.2e}")
+        print(f"k={k}: largest first-order factor C {largest_c:.1f}; largest relative bound "
+              f"difference {far:.2e}, near singular offsets {near:.2e}")
 
 
 def test_sweep_solves_one_curvature_per_ray_and_no_vectors(monkeypatch):
@@ -179,6 +204,122 @@ def test_sweep_solves_one_curvature_per_ray_and_no_vectors(monkeypatch):
     calls.clear()
     rc.experiment_validate(rig, DEFAULT_Y, eta, [0.01, 1.0])
     assert [uv for name, ndim, uv in calls if name == "svd" and ndim == 3] == [True]
+
+
+def _count_rows(monkeypatch, names):
+    """Wrap every riemcond binding of the multiview and linalg functions named; returns,
+    by name, the list to which each wrapper appends the number of maps its call built."""
+    import riemcond.linalg as linalg
+    import riemcond.multiview as mv
+
+    rows = {name: [] for name in names}
+    for name in names:
+        real = getattr(mv, name, None) or getattr(linalg, name)
+
+        def counted(*args, real=real, name=name):
+            out = real(*args)
+            rows[name].append(len(out.reshape(-1, 3, 3)))
+            return out
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("riemcond") and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    return rows
+
+
+def test_sweep_builds_one_weingarten_map_per_ray(monkeypatch):
+    """A sweep runs the closed-form S_hat and the congruence R^-T S_hat R^-1 on one row
+    of the ray and scales that map along the normal; validate builds every row's map."""
+    rig = _default_rig()
+    eta = rc.random_unit_normal(rig, DEFAULT_Y, 0)
+    grid = rc.log_grid(-2, 1, 20)
+    rows = _count_rows(monkeypatch, ("_stacked_hat", "congruence_by_inverse"))
+    records = rc.experiment_sweep(rig, DEFAULT_Y, eta, grid)
+    assert rows == {"_stacked_hat": [1], "congruence_by_inverse": [1]}
+    assert all(rec.error is None for rec in records)
+    for name in rows:
+        rows[name].clear()
+    records = rc.experiment_validate(rig, DEFAULT_Y, eta, grid[:10])
+    assert rows == {"_stacked_hat": [10], "congruence_by_inverse": [10]}
+    assert all(rec.error is None for rec in records)
+
+
+@st.composite
+def _stacked_runs(draw):
+    """(rig, y, eta, grid): a RigSpec rig of 2 to 12 cameras; a point in its domain,
+    half of them moved to a depth 10^-d (d <= 7) in one camera, where the maps are
+    large; a seeded unit normal scaled by 10^e (|e| <= 200), with a NaN entry or a
+    tangential part in a third of the draws each; and 1 to 12 offsets among 0, +-inf,
+    NaN, +-10^u (|u| <= 300) and offsets that make the normal 1e140..1e160 long, about
+    where its norm overflows."""
+    spec = rc.RigSpec(
+        k=draw(st.integers(2, 12)),
+        radius=draw(st.floats(2.0, 10.0)),
+        arc_degrees=draw(st.floats(20.0, 120.0)),
+        seed=draw(st.integers(0, 2**16)),
+        focal=draw(st.floats(0.5, 2.0)),
+    )
+    rig = rc.gen_rig(spec)
+    y = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(3)])
+    if draw(st.booleans()):
+        camera = draw(st.integers(0, rig.r - 1))
+        c = rig.c[camera]
+        depth = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** -draw(st.floats(0.0, 7.0))
+        y = y + (depth - (c @ y + rig.d[camera])) * c / (c @ c)
+    assume(rc.mv_domain_check(rig, y))
+    e = draw(st.floats(-200.0, 200.0))
+    eta = rc.random_unit_normal(rig, y, draw(st.integers(0, 2**16))) * 10.0 ** e
+    kind = draw(st.sampled_from(["normal", "nan", "tangential"]))
+    if kind == "nan":
+        eta[draw(st.integers(0, 2 * rig.r - 1))] = np.nan
+    elif kind == "tangential":
+        tangent = compact_qr(rc.mv_jacobian(rig, y))[0][:, 0]
+        eta = eta + draw(st.floats(1e-6, 1.0)) * 10.0 ** e * tangent
+    sign = st.sampled_from([-1.0, 1.0])
+    offsets = st.one_of(
+        st.sampled_from([0.0, np.inf, -np.inf, np.nan]),
+        st.builds(lambda s, u: s * 10.0 ** u, sign, st.floats(-300.0, 300.0)),
+        st.builds(lambda s, v: s * 10.0 ** min(v - e, 300.0), sign, st.floats(140.0, 160.0)),
+    )
+    return rig, y, eta, draw(st.lists(offsets, min_size=1, max_size=12))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_stacked_runs())
+def test_stacked_runs_give_every_row_its_one_row_outcome(run):
+    """Random rigs, points, normals and grids through both stacked runs. Each sweep row
+    is its own mv_kappa outcome: the same RiemcondError with the same message, or the
+    same ill-posed verdict with kappa and sigma_3 within the first-order bound and the
+    bounds within that of test_sweep_matches_mv_kappa_rows. A validation row has its
+    mv_kappa error, or a RiemcondError of its solve, or none, and no other exception
+    leaves either run. The one this found: at a point 1e-5 from a principal plane of a
+    two-camera rig, J^T J + lam I was exactly singular in floats, and the stacked
+    np.linalg.solve raised LinAlgError for the whole call."""
+    rig, y, eta, grid = run
+    x_norm = np.linalg.norm(rc.mv_project(rig, y))
+    sweep = rc.experiment_sweep(rig, y, eta, grid)
+    validate = rc.experiment_validate(rig, y, eta, grid)
+    assert len(sweep) == len(validate) == len(grid)
+    for t, rec, val in zip(grid, sweep, validate):
+        with np.errstate(over="ignore", invalid="ignore"):
+            normal = t * x_norm * eta
+        try:
+            rep = rc.mv_kappa(rig, y, normal)
+        except rc.RiemcondError as exc:
+            assert rec.error == val.error == f"{type(exc).__name__}: {exc}"
+            continue
+        assert rec.error is None and rec.ill_posed == rep.ill_posed
+        assert val.error is None or issubclass(getattr(rc, val.error.split(":")[0]),
+                                               rc.RiemcondError)
+        if rep.ill_posed:
+            continue
+        _, R, _, S = rc.mv_weingarten(rig, y, normal)
+        for got, want in ((rec.kappa, rep.kappa), (rec.sigma3, rep.components["sigma3"])):
+            assert _first_order_c(got, want, rep.kappa, R, S) <= FIRST_ORDER_C
+        lam = np.linalg.eigvalsh(S)
+        for got, want in zip(rec.bounds, (rep.bounds_lo, rep.bounds_hi)):
+            assert got == want or abs(got / want - 1.0) <= (
+                1e-13 * max(1.0, np.abs(lam).max()) / np.abs(1.0 - lam).min())
 
 
 @pytest.mark.parametrize("protocol", ["sweep", "validate"])

@@ -113,6 +113,31 @@ def test_minimal_two_camera_variant_matches_on_consistent_data():
     assert np.linalg.norm(y_all - y_min) <= 1e-9 * (1.0 + np.linalg.norm(y))
 
 
+def test_dlt_takes_no_full_left_basis(monkeypatch):
+    """The DLT reads s and Vt of its 2r x 4 system: its SVD builds a 2r x 4 U, not the
+    2r x 2r one (80 x 80 at k = 40), and the point is the one the full SVD's Vt gives."""
+    rig = _generic_rig(k=12, seed=5)
+    rng = np.random.default_rng(22)
+    x = rc.mv_project(rig, np.array([0.2, -0.1, 0.3])) + 1e-3 * rng.standard_normal(24)
+    shapes = []
+    real_svd = np.linalg.svd
+
+    def svd(a, *args, **kwargs):
+        out = real_svd(a, *args, **kwargs)
+        shapes.append(out[0].shape)
+        return out
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    y = rc.triangulate_linear(rig, x)
+    assert shapes == [(24, 4)]
+    monkeypatch.undo()
+    P = rig.P
+    xy = x.reshape(-1, 2)
+    M = (xy[:, :, None] * P[:, 2:3, :] - P[:, :2, :]).reshape(-1, 4)
+    h = np.linalg.svd(M)[2][-1]
+    assert np.linalg.norm(y - h[:3] / h[3]) <= 1e-12 * np.linalg.norm(y)
+
+
 def test_noisy_triangulation_refinement_decreases_residual():
     rig = _generic_rig(k=4, seed=4)
     y = np.array([0.15, -0.2, 0.25])

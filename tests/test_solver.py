@@ -308,6 +308,32 @@ def test_validate_records_do_not_depend_on_chunking():
             np.testing.assert_equal(vars(got), vars(want))
 
 
+def test_singular_step_system_stalls_its_rows():
+    """A point 1e-5 from a principal plane of a two-camera rig (found by the stacked-run
+    fuzzer in test_experiments.py): J^T J + lam I at the start is exactly singular in
+    floats, and the stacked np.linalg.solve raised LinAlgError out of the whole call.
+    A singular rung takes no step, so its row stalls where it is; each row is what it
+    is alone."""
+    P0 = [[-0.98397656, 0.04107695, -0.17350162, 0.0],
+          [0.04045289, 0.99915599, 0.00713294, 0.0],
+          [0.17364818, 0.0, -0.98480775, 2.0]]
+    P1 = [[-0.98246, -0.0690091, 0.17323421, 0.0],
+          [-0.06796069, 0.99761603, 0.0119833, 0.0],
+          [-0.17364818, 0.0, -0.98480775, 2.0]]
+    rig = rc.CameraRig(cameras=(rc.Camera.from_matrix(P0), rc.Camera.from_matrix(P1)))
+    y = np.array([0.62254822, 0.0, 2.14063543])
+    J = rc.mv_jacobian(rig, y)
+    with pytest.raises(np.linalg.LinAlgError, match="Singular"):
+        np.linalg.solve((J.T @ J + solver.INITIAL_DAMPING * np.eye(3))[None], np.ones((1, 3, 1)))
+    eta = rc.random_unit_normal(rig, y, 0)
+    grid = [0.0, 1e-3, 0.1]
+    records = rc.experiment_validate(rig, y, eta, grid)
+    for t, rec in zip(grid, records):
+        assert rec.error is None and rec.status is rc.Status.Stalled and rec.iterations == 0
+        assert rec.kappa_est == 0.0 and rec.flagged
+        np.testing.assert_equal(vars(rec), vars(rc.experiment_validate(rig, y, eta, [t])[0]))
+
+
 def _same_outcome(got, want):
     """Bitwise agreement of two solve outcomes: SolveResults or row errors."""
     if isinstance(want, rc.RiemcondError):

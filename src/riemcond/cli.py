@@ -30,11 +30,12 @@ from .experiments import (
     experiment_validate,
     gen_rig,
     log_grid,
+    random_unit_normal,
     ratio_stats,
     records_to_csv,
 )
 from .manifold import builtin, codim1_unit_normal, tangent_frame
-from .multiview import _frame, _kappa_report, _projection, mv_project, rig_from_dict, rig_to_dict
+from .multiview import _frame, _projection, mv_kappa, mv_project, rig_from_dict, rig_to_dict
 from .solver import SolverOptions, project_point, triangulate
 
 
@@ -177,8 +178,8 @@ def cmd_kappa(args) -> int:
             raise CliInputError("kappa --rig needs --point (world-point JSON file)")
         rig = _load_rig(args.rig)
         y = _load_vector(args.point, "y", 3)
-        frame = _frame(rig, y)  # one domain check and QR frame serve x, eta, kappa and Q @ u
-        a, num, _, Q, _ = frame
+        # the rig keeps y's frame: one domain check and QR serve x, eta, kappa and Q @ u
+        a, num, _, Q, _ = _frame(rig, y)
         x = _projection(a, num)
         if args.eta:
             raw = _load_vector(args.eta, "eta", 2 * rig.r)
@@ -186,7 +187,7 @@ def cmd_kappa(args) -> int:
         else:
             unit = _unit_normal(Q, args.seed)
             eta_vec = args.eta_scale * float(np.linalg.norm(x)) * unit
-        report = _kappa_report(rig, frame, eta_vec)
+        report = mv_kappa(rig, y, eta_vec)
         payload = {
             "kappa": report.kappa,
             "ill_posed": report.ill_posed,
@@ -262,19 +263,17 @@ def cmd_project(args) -> int:
 
 
 def _ray(args):
-    """(Rig, point, seeded unit normal, grid) of a sweep or validation run, and the point's
-    _frame: one domain check and QR serve the normal and the run."""
+    """(Rig, point, seeded unit normal, grid) of a sweep or validation run; the rig keeps
+    the point's frame, so one domain check and QR serve the normal and the run."""
     rig = _load_rig(args.rig)
     y = _load_vector(args.point, "y", 3)
     lo, hi, count = _parse_grid(args.grid)
-    frame = _frame(rig, y)
-    return (rig, y, _unit_normal(frame[3], args.seed),
-            log_grid(lo, hi, count, two_sided=not args.one_sided)), frame
+    return (rig, y, random_unit_normal(rig, y, args.seed),
+            log_grid(lo, hi, count, two_sided=not args.one_sided))
 
 
 def cmd_sweep(args) -> int:
-    ray, frame = _ray(args)
-    records = experiment_sweep(*ray, _frame_of_y=frame)
+    records = experiment_sweep(*_ray(args))
     _atomic_write(args.out, records_to_csv(records))
     print(f"wrote {args.out} ({len(records)} rows)", file=sys.stderr)
     return 0
@@ -282,8 +281,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_validate(args) -> int:
     opts = _from_field_args(SolverOptions, args)
-    ray, frame = _ray(args)
-    records = experiment_validate(*ray, args.perturb_rel, opts, _frame_of_y=frame)
+    records = experiment_validate(*_ray(args), args.perturb_rel, opts)
     _atomic_write(args.out, records_to_csv(records))
     arith, geo, excluded = ratio_stats(records)
     print(

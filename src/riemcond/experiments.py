@@ -15,9 +15,8 @@ import numpy as np
 
 from .condition import ill_posedness_certificate
 from .curvature import weingarten
-from .errors import EmptyInput, InvalidGeometry, RiemcondError
+from .errors import EmptyInput, InvalidGeometry, NonFinite, RiemcondError
 from .errors import _require_finite, _require_finite_setting
-from .linalg import compact_qr
 from .multiview import (
     Camera,
     CameraRig,
@@ -29,7 +28,7 @@ from .multiview import (
     _projection,
     _stacked_hat,
     mv_condition,
-    mv_jacobian,
+    mv_jacobian,  # noqa: F401  (a binding perfbench's tracer wraps)
 )
 from .solver import SolverOptions, Status, _triangulate_rows
 
@@ -138,8 +137,7 @@ def prefix_rig(rig: CameraRig, k: int) -> CameraRig:
 
 def random_unit_normal(rig: CameraRig, y, seed: int):
     """Unit normal at mu(y) from a projected standard-normal draw."""
-    Q, _ = compact_qr(mv_jacobian(rig, y))
-    return _unit_normal(Q, seed)
+    return _unit_normal(_frame(rig, y)[3], seed)
 
 
 def _unit_normal(Q, seed: int):
@@ -156,16 +154,22 @@ def _unit_normal(Q, seed: int):
 
 
 def log_grid(lo: float, hi: float, count: int, two_sided: bool = True):
-    """Log-spaced |t|/||x|| grid; mirrored to negative offsets when two_sided."""
+    """Log-spaced |t|/||x|| grid; mirrored to negative offsets when two_sided. A bound
+    whose power of ten is not finite (past about 308.25) raises NonFinite."""
+    with np.errstate(over="ignore"):
+        ends = 10.0 ** np.array([lo, hi], dtype=float)
+    for name, bound, end in zip(("lo", "hi"), (lo, hi), ends.tolist()):
+        if not np.isfinite(end):
+            raise NonFinite(f"grid bound 10**{name} is not finite ({name} = {bound})")
     pos = 10.0 ** np.linspace(float(lo), float(hi), int(count))
     if not two_sided:
         return pos
     return np.concatenate([-pos[::-1], pos])
 
 
-def _theory_rows(rig, jet, eta, t_grid, x_norm, validate):
-    """Records over t_grid from one kernel call on the _jet (or _frame) of y and, for
-    validate, the frame Q and the worst direction of each good row, by row.
+def _theory_rows(rig, y, eta, t_grid, x_norm, validate):
+    """Records over t_grid from one kernel call on the _frame of y and, for validate,
+    the frame Q and the worst direction of each good row, by row.
 
     Row n uses the normal tau_n eta, tau_n = t_n ||x||, and has its own verdict; an
     error of y applies to every row. Validate builds each row's S from its own normal,
@@ -174,10 +178,12 @@ def _theory_rows(rig, jet, eta, t_grid, x_norm, validate):
     scale gives the map S_eta of eta, and row n has tau_n S_eta and its eigenvalues.
     """
     t = np.asarray(t_grid, dtype=float)
-    t_rel, tau = t.tolist(), t * x_norm
+    t_rel = t.tolist()
     try:  # the QR in here: a Jacobian that is not finite is every row's error
-        frame = jet if len(jet) == 5 else jet + compact_qr(jet[2])
-        E = np.multiply.outer(tau, np.asarray(eta, dtype=float))
+        frame = _frame(rig, y)
+        with np.errstate(over="ignore"):  # a row whose normal overflows is NonFinite below
+            tau = t * x_norm
+            E = np.multiply.outer(tau, np.asarray(eta, dtype=float))
         factors = _factors(rig, frame, E, maps=validate)
         good = [n for n, err in enumerate(factors.errors) if err is None]
         sel = good if len(good) < len(t) else slice(None)  # a view when every row is good
@@ -203,16 +209,14 @@ def _theory_rows(rig, jet, eta, t_grid, x_norm, validate):
     return records, factors.Q, dict(zip(good, cond.worst)) if validate else None
 
 
-def experiment_sweep(rig: CameraRig, y, eta, t_grid: Sequence[float], _frame_of_y=None):
+def experiment_sweep(rig: CameraRig, y, eta, t_grid: Sequence[float]):
     """Theoretical condition numbers along a(t) = x + t ||x|| eta over t_grid."""
-    jet = _frame_of_y or _jet(rig, y)  # a caller that drew eta from the _frame of y passes it
-    x_norm = float(np.linalg.norm(_projection(jet[0], jet[1])))
-    return _theory_rows(rig, jet, eta, t_grid, x_norm, validate=False)[0]
+    x_norm = float(np.linalg.norm(_projection(*_jet(rig, y, 2))))
+    return _theory_rows(rig, y, eta, t_grid, x_norm, validate=False)[0]
 
 
 def experiment_validate(rig: CameraRig, y, eta, t_grid: Sequence[float],
-                        perturb_rel: float = PERTURB_REL, opts: SolverOptions | None = None,
-                        _frame_of_y=None):
+                        perturb_rel: float = PERTURB_REL, opts: SolverOptions | None = None):
     """Worst-direction perturbation study along the normal ray.
 
     Per grid point: perturb a(t) by perturb_rel ||a(t)|| in the worst
@@ -227,11 +231,10 @@ def experiment_validate(rig: CameraRig, y, eta, t_grid: Sequence[float],
     if perturb_rel <= 0:
         raise InvalidGeometry(f"perturb_rel must be positive, got {perturb_rel}")
     y = np.asarray(y, dtype=float)
-    jet = _frame_of_y or _jet(rig, y)  # one domain check and Jacobian: x, theory, solves
-    x = _projection(jet[0], jet[1])
+    x = _projection(*_jet(rig, y, 2))  # the rig keeps y's frame for the theory and solves
     x_norm = float(np.linalg.norm(x))
     eta = np.asarray(eta, dtype=float)
-    records, Q, worst = _theory_rows(rig, jet, eta, t_grid, x_norm, validate=True)
+    records, Q, worst = _theory_rows(rig, y, eta, t_grid, x_norm, validate=True)
     todo, perturbed, perturbations = [], [], []
     for n, rec in enumerate(records):
         if rec.error is not None:
@@ -244,7 +247,7 @@ def experiment_validate(rig: CameraRig, y, eta, t_grid: Sequence[float],
         todo.append(n)
         perturbed.append(a + E)
         perturbations.append(E)
-    results = _triangulate_rows(rig, perturbed, y, opts, jet[:3])
+    results = _triangulate_rows(rig, perturbed, y, opts)
     for n, E, result in zip(todo, perturbations, results):
         rec = records[n]
         if isinstance(result, RiemcondError):

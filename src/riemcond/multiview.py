@@ -108,7 +108,8 @@ class CameraRig:
     center at infinity the baseline runs through the finite center along
     the infinite direction; with both at infinity there is no affine
     baseline and both are None. These derived attributes are not dataclass
-    fields: equality and repr see only `cameras`.
+    fields: equality, hash and repr see only `cameras`. Nor is the frame
+    of the last point the rig was asked about, which _jet remembers.
     """
 
     cameras: Tuple[Camera, ...]
@@ -138,6 +139,7 @@ class CameraRig:
             p0, v = _readonly(p0), _readonly(v / np.linalg.norm(v))
         object.__setattr__(self, "baseline_point", p0)
         object.__setattr__(self, "baseline_dir", v)
+        object.__setattr__(self, "_last_point", (None,))
 
     @property
     def r(self) -> int:
@@ -218,11 +220,8 @@ def _jacobian(rig: CameraRig, a, num):
     """Derivative (..., 2r, 3) of the stacked projection from its depths and numerators."""
     # libm pow, as the per-camera a_l ** 2 did: a * a and np.square differ in the last
     # bit for ~0.1% of inputs, and LM solves near focal points amplify that to ~1e-6
-    try:
-        a2 = np.array([math.pow(t, 2) for t in a.ravel().tolist()]).reshape(a.shape)
-    except OverflowError:  # a depth past ~1e154, whose square is inf (a * a gives that)
-        with np.errstate(over="ignore"):
-            a2 = a * a
+    with np.errstate(over="ignore"):  # a depth past ~1e154 squares to inf
+        a2 = np.float_power(a, 2.0)
     outer = num[..., None] * rig.c[:, None, :]
     J = rig.A / a[..., None, None] - outer / a2[..., None, None]
     return J.reshape(a.shape[:-1] + (-1, 3))
@@ -248,12 +247,12 @@ def _checked(rig: CameraRig, y):
 
 def mv_project(rig: CameraRig, y):
     """Stacked pinhole projection of y: a 2r-vector of image coordinates."""
-    return _projection(*_checked(rig, y))
+    return _projection(*_jet(rig, y, 2))
 
 
 def mv_jacobian(rig: CameraRig, y):
     """2r x 3 derivative of the stacked projection at y."""
-    return _jacobian(rig, *_checked(rig, y))
+    return _jet(rig, y)[2].copy()
 
 
 def triangulate_linear(rig: CameraRig, x, minimal: bool = False):
@@ -316,16 +315,34 @@ def _stacked_hat(rig: CameraRig, a, num, E):
             - np.einsum("l,nlij->nij", 1.0 / a**2, cg + cg.transpose(0, 1, 3, 2)))
 
 
-def _jet(rig: CameraRig, y):
-    """(a, num, J) at y: depths, numerators and Jacobian; y's domain errors raise."""
-    a, num = _checked(rig, y)
-    return a, num, _jacobian(rig, a, num)
+def _jet(rig: CameraRig, y, n=3):
+    """The first n of (a, num, J, Q, R) at y: depths, numerators, Jacobian and its compact
+    QR. y's domain errors, and the QR's NonFinite, raise on every call.
+
+    The rig remembers them for the last point it was asked about, keyed by y's shape and
+    bytes, and fills them only as far as its callers ask: a hit returns the read-only
+    arrays a miss computed. The memo is one tuple replaced whole, so no thread reads one
+    point's key with another point's arrays.
+    """
+    y = np.asarray(y, dtype=float)
+    key = (y.shape, y.tobytes())
+    last = memo = rig._last_point
+    if memo[0] != key:
+        memo = (key, *_checked(rig, y))
+    if n > 2 and len(memo) == 3:
+        memo += (_jacobian(rig, memo[1], memo[2]),)
+    if n > 3 and len(memo) == 4:
+        memo += compact_qr(memo[3])
+    if memo is not last:
+        for arr in memo[1:]:
+            arr.flags.writeable = False
+        object.__setattr__(rig, "_last_point", memo)
+    return memo[1:n + 1]
 
 
 def _frame(rig: CameraRig, y):
     """(a, num, J, Q, R) at y: the _jet of y and the compact QR of its Jacobian."""
-    jet = _jet(rig, y)
-    return jet + compact_qr(jet[2])
+    return _jet(rig, y, 5)
 
 
 def mv_factors(rig: CameraRig, y, E) -> MultiviewFactors:
@@ -336,8 +353,8 @@ def mv_factors(rig: CameraRig, y, E) -> MultiviewFactors:
     normal is recorded in errors instead, and the other rows come out as
     if it were absent.
     """
-    E = np.asarray(E, dtype=float)
-    return _factors(rig, _frame(rig, y), E)
+    factors = _factors(rig, _frame(rig, y), np.asarray(E, dtype=float))
+    return factors._replace(Q=np.copy(factors.Q), R=np.copy(factors.R))  # the caller's own
 
 
 def _factors(rig: CameraRig, frame, E, maps=True) -> MultiviewFactors:
@@ -393,7 +410,7 @@ def mv_weingarten_hat(rig: CameraRig, y, eta):
 def mv_weingarten(rig: CameraRig, y, eta):
     """Frame and Weingarten map at mu(y): returns (Q, R, S_hat, S)."""
     Q, R, S_hat, S, _ = _one_row(rig, _frame(rig, y), eta)
-    return Q, R, S_hat[0], S[0]
+    return np.copy(Q), np.copy(R), S_hat[0], S[0]
 
 
 def kappa_from_factors(R, S, sigma_R, _vectors=True):
@@ -465,13 +482,8 @@ def mv_kappa(rig: CameraRig, y, eta) -> ConditionReport:
     The worst_input_direction is in the orthonormal tangent coordinates of
     the frame Q at mu(y); the worst ambient perturbation is Q times it.
     """
-    return _kappa_report(rig, _frame(rig, y), eta)
-
-
-def _kappa_report(rig: CameraRig, frame, eta) -> ConditionReport:
-    """mv_kappa from the _frame of y, for a caller that needs its Q too."""
     eta = np.asarray(eta, dtype=float)
-    factors = _one_row(rig, frame, eta)
+    factors = _one_row(rig, _frame(rig, y), eta)
     rows = mv_condition(factors.R, factors.S, [np.linalg.norm(eta)])
     ill = bool(rows.ill_posed[0])
     return ConditionReport(

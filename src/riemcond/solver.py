@@ -16,18 +16,10 @@ import numpy as np
 
 from .errors import DomainEscape, InvalidGeometry, NonFinite, OutsideDomain, RiemcondError
 from .errors import _finite, _non_finite, _require_finite, _require_finite_setting
-from .linalg import compact_qr
+from .linalg import compact_qr  # noqa: F401  (a binding perfbench's tracer wraps)
 from .manifold import Parametrization, project_tangent, tangent_frame
 from .multiview import (
-    CameraRig,
-    _domain_rows,
-    _jacobian,
-    _jet,
-    _projection,
-    mv_jacobian,
-    mv_project,
-    triangulate_linear,
-)
+    CameraRig, _domain_rows, _frame, _jacobian, _jet, _projection, triangulate_linear)
 
 # Fixed damping schedule of the LM iteration: start, factor on a rejected
 # step, factor on an accepted step.
@@ -311,13 +303,12 @@ def triangulate(
     return res
 
 
-def _triangulate_rows(rig: CameraRig, A, y0, opts: SolverOptions | None = None, jet=None):
+def _triangulate_rows(rig: CameraRig, A, y0, opts: SolverOptions | None = None):
     """triangulate(rig, a, warm_start=y0, opts=opts) for every row a of A (N, 2r).
 
     One _lm_rows call solves all rows. Returns, per row, a SolveResult or
     the RiemcondError triangulate would raise; an error of y0 (NonFinite or
-    OutsideDomain) raises. jet is the multiview._jet of y0 when the caller
-    has it already.
+    OutsideDomain) raises.
     """
     A = np.asarray(A, dtype=float)
     out = [None if _finite(a) else _non_finite(a, "correspondence") for a in A]
@@ -325,7 +316,7 @@ def _triangulate_rows(rig: CameraRig, A, y0, opts: SolverOptions | None = None, 
     if not pos:
         return out
     y0 = np.asarray(y0, dtype=float)
-    a0, num0, J0 = jet or _jet(rig, y0)
+    a0, num0, J0 = _jet(rig, y0)
     target = A[pos]
 
     def evaluate(Y, rows):
@@ -348,5 +339,5 @@ def _triangulate_rows(rig: CameraRig, A, y0, opts: SolverOptions | None = None, 
 
 def mv_certificate(rig: CameraRig, y, a) -> float:
     """Tangential residual norm of a - mu(y) on the multiview manifold."""
-    Q, _ = compact_qr(mv_jacobian(rig, y))
-    return float(np.linalg.norm(Q.T @ (np.asarray(a, dtype=float) - mv_project(rig, y))))
+    alpha, num, _, Q, _ = _frame(rig, y)
+    return float(np.linalg.norm(Q.T @ (np.asarray(a, dtype=float) - _projection(alpha, num))))

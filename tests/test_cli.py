@@ -290,6 +290,18 @@ def test_kappa_with_explicit_eta_file(rig_file, point_file, tmp_path, capsys):
     assert "kappa =" in capsys.readouterr().out
 
 
+def test_grid_past_the_float_range_is_exit_2(rig_file, point_file, tmp_path, capsys):
+    """A grid bound whose power of ten overflows is one error line and exit 2: no
+    numpy warning, no CSV of rows at t_rel = inf."""
+    out = tmp_path / "out.csv"
+    argv = ["sweep", "--rig", str(rig_file), "--point", str(point_file), "--grid=300:310:3",
+            "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: grid bound 10**hi is not finite (hi = 310.0)\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("explicit_eta", [False, True])
 def test_kappa_rig_takes_one_qr_frame(rig_file, point_file, tmp_path, capsys, monkeypatch,
                                       explicit_eta):

@@ -91,6 +91,34 @@ def test_random_unit_normal_dimension_effects():
     assert abs(f1 @ f2) < 0.999
 
 
+@pytest.mark.parametrize("lo, hi, name", [(300.0, 310.0, "hi"), (309.0, 2.0, "lo")])
+def test_log_grid_bound_past_the_float_range_is_non_finite(lo, hi, name):
+    with pytest.raises(rc.NonFinite, match=rf"10\*\*{name} is not finite \({name} = "):
+        rc.log_grid(lo, hi, 3)
+    grid = rc.log_grid(-400.0, 308.0, 3, two_sided=False)  # 10**-400 underflows to 0
+    assert grid[0] == 0.0 and np.isfinite(grid).all()
+
+
+@pytest.mark.parametrize("run", [rc.experiment_sweep, rc.experiment_validate])
+def test_rows_whose_normal_overflows_are_records_without_warnings(run):
+    """A finite offset whose normal tau eta overflows is that row's NonFinite record,
+    as mv_kappa raises it, and no numpy warning leaves the run."""
+    import warnings
+
+    rig = _default_rig()
+    eta = 1e10 * rc.random_unit_normal(rig, DEFAULT_Y, 0)
+    x_norm = np.linalg.norm(rc.mv_project(rig, DEFAULT_Y))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        good, big, huge = run(rig, DEFAULT_Y, eta, [1e-12, 1e300, 1e308])
+    assert good.error is None and not good.flagged
+    with np.errstate(over="ignore"):
+        for rec, t in ((big, 1e300), (huge, 1e308)):
+            with pytest.raises(rc.NonFinite) as info:
+                rc.mv_kappa(rig, DEFAULT_Y, t * x_norm * eta)
+            assert rec.flagged and rec.error == f"NonFinite: {info.value}"
+
+
 def test_log_grid_shapes():
     g = rc.log_grid(-3, 2, 100)
     assert g.size == 200
@@ -348,14 +376,15 @@ def test_nan_non_normal_and_zero_offset_rows(protocol):
 
 @pytest.mark.parametrize("protocol", ["sweep", "validate"])
 def test_experiment_checks_y_once_and_takes_one_qr_frame(protocol, monkeypatch):
-    """One domain check of y serves x, the theory kernel and the solves' start, and
-    one Jacobian QR the frame; the errors of y keep their type and message."""
+    """On a cold rig, one domain check of y serves x, the theory kernel and the solves'
+    start, and one Jacobian QR the frame; a second run at y takes neither, as the rig
+    keeps y's frame. The errors of y keep their type and message."""
     import riemcond.linalg as linalg
     import riemcond.multiview as mv
 
     run = rc.experiment_sweep if protocol == "sweep" else rc.experiment_validate
     rig = _default_rig()
-    eta = rc.random_unit_normal(rig, DEFAULT_Y, 0)
+    eta = rc.random_unit_normal(_default_rig(), DEFAULT_Y, 0)  # a twin: rig stays cold
     counts = {"_checked": 0, "compact_qr": 0}
     for name, real in (("_checked", mv._checked), ("compact_qr", linalg.compact_qr)):
         def counted(*args, real=real, name=name):
@@ -368,6 +397,8 @@ def test_experiment_checks_y_once_and_takes_one_qr_frame(protocol, monkeypatch):
     records = run(rig, DEFAULT_Y, eta, [0.01, 1.0])
     assert counts == {"_checked": 1, "compact_qr": 1}
     assert all(rec.error is None for rec in records)
+    assert run(rig, DEFAULT_Y, eta, [0.01, 1.0]) == records
+    assert counts == {"_checked": 1, "compact_qr": 1}
     on_plane = np.array([0.0, 0.0, -rig.d[0] / rig.c[0, 2]])
     with pytest.raises(rc.OutsideDomain, match="principal plane"):
         run(rig, on_plane, eta, [0.01, 1.0])

@@ -544,3 +544,210 @@ def test_rig_serialization_round_trip():
         rc.rig_from_dict({"not_cameras": []})
     with pytest.raises(ValueError):
         rc.rig_from_dict({"cameras": [[1.0, 2.0]]})
+
+
+# ---------------------------------------------------------------------------
+# The rig's memo of its last point's frame
+# ---------------------------------------------------------------------------
+
+MEMO_Y = np.array([0.35, -0.2, 0.4])
+
+
+def _fields(record):
+    """Every field of a record as exact text (the repr of a float round-trips)."""
+    return repr(vars(record))
+
+
+def test_warm_rig_gives_the_bits_of_a_cold_one():
+    """Sweep rays, a validation chunk and mv_kappa on a rig that already holds y's frame
+    equal, field by field, what a freshly built twin computes."""
+    base = rc.gen_rig(rc.RigSpec(k=10, seed=0))
+    sweep_grid, validate_grid = rc.log_grid(-3, 4, 50), rc.log_grid(-3, 2, 100)[60:70]
+    for k in (2, 5, 10):
+        warm = rc.prefix_rig(base, k)
+        for seed in range(3):
+            cold = rc.prefix_rig(base, k)
+            eta = rc.random_unit_normal(warm, MEMO_Y, seed)
+            np.testing.assert_array_equal(eta, rc.random_unit_normal(cold, MEMO_Y, seed))
+            want = list(map(_fields, rc.experiment_sweep(cold, MEMO_Y, eta, sweep_grid)))
+            for _ in range(2):
+                assert list(map(_fields, rc.experiment_sweep(warm, MEMO_Y, eta, sweep_grid))) == want
+    eta = rc.random_unit_normal(base, MEMO_Y, 7)
+    want = rc.experiment_validate(rc.prefix_rig(base, 10), MEMO_Y, eta, validate_grid)
+    for _ in range(2):
+        got = rc.experiment_validate(base, MEMO_Y, eta, validate_grid)
+        assert list(map(_fields, got)) == list(map(_fields, want))
+    cold = rc.mv_kappa(rc.prefix_rig(base, 10), MEMO_Y, 0.1 * eta)
+    for _ in range(2):
+        warm = rc.mv_kappa(base, MEMO_Y, 0.1 * eta)
+        assert repr(warm) == repr(cold)
+        np.testing.assert_array_equal(warm.worst_input_direction, cold.worst_input_direction)
+
+
+def test_returned_arrays_are_the_callers_own():
+    """Writing into the J of mv_jacobian and the Q and R of mv_factors and
+    mv_weingarten changes no later result."""
+    rig = _generic_rig()
+    eta = 0.1 * _random_normal_at(rig, MEMO_Y, 0)
+    J0, kappa0 = np.copy(rc.mv_jacobian(rig, MEMO_Y)), rc.mv_kappa(rig, MEMO_Y, eta)
+    Q0, R0, S_hat0, S0 = map(np.copy, rc.mv_weingarten(rig, MEMO_Y, eta))
+    assert Q0.flags.f_contiguous  # the layout compact_qr gives
+    rc.mv_jacobian(rig, MEMO_Y)[:] = np.nan
+    for arr in rc.mv_weingarten(rig, MEMO_Y, eta)[:2] + rc.mv_factors(rig, MEMO_Y, eta[None])[:2]:
+        arr[:] = np.nan
+    np.testing.assert_array_equal(rc.mv_jacobian(rig, MEMO_Y), J0)
+    for got, want in zip(rc.mv_weingarten(rig, MEMO_Y, eta), (Q0, R0, S_hat0, S0)):
+        np.testing.assert_array_equal(got, want)
+    assert repr(rc.mv_kappa(rig, MEMO_Y, eta)) == repr(kappa0)
+
+
+def test_memo_arrays_are_read_only():
+    from riemcond.multiview import _frame
+
+    rig = _generic_rig()
+    frame = _frame(rig, MEMO_Y)
+    assert len(frame) == 5 and frame[3].flags.f_contiguous
+    for arr in frame:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0.0
+    assert all(got is arr for got, arr in zip(_frame(rig, MEMO_Y), frame))
+
+
+def test_memo_misses_on_another_point_or_rig_and_fills_lazily(monkeypatch):
+    """One entry per rig, keyed by y's bytes; mv_project on a new point takes no
+    Jacobian, mv_jacobian no QR, and what a call computed is not computed again."""
+    import riemcond.multiview as mv
+
+    counts = {"_checked": 0, "_jacobian": 0, "compact_qr": 0}
+    for name in counts:
+        def counted(*args, real=getattr(mv, name), name=name):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(mv, name, counted)
+    rig, twin = _generic_rig(), _generic_rig()
+    other = MEMO_Y + [0.0, 0.0, 1e-3]
+    eta = 0.1 * _random_normal_at(rig, other, 0)  # fills rig's memo at other
+    counts.update(dict.fromkeys(counts, 0))
+    steps = [
+        (lambda: rc.mv_project(rig, MEMO_Y), (1, 0, 0)),
+        (lambda: rc.mv_project(rig, MEMO_Y.tolist()), (1, 0, 0)),  # the same bytes
+        (lambda: rc.mv_jacobian(rig, MEMO_Y), (1, 1, 0)),
+        (lambda: rc.mv_kappa(rig, MEMO_Y, eta * 0.0), (1, 1, 1)),
+        (lambda: rc.mv_weingarten(rig, MEMO_Y, eta * 0.0), (1, 1, 1)),
+        (lambda: rc.mv_project(rig, other), (2, 1, 1)),  # another point
+        (lambda: rc.mv_project(rig, MEMO_Y), (3, 1, 1)),  # the memo holds one point
+        (lambda: rc.mv_jacobian(twin, MEMO_Y), (4, 2, 1)),  # another rig, equal to rig
+    ]
+    for step, want in steps:
+        step()
+        assert tuple(counts.values()) == want
+    assert twin == rig and hash(twin) == hash(rig) and repr(twin) == repr(_generic_rig())
+
+
+@pytest.mark.parametrize("on_plane, error, message", [
+    (True, rc.OutsideDomain, "principal plane"),
+    (False, rc.NonFinite, r"world point \[nan"),
+])
+def test_errors_of_y_repeat_on_every_call(on_plane, error, message):
+    """Errors of y are not remembered: each call raises them again, type and message
+    alike, on a rig whose memo is cold or holds another point."""
+    rig = _generic_rig()
+    y = np.array([0.0, 0.0, -rig.d[0] / rig.c[0, 2]] if on_plane else [np.nan, 0.0, 0.0])
+    eta = _random_normal_at(_generic_rig(), MEMO_Y, 0)
+    for call in (rc.mv_project, rc.mv_jacobian, lambda rig, y: rc.mv_kappa(rig, y, eta),
+                 lambda rig, y: rc.experiment_sweep(rig, y, eta, [0.1])):
+        seen = []
+        for warm in (False, True, True):
+            if warm:
+                rc.mv_project(rig, MEMO_Y)
+            with pytest.raises(error, match=message) as info:
+                call(rig, y)
+            seen.append((type(info.value), str(info.value)))
+        assert seen[0] == seen[1] == seen[2]
+
+
+def test_non_finite_jacobian_fails_every_call_and_every_row(monkeypatch):
+    """A Jacobian the QR's finite check rejects is not remembered: each call raises,
+    and each run gives every row its NonFinite record, with one message throughout."""
+    import riemcond.multiview as mv
+
+    rig = _generic_rig()
+    eta = _random_normal_at(_generic_rig(), MEMO_Y, 0)  # a twin: rig holds no frame yet
+    monkeypatch.setattr(mv, "_jacobian", lambda rig, a, num: np.full((2 * rig.r, 3), np.nan))
+    messages = set()
+    for _ in range(2):
+        with pytest.raises(rc.NonFinite, match="matrix to factor by QR") as info:
+            rc.mv_kappa(rig, MEMO_Y, eta)
+        messages.add(f"NonFinite: {info.value}")
+        for run in (rc.experiment_sweep, rc.experiment_validate):
+            messages.update(rec.error for rec in run(rig, MEMO_Y, eta, [0.1, 1.0]))
+    assert len(messages) == 1
+
+
+def test_threads_alternating_points_get_their_own_frames():
+    """The memo is replaced as one tuple: threads (more than cores) that alternate two
+    points on one rig always read their own point's arrays."""
+    import sys
+    import threading
+
+    from riemcond.multiview import _frame
+
+    rig = _generic_rig()
+    points = [MEMO_Y, MEMO_Y + [0.1, 0.0, 0.0]]
+    want = [tuple(np.copy(v) for v in _frame(_generic_rig(), y)) for y in points]
+    bad, start = [], threading.Barrier(4, timeout=30)
+
+    def work(i):
+        start.wait()
+        for n in range(1000):
+            j = (i + n) % 2
+            got = _frame(rig, points[j])
+            if not all(np.array_equal(g, w) for g, w in zip(got, want[j])):
+                bad.append((i, n))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []
+
+
+def test_jacobian_squares_depths_as_libm_pow():
+    """_jacobian squares the depths with np.float_power, which gives math.pow's bits
+    where a * a does not; a depth past 1e154 squares to inf with no warning."""
+    import math
+
+    from riemcond.multiview import _jacobian, _numerators, alphas
+
+    def want(rig, a, num):
+        with np.errstate(over="ignore"):
+            a2 = np.array([math.pow(t, 2) if abs(t) < 1e154 else t * t for t in a.ravel().tolist()])
+        a2 = a2.reshape(a.shape)[..., None, None]
+        return (rig.A / a[..., None, None] - num[..., None] * rig.c[:, None, :] / a2).reshape(
+            a.shape[:-1] + (-1, 3))
+
+    rng = np.random.default_rng(0)
+    differs = 0
+    for k in (4, 10, 40):
+        rig = rc.gen_rig(rc.RigSpec(k=k, seed=0))
+        Y = np.vstack([MEMO_Y, rng.uniform(-0.7, 0.7, size=(500, 3))])
+        a, num = alphas(rig, Y), _numerators(rig, Y)
+        np.testing.assert_array_equal(_jacobian(rig, a, num), want(rig, a, num))
+        differs += int((a * a != np.float_power(a, 2.0)).sum())
+    assert differs > 0  # the check can tell the two squares apart
+    rig = _generic_rig()
+    y = np.array([0.0, 0.0, 1e160])
+    assert np.abs(alphas(rig, y)).min() > 1e154
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        J = rc.mv_jacobian(rig, y)
+    np.testing.assert_array_equal(J, want(rig, alphas(rig, y), _numerators(rig, y)))

@@ -11,7 +11,6 @@ from .condition import (
     kappa_cpp_from_weingarten,
     kappa_gcpp,
     kappa_relative,
-    spectral_norm_metric,
 )
 from .curvature import (
     WeingartenData,
@@ -68,14 +67,11 @@ from .multiview import (
     Camera,
     CameraRig,
     as_parametrization,
-    mv_condition,
     mv_domain_check,
-    mv_factors,
     mv_jacobian,
     mv_kappa,
     mv_project,
     mv_weingarten,
-    mv_weingarten_hat,
     rig_from_dict,
     rig_to_dict,
     triangulate_linear,
@@ -84,7 +80,6 @@ from .solver import (
     SolveResult,
     SolverOptions,
     Status,
-    cpp_certificate,
     lm_minimize,
     mv_certificate,
     project_point,

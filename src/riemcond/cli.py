@@ -57,12 +57,18 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _load_json(path: str):
+def _parse_json(text: str, where: str):
+    """The JSON value of text, else a CliInputError naming where: text that is not JSON,
+    nests past the parser's recursion limit or holds an integer past the digit limit."""
     try:
-        with open(path) as handle:
-            return json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise CliInputError(f"{path}: invalid JSON: {exc}") from exc
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise CliInputError(f"{where}: invalid JSON: {exc}") from exc
+
+
+def _load_json(path: str):
+    with open(path) as handle:
+        return _parse_json(handle.read(), path)
 
 
 def _load_rig(path: str):
@@ -73,27 +79,26 @@ def _load_rig(path: str):
         raise CliInputError(f"{path}: {exc}") from exc
 
 
+def _as_vector(value, where: str, length: int):
+    """The parsed JSON value as a float vector of the given length, else CliInputError."""
+    try:
+        vec = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CliInputError(f"{where}: expected a list of numbers: {exc}") from exc
+    if vec.shape != (length,):
+        raise CliInputError(f"{where}: expected a list of {length} numbers, got shape {vec.shape}")
+    return vec
+
+
 def _load_vector(path: str, field: str, length: int):
     data = _load_json(path)
     if not isinstance(data, dict) or field not in data:
         raise CliInputError(f'{path}: expected a JSON object with a "{field}" field')
-    try:
-        vec = np.asarray(data[field], dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise CliInputError(f'{path}: "{field}" must be a list of numbers: {exc}') from exc
-    if vec.shape != (length,):
-        raise CliInputError(f'{path}: "{field}" must be ({length},), got shape {vec.shape}')
-    return vec
+    return _as_vector(data[field], f'{path}: "{field}"', length)
 
 
 def _parse_inline_vector(text: str, name: str, length: int):
-    try:
-        vec = np.asarray(json.loads(text), dtype=float)
-    except (json.JSONDecodeError, TypeError, ValueError, OverflowError) as exc:
-        raise CliInputError(f"{name}: expected a JSON list of numbers, got {text!r}") from exc
-    if vec.shape != (length,):
-        raise CliInputError(f"{name}: expected a list of {length} numbers, got shape {vec.shape}")
-    return vec
+    return _as_vector(_parse_json(text, name), name, length)
 
 
 def _triple(text: str):
@@ -157,10 +162,7 @@ def cmd_gen_rig(args) -> int:
 
 
 def _builtin_from_args(args):
-    try:
-        params = json.loads(args.manifold_params) if args.manifold_params else {}
-    except json.JSONDecodeError as exc:
-        raise CliInputError(f"--manifold-params: invalid JSON: {exc}") from exc
+    params = _parse_json(args.manifold_params, "--manifold-params") if args.manifold_params else {}
     if not isinstance(params, dict):
         raise CliInputError("--manifold-params must be a JSON object")
     try:

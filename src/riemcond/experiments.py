@@ -21,9 +21,9 @@ from .multiview import (
     Camera,
     CameraRig,
     _condition,
-    _factors,
     _frame,
     _jet,
+    _normal_errors,
     _one_row,
     _projection,
     _stacked_hat,
@@ -168,7 +168,7 @@ def log_grid(lo: float, hi: float, count: int, two_sided: bool = True):
 
 
 def _theory_rows(rig, y, eta, t_grid, x_norm, validate):
-    """Records over t_grid from one kernel call on the _frame of y and, for validate,
+    """Records over t_grid from the _frame of y and one _normal_errors call and, for validate,
     the frame Q and the worst direction of each good row, by row.
 
     Row n uses the normal tau_n eta, tau_n = t_n ||x||, and has its own verdict; an
@@ -180,33 +180,32 @@ def _theory_rows(rig, y, eta, t_grid, x_norm, validate):
     t = np.asarray(t_grid, dtype=float)
     t_rel = t.tolist()
     try:  # the QR in here: a Jacobian that is not finite is every row's error
-        frame = _frame(rig, y)
+        a, num, _, Q, R = _frame(rig, y)
         with np.errstate(over="ignore"):  # a row whose normal overflows is NonFinite below
             tau = t * x_norm
             E = np.multiply.outer(tau, np.asarray(eta, dtype=float))
-        factors = _factors(rig, frame, E, maps=validate)
-        good = [n for n, err in enumerate(factors.errors) if err is None]
+        errors = _normal_errors(rig, Q, E)
+        good = [n for n, err in enumerate(errors) if err is None]
         sel = good if len(good) < len(t) else slice(None)  # a view when every row is good
         tau = tau[sel]
         if validate:
-            cond = mv_condition(factors.R, factors.S[sel], np.abs(tau))
+            cond = mv_condition(R, weingarten(_stacked_hat(rig, a, num, E[sel]), R), np.abs(tau))
         else:
             with np.errstate(divide="ignore"):
                 k = np.argmin(np.abs(np.log(np.abs(tau)))) if tau.any() else None
             S_eta = np.zeros((3, 3))  # every row at tau = 0 (or none): every S is 0
             if k is not None:
-                S_hat = _stacked_hat(rig, *frame[:2], E[good[k]][None])
-                S_eta = weingarten(S_hat, factors.R)[0] / tau[k]
+                S_eta = weingarten(_stacked_hat(rig, a, num, E[good[k]][None]), R)[0] / tau[k]
             c = np.multiply.outer(np.sign(tau), np.linalg.eigvalsh(S_eta))
-            cond = _condition(factors.R, np.multiply.outer(tau, S_eta), c, abs(tau), vectors=False)
+            cond = _condition(R, np.multiply.outer(tau, S_eta), c, abs(tau), vectors=False)
     except RiemcondError as exc:
         return [_error_record(v, exc) for v in t_rel], None, None
     rows = map(SweepRecord, t[sel].tolist(), cond.kappa.tolist(),
                zip(cond.bounds_lo.tolist(), cond.bounds_hi.tolist()),
                cond.sigma[:, 2].tolist(), cond.ill_posed.tolist())
     records = [next(rows) if err is None else _error_record(v, err)
-               for v, err in zip(t_rel, factors.errors)]
-    return records, factors.Q, dict(zip(good, cond.worst)) if validate else None
+               for v, err in zip(t_rel, errors)]
+    return records, Q, dict(zip(good, cond.worst)) if validate else None
 
 
 def experiment_sweep(rig: CameraRig, y, eta, t_grid: Sequence[float]):
@@ -287,7 +286,7 @@ def singular_offsets_rel(rig: CameraRig, y, eta):
     """
     frame = _frame(rig, y)
     x_norm = float(np.linalg.norm(_projection(frame[0], frame[1])))
-    S_unit = _one_row(rig, frame, eta).S[0]
+    S_unit = _one_row(rig, frame, eta)[1]
     return ill_posedness_certificate(np.linalg.eigvalsh(S_unit)) / x_norm
 
 

@@ -284,23 +284,6 @@ def triangulate_linear(rig: CameraRig, x, minimal: bool = False):
     return h[:3] / h[3]
 
 
-class MultiviewFactors(NamedTuple):
-    """Frame at one world point and the Weingarten maps of a stack of normals.
-
-    Q (2r, 3) and R (3, 3) are the compact QR of the Jacobian at y, taken
-    once. S_hat (N, 3, 3) holds each normal's second fundamental form in
-    frame coordinates and S (N, 3, 3) its Weingarten map in the orthonormal
-    frame. errors[n] is the error of row n (NonFinite or NotNormal) or None;
-    the S_hat and S of a failed row are NaN.
-    """
-
-    Q: np.ndarray
-    R: np.ndarray
-    S_hat: np.ndarray
-    S: np.ndarray
-    errors: tuple
-
-
 def _stacked_hat(rig: CameraRig, a, num, E):
     """Closed-form S_hat (N, 3, 3) of every normal in E (N, 2r), from the point's a and num."""
     eta_l = E.reshape(len(E), rig.r, 2)
@@ -345,22 +328,11 @@ def _frame(rig: CameraRig, y):
     return _jet(rig, y, 5)
 
 
-def mv_factors(rig: CameraRig, y, E) -> MultiviewFactors:
-    """Frame at y once, then S_hat and S for every normal in the stack E (N, 2r).
-
-    Errors of y itself (OutsideDomain, NonFinite, SingularR) and a stack
-    whose rows are not 2r long raise. A row that is not finite or not
-    normal is recorded in errors instead, and the other rows come out as
-    if it were absent.
-    """
-    factors = _factors(rig, _frame(rig, y), np.asarray(E, dtype=float))
-    return factors._replace(Q=np.copy(factors.Q), R=np.copy(factors.R))  # the caller's own
-
-
-def _factors(rig: CameraRig, frame, E, maps=True) -> MultiviewFactors:
-    """mv_factors of the float stack E from the _frame of y; maps=False gives the row
-    verdicts alone (S_hat and S None), for a caller that builds the maps itself."""
-    a, num, _, Q, R = frame
+def _normal_errors(rig: CameraRig, Q, E):
+    """The verdict on every row of the float stack E (N, 2r) at the frame Q: a list whose
+    entry n is row n's NonFinite or NotNormal error, or None. A stack whose rows are not
+    2r long raises NotNormal. A caller builds the maps of the good rows itself, with
+    _stacked_hat and weingarten, so no row's map depends on the rows stacked with it."""
     if E.ndim != 2 or E.shape[1] != 2 * rig.r:
         raise NotNormal(f"eta must have length {2 * rig.r}, got rows of shape {E.shape[1:]}")
     finite = np.isfinite(E).all(axis=1)
@@ -377,24 +349,18 @@ def _factors(rig: CameraRig, frame, E, maps=True) -> MultiviewFactors:
         else:
             errors[n] = NotNormal(
                 f"eta has tangential component {tangential[n]:.3e} (norm {nrm[n]:.3e})")
-    if not maps:
-        return MultiviewFactors(Q, R, None, None, tuple(errors))
-    if ok.all():
-        S_hat = _stacked_hat(rig, a, num, E)
-        return MultiviewFactors(Q, R, S_hat, weingarten(S_hat, R), tuple(errors))
-    S_hat = np.full((len(E), 3, 3), np.nan)
-    S = S_hat.copy()
-    S_hat[ok] = _stacked_hat(rig, a, num, E[ok])
-    S[ok] = weingarten(S_hat[ok], R)
-    return MultiviewFactors(Q, R, S_hat, S, tuple(errors))
+    return errors
 
 
-def _one_row(rig: CameraRig, frame, eta) -> MultiviewFactors:
-    """_factors on the one-row stack [eta]; the row's error is raised."""
-    factors = _factors(rig, frame, np.asarray(eta, dtype=float)[None])
-    if factors.errors[0] is not None:
-        raise factors.errors[0]
-    return factors
+def _one_row(rig: CameraRig, frame, eta):
+    """(S_hat, S) of the one normal eta from the _frame of y; the row's error is raised."""
+    a, num, _, Q, R = frame
+    E = np.asarray(eta, dtype=float)[None]
+    error = _normal_errors(rig, Q, E)[0]
+    if error is not None:
+        raise error
+    S_hat = _stacked_hat(rig, a, num, E)
+    return S_hat[0], weingarten(S_hat, R)[0]
 
 
 def mv_weingarten_hat(rig: CameraRig, y, eta):
@@ -404,13 +370,14 @@ def mv_weingarten_hat(rig: CameraRig, y, eta):
     2 (eta_l . (A_l y + b_l)) c_l c_l^T / alpha_l^3
     - (c_l (A_l^T eta_l)^T + (A_l^T eta_l) c_l^T) / alpha_l^2.
     """
-    return _one_row(rig, _frame(rig, y), eta).S_hat[0]
+    return _one_row(rig, _frame(rig, y), eta)[0]
 
 
 def mv_weingarten(rig: CameraRig, y, eta):
     """Frame and Weingarten map at mu(y): returns (Q, R, S_hat, S)."""
-    Q, R, S_hat, S, _ = _one_row(rig, _frame(rig, y), eta)
-    return np.copy(Q), np.copy(R), S_hat[0], S[0]
+    frame = _frame(rig, y)
+    S_hat, S = _one_row(rig, frame, eta)
+    return np.copy(frame[3]), np.copy(frame[4]), S_hat, S
 
 
 def kappa_from_factors(R, S, sigma_R, _vectors=True):
@@ -483,8 +450,9 @@ def mv_kappa(rig: CameraRig, y, eta) -> ConditionReport:
     the frame Q at mu(y); the worst ambient perturbation is Q times it.
     """
     eta = np.asarray(eta, dtype=float)
-    factors = _one_row(rig, _frame(rig, y), eta)
-    rows = mv_condition(factors.R, factors.S, [np.linalg.norm(eta)])
+    frame = _frame(rig, y)
+    S = _one_row(rig, frame, eta)[1]
+    rows = mv_condition(frame[4], S[None], [np.linalg.norm(eta)])
     ill = bool(rows.ill_posed[0])
     return ConditionReport(
         kappa=float(rows.kappa[0]),

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DomainEscape, InvalidGeometry, NonFinite, OutsideDomain, RiemcondError
 from .errors import _finite, _non_finite, _require_finite, _require_finite_setting
 from .linalg import compact_qr  # noqa: F401  (a binding perfbench's tracer wraps)
-from .manifold import Parametrization, project_tangent, tangent_frame
+from .manifold import Parametrization
 from .multiview import (
     CameraRig, _domain_rows, _frame, _jacobian, _jet, _projection, triangulate_linear)
 
@@ -258,8 +258,8 @@ def lm_minimize(evaluate, u0, opts: SolverOptions | None = None) -> SolveResult:
 def project_point(param: Parametrization, a, u0, opts: SolverOptions | None = None) -> SolveResult:
     """Critical point of the squared distance from a onto the manifold.
 
-    At a converged exit the residual a - phi(u*) is normal to the manifold
-    (the critical-point certificate, see cpp_certificate). A start point
+    At a converged exit the residual a - phi(u*) is normal to the manifold:
+    its tangential part is the critical-point certificate. A start point
     that the chart's domain check rejects raises OutsideDomain, as
     tangent_frame does there.
     """
@@ -273,12 +273,6 @@ def project_point(param: Parametrization, a, u0, opts: SolverOptions | None = No
         return param(u) - a, lambda: param.jacobian(u)
 
     return lm_minimize(evaluate, u0, opts)
-
-
-def cpp_certificate(param: Parametrization, u, a) -> float:
-    """Norm of the tangential part of a - phi(u): zero exactly at critical points."""
-    frame = tangent_frame(param, u)
-    return float(np.linalg.norm(project_tangent(frame, np.asarray(a, dtype=float) - param(u))))
 
 
 def triangulate(

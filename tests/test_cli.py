@@ -238,6 +238,37 @@ def test_malformed_input_file_is_exit_2(option, payload, rig_file, point_file, t
     assert capsys.readouterr().err.startswith("error: ")
 
 
+_PAST_PARSER_LIMITS = {
+    "deep": "[" * 100_000 + "]" * 100_000,  # nests past the parser's recursion limit
+    "digits": "[" + "1" * 5000 + "]",  # an integer past Python's 4300-digit conversion limit
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PAST_PARSER_LIMITS))
+@pytest.mark.parametrize("where", ["--point", "--rig", "--u", "--ambient", "--manifold-params"])
+def test_json_past_the_parser_limits_is_exit_2(where, kind, rig_file, point_file, tmp_path,
+                                               capsys):
+    """JSON the parser gives up on is a parse error like any other, in an input file or an
+    inline flag: exit 2 and one error: line."""
+    text = _PAST_PARSER_LIMITS[kind]
+    bad = tmp_path / "bad.json"
+    bad.write_text(f'{{"y": {text}}}' if where == "--point" else text)
+    argv = {
+        "--point": ["kappa", "--rig", str(rig_file), "--point", str(bad)],
+        "--rig": ["kappa", "--rig", str(bad), "--point", str(point_file)],
+        "--u": ["kappa", "--manifold", "graph2d", "--u", text],
+        "--ambient": ["project", "--manifold", "graph2d", "--ambient", text, "--u0", "[0.0]"],
+        "--manifold-params": ["kappa", "--manifold", "graph2d", "--manifold-params", text,
+                              "--u", "[0.0]"],
+    }[where]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "invalid JSON" in captured.err
+
+
 def test_integer_too_large_for_a_float_is_exit_2(rig_file, point_file, tmp_path, capsys):
     huge = str(10**400)  # valid JSON that float() cannot hold
     cameras = json.loads(rig_file.read_text())["cameras"]

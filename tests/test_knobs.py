@@ -4,7 +4,8 @@ Each threshold the library applies (the ill-posed zero, normality, the
 multiview domain floor, rank, finite-difference steps, ...) is a named
 module constant read in place. The exceptions are SolverOptions' stopping
 rules, which the command line sets. Adding a parameter back is a visible
-decision: it has to be listed here.
+decision: it has to be listed here. So is adding a public name to the
+package: PUBLIC lists every one.
 """
 
 import importlib
@@ -16,6 +17,22 @@ import riemcond
 KNOB_NAMES = {"step", "callback", "kwargs", "prominence_decades"}
 ALLOWED = [("riemcond.solver.SolverOptions.__init__", "grad_tol"),
            ("riemcond.solver.SolverOptions.__init__", "step_tol")]
+PUBLIC = [
+    "AtInfinity", "Camera", "CameraRig", "ConditionReport", "DegenerateKernel", "DomainEscape",
+    "EmptyInput", "InvalidGeometry", "NonFinite", "NotNormal", "NotSPD", "OutsideDomain",
+    "Parametrization", "ProblemDerivative", "RankDeficient", "RiemcondError", "RigSpec",
+    "SingularR", "SolveResult", "SolverOptions", "Status", "SweepRecord", "TangentFrame",
+    "WeingartenData", "ZeroNormal", "ZeroOutput", "affine", "as_parametrization", "builtin",
+    "codim1_unit_normal", "critical_radii", "detect_dips", "experiment_sweep",
+    "experiment_validate", "gen_rig", "graph2d", "ill_posedness_certificate", "kappa_bounds",
+    "kappa_cpp", "kappa_cpp_curvatures", "kappa_cpp_from_weingarten", "kappa_gcpp",
+    "kappa_relative", "lm_minimize", "log_grid", "mv_certificate", "mv_domain_check",
+    "mv_jacobian", "mv_kappa", "mv_project", "mv_weingarten", "paraboloid", "prefix_rig",
+    "principal_curvatures", "project_normal", "project_point", "project_tangent",
+    "random_unit_normal", "ratio_stats", "records_to_csv", "rig_from_dict", "rig_to_dict",
+    "second_fundamental_contraction", "singular_offsets_rel", "sphere", "tangent_frame",
+    "triangulate", "triangulate_linear", "weingarten", "weingarten_data",
+]
 
 
 def _functions(module):
@@ -47,3 +64,10 @@ def test_no_tolerance_step_or_callback_parameters():
     functions = dict(_functions(importlib.import_module("riemcond.manifold")))
     assert "riemcond.manifold.Parametrization.jacobian_fd" in functions  # methods are scanned
     assert knob_parameters() == ALLOWED
+
+
+def test_public_names_are_listed():
+    """The package's public names, its submodules aside, are exactly PUBLIC."""
+    names = sorted(name for name, obj in vars(riemcond).items()
+                   if not name.startswith("_") and not inspect.ismodule(obj))
+    assert names == PUBLIC

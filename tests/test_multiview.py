@@ -183,6 +183,8 @@ def _oracle(rig, y, eta):
 
 @pytest.mark.parametrize("k", [2, 6, 40, "affine"])
 def test_kernel_matches_per_camera_oracle(k):
+    from riemcond.multiview import _checked, _stacked_hat
+
     rig = _affine_rig() if k == "affine" else _generic_rig(k=k, seed=6)
     rng = np.random.default_rng(23)
     checked = 0
@@ -195,7 +197,7 @@ def test_kernel_matches_per_camera_oracle(k):
         # bit-equal: the validation protocol amplifies a last-bit change in J
         assert np.array_equal(rc.mv_project(rig, y), x)
         assert np.array_equal(rc.mv_jacobian(rig, y), J)
-        got = rc.mv_weingarten_hat(rig, y, eta)
+        got = _stacked_hat(rig, *_checked(rig, y), eta[None])[0]
         assert np.linalg.norm(got - S_hat) <= 1e-13 * np.linalg.norm(S_hat)
         checked += 1
     assert checked >= 250
@@ -414,45 +416,49 @@ def test_non_finite_normal_is_typed():
             rc.mv_kappa(rig, y, 1e200 * _random_normal_at(rig, y, 0))
 
 
-def test_factors_record_row_errors_and_keep_other_rows():
+def test_normal_errors_record_row_errors_and_runs_keep_other_rows():
+    from riemcond.multiview import _frame, _normal_errors
+
     rig = _generic_rig(k=4, seed=22)
     y = np.array([0.1, 0.2, -0.1])
     eta = _random_normal_at(rig, y, 0)
-    Q = rc.mv_weingarten(rig, y, eta)[0]
-    E = np.array([0.3 * eta, eta + Q[:, 0], np.full(8, np.nan), np.zeros(8), eta])
-    factors = rc.mv_factors(rig, y, E)
-    kinds = [type(err).__name__ if err is not None else None for err in factors.errors]
-    assert kinds == [None, "NotNormal", "NonFinite", None, None]
-    assert np.isnan(factors.S[1:3]).all() and np.isnan(factors.S_hat[1:3]).all()
-    for n in (0, 3, 4):
-        one = rc.mv_factors(rig, y, E[n:n + 1])
-        assert np.array_equal(factors.S[n], one.S[0])
-        assert np.array_equal(factors.S_hat[n], one.S_hat[0])
-    assert np.array_equal(factors.Q, Q)
+    Q = _frame(rig, y)[3]
+    E = np.array([0.3 * eta, eta + Q[:, 0], np.full(8, np.nan), np.zeros(8), 1e200 * eta, eta])
+    kinds = [type(err).__name__ if err is not None else None for err in _normal_errors(rig, Q, E)]
+    assert kinds == [None, "NotNormal", "NonFinite", None, "NonFinite", None]
     with pytest.raises(rc.NotNormal, match="length 8"):
-        rc.mv_factors(rig, y, E[:, :6])
-    with pytest.raises(rc.OutsideDomain):
-        rc.mv_factors(rig, rig.baseline_point + 0.5 * rig.baseline_dir, E)
+        _normal_errors(rig, Q, E[:, :6])
+    # a run builds the maps of its good rows alone: they come out as if the bad rows were absent
+    for run in (rc.experiment_sweep, rc.experiment_validate):
+        records = run(rig, y, eta, [0.3, np.inf, np.nan, 0.0, 1.0])
+        assert [rec.error is None for rec in records] == [True, False, False, True, True]
+        assert [records[n] for n in (0, 3, 4)] == run(rig, y, eta, [0.3, 0.0, 1.0])
+        with pytest.raises(rc.OutsideDomain):
+            run(rig, rig.baseline_point + 0.5 * rig.baseline_dir, eta, [0.3, 1.0])
 
 
 def test_weingarten_hat_flat_cases():
+    from riemcond.multiview import mv_weingarten_hat
+
     rig = _affine_rig()
     y = np.array([0.1, 0.2, 0.3])
     eta = _random_normal_at(rig, y, 0)
-    assert np.abs(rc.mv_weingarten_hat(rig, y, eta)).max() == 0.0
+    assert np.abs(mv_weingarten_hat(rig, y, eta)).max() == 0.0
     generic = _generic_rig(k=3, seed=7)
-    assert np.abs(rc.mv_weingarten_hat(generic, y, np.zeros(6))).max() == 0.0
+    assert np.abs(mv_weingarten_hat(generic, y, np.zeros(6))).max() == 0.0
 
 
 def test_weingarten_hat_symmetric_and_normal_checked():
+    from riemcond.multiview import mv_weingarten_hat
+
     rig = _generic_rig(k=5, seed=8)
     y = np.array([0.3, -0.1, 0.2])
     eta = _random_normal_at(rig, y, 1)
-    S_hat = rc.mv_weingarten_hat(rig, y, eta)
+    S_hat = mv_weingarten_hat(rig, y, eta)
     assert np.abs(S_hat - S_hat.T).max() <= 1e-15
     tangent = rc.mv_jacobian(rig, y)[:, 0]
     with pytest.raises(rc.NotNormal):
-        rc.mv_weingarten_hat(rig, y, eta + 0.1 * tangent / np.linalg.norm(tangent))
+        mv_weingarten_hat(rig, y, eta + 0.1 * tangent / np.linalg.norm(tangent))
 
 
 def test_weingarten_matches_fd_contraction_and_projector_route():
@@ -585,15 +591,15 @@ def test_warm_rig_gives_the_bits_of_a_cold_one():
 
 
 def test_returned_arrays_are_the_callers_own():
-    """Writing into the J of mv_jacobian and the Q and R of mv_factors and
-    mv_weingarten changes no later result."""
+    """Writing into the J of mv_jacobian and the Q and R of mv_weingarten changes no
+    later result."""
     rig = _generic_rig()
     eta = 0.1 * _random_normal_at(rig, MEMO_Y, 0)
     J0, kappa0 = np.copy(rc.mv_jacobian(rig, MEMO_Y)), rc.mv_kappa(rig, MEMO_Y, eta)
     Q0, R0, S_hat0, S0 = map(np.copy, rc.mv_weingarten(rig, MEMO_Y, eta))
     assert Q0.flags.f_contiguous  # the layout compact_qr gives
     rc.mv_jacobian(rig, MEMO_Y)[:] = np.nan
-    for arr in rc.mv_weingarten(rig, MEMO_Y, eta)[:2] + rc.mv_factors(rig, MEMO_Y, eta[None])[:2]:
+    for arr in rc.mv_weingarten(rig, MEMO_Y, eta)[:2]:
         arr[:] = np.nan
     np.testing.assert_array_equal(rc.mv_jacobian(rig, MEMO_Y), J0)
     for got, want in zip(rc.mv_weingarten(rig, MEMO_Y, eta), (Q0, R0, S_hat0, S0)):

@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import riemcond as rc
+from riemcond.multiview import _frame, _stacked_hat, mv_condition
 
 REL_TOL = 1e-9
 KAPPA_MAX = 1e6
@@ -107,12 +108,14 @@ def test_stacked_kernel_equals_one_row_calls(instance, t_rel, seed):
     x_norm = float(np.linalg.norm(rc.mv_project(rig, y)))
     unit = rc.random_unit_normal(rig, y, seed)
     E = np.vstack([eta, np.multiply.outer(np.array(t_rel) * x_norm, unit)])
-    stack = rc.mv_factors(rig, y, E)
-    rows = rc.mv_condition(stack.R, stack.S, [np.linalg.norm(e) for e in E])
+    a, num, _, _, R = _frame(rig, y)
+    S_hat = _stacked_hat(rig, a, num, E)
+    S = rc.weingarten(S_hat, R)
+    rows = mv_condition(R, S, [np.linalg.norm(e) for e in E])
     for n, e in enumerate(E):
-        one = rc.mv_factors(rig, y, e[None])
-        assert np.array_equal(stack.S[n], one.S[0])
-        assert np.array_equal(stack.S_hat[n], one.S_hat[0])
+        one_hat, one = rc.mv_weingarten(rig, y, e)[2:]
+        assert np.array_equal(S[n], one)
+        assert np.array_equal(S_hat[n], one_hat)
         report = rc.mv_kappa(rig, y, e)
         assert bool(rows.ill_posed[n]) == report.ill_posed
         assert _same(rows.kappa[n], report.kappa)

@@ -188,7 +188,8 @@ def cmd_kappa(args) -> int:
             eta_vec = raw - Q @ (Q.T @ raw)  # project API input to the normal space
         else:
             unit = _unit_normal(Q, args.seed)
-            eta_vec = args.eta_scale * float(np.linalg.norm(x)) * unit
+            with np.errstate(over="ignore", invalid="ignore"):  # mv_kappa reports an inf norm
+                eta_vec = args.eta_scale * float(np.linalg.norm(x)) * unit
         report = mv_kappa(rig, y, eta_vec)
         payload = {
             "kappa": report.kappa,

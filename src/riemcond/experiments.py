@@ -20,12 +20,12 @@ from .errors import _require_finite, _require_finite_setting
 from .multiview import (
     Camera,
     CameraRig,
-    _condition,
     _frame,
     _jet,
     _normal_errors,
     _one_row,
     _projection,
+    _ray_condition,
     _stacked_hat,
     mv_condition,
     mv_jacobian,  # noqa: F401  (a binding perfbench's tracer wraps)
@@ -175,7 +175,7 @@ def _theory_rows(rig, y, eta, t_grid, x_norm, validate):
     error of y applies to every row. Validate builds each row's S from its own normal,
     so no row depends on how the grid is split into calls. A sweep reads no singular
     vectors, and S is linear in the normal: the good row whose offset is nearest 1 in
-    scale gives the map S_eta of eta, and row n has tau_n S_eta and its eigenvalues.
+    scale gives the map S_eta of eta, and _ray_condition the rows tau_n S_eta.
     """
     t = np.asarray(t_grid, dtype=float)
     t_rel = t.tolist()
@@ -196,8 +196,7 @@ def _theory_rows(rig, y, eta, t_grid, x_norm, validate):
             S_eta = np.zeros((3, 3))  # every row at tau = 0 (or none): every S is 0
             if k is not None:
                 S_eta = weingarten(_stacked_hat(rig, a, num, E[good[k]][None]), R)[0] / tau[k]
-            c = np.multiply.outer(np.sign(tau), np.linalg.eigvalsh(S_eta))
-            cond = _condition(R, np.multiply.outer(tau, S_eta), c, abs(tau), vectors=False)
+            cond = _ray_condition(R, S_eta, tau)
     except RiemcondError as exc:
         return [_error_record(v, exc) for v in t_rel], None, None
     rows = map(SweepRecord, t[sel].tolist(), cond.kappa.tolist(),

@@ -35,6 +35,9 @@ DOM_TOL = 1e-8
 
 _HOMOG_TOL = 1e-12  # |h_4| below this means a point/center at infinity
 
+_NEAR_DOUBLE = 1e-4  # 1 + cos(3 phi) below which _top_eigenvalues' pair is nearly double
+_UPPER = np.triu_indices(3)
+
 
 @dataclass(frozen=True)
 class Camera:
@@ -294,8 +297,9 @@ def _stacked_hat(rig: CameraRig, a, num, E):
     cc = rig.c[:, :, None] * rig.c[:, None, :]
     cg = rig.c[:, :, None] * g[:, :, None, :]
     # each term is symmetric bitwise, so the sums over cameras are too
-    return (np.einsum("nl,lij->nij", 2.0 * beta / a**3, cc)
-            - np.einsum("l,nlij->nij", 1.0 / a**2, cg + cg.transpose(0, 1, 3, 2)))
+    with np.errstate(over="ignore"):  # a depth past ~1e103 cubes to inf, and its term to 0
+        return (np.einsum("nl,lij->nij", 2.0 * beta / a**3, cc)
+                - np.einsum("l,nlij->nij", 1.0 / a**2, cg + cg.transpose(0, 1, 3, 2)))
 
 
 def _jet(rig: CameraRig, y, n=3):
@@ -380,33 +384,34 @@ def mv_weingarten(rig: CameraRig, y, eta):
     return np.copy(frame[3]), np.copy(frame[4]), S_hat, S
 
 
-def kappa_from_factors(R, S, sigma_R, _vectors=True):
-    """kappa = 1 / sigma_3((I - S) R) plus the worst tangent direction.
+def _sigma_R(R):
+    """The singular values of R, descending, and kappa_S = 1 / sigma_3(R) (inf if R is singular)."""
+    sigma_R = np.linalg.svd(R, compute_uv=False)
+    return sigma_R, np.inf if sigma_R[2] <= SING_TOL * sigma_R[0] else 1.0 / float(sigma_R[2])
 
-    Returns (kappa, ill_posed, u, singular_values) where u is the third
-    left singular vector of (I - S) R: the tangent coordinates of the
-    worst ambient perturbation. The zero threshold is taken relative to
-    the larger of sigma_1((I - S) R) and sigma_1(R) so that I - S ~ 0
-    (all directions focal at once) is detected as ill-posed too.
-    sigma_R holds the singular values of R, descending. S may be a stack
-    (N, 3, 3); every result then gains the leading axis N. A caller that
-    reads no direction passes _vectors=False: the SVD then computes the
-    singular values alone, and u is None.
-    """
-    M = (np.eye(3) - S) @ R
-    U, s = np.linalg.svd(M)[:2] if _vectors else (None, np.linalg.svd(M, compute_uv=False))
+
+def _verdicts(s, sigma_R):
+    """kappa and ill_posed from the singular values s (..., 3) of (I - S) R: the zero
+    threshold is relative to max(s_1, sigma_1(R)), so I - S ~ 0 (all focal) is ill too."""
     scale = np.maximum(s[..., 0], sigma_R[0])
     ill = (scale == 0.0) | (s[..., 2] <= SING_TOL * scale)
     with np.errstate(divide="ignore"):
-        kappa = np.where(ill, np.inf, 1.0 / s[..., 2])
-    return kappa, ill, None if U is None else np.ascontiguousarray(U[..., :, 2]), s
+        return np.where(ill, np.inf, 1.0 / s[..., 2]), ill
+
+
+def kappa_from_factors(R, S, sigma_R):
+    """(kappa, ill_posed, u, singular_values) of (I - S) R for R's singular values sigma_R,
+    descending: u, its third left singular vector, is the worst tangent direction. S may
+    be a stack (N, 3, 3); every result then gains the leading axis N."""
+    U, s = np.linalg.svd((np.eye(3) - S) @ R)[:2]
+    return (*_verdicts(s, sigma_R), np.ascontiguousarray(U[..., :, 2]), s)
 
 
 class ConditionRows(NamedTuple):
     """Condition numbers of N critical pairs that share the frame factor R.
 
     kappa, ill_posed, bounds_lo and bounds_hi are (N,); worst (N, 3) holds
-    the worst tangent directions (None if not asked for) and sigma (N, 3) the
+    the worst tangent directions (None from _ray_condition) and sigma (N, 3) the
     singular values of (I - S) R; sigma_R and kappa_S belong to R alone.
     """
 
@@ -430,17 +435,57 @@ def mv_condition(R, S, eta_norms) -> ConditionRows:
     eta_norms = np.asarray(eta_norms, dtype=float)
     # a zero normal has S = 0, so dividing by 1 gives the curvatures 0 and factors 1
     curv = np.linalg.eigvalsh(S) / np.where(eta_norms > 0, eta_norms, 1.0)[:, None]
-    return _condition(R, S, curv, eta_norms)
-
-
-def _condition(R, S, curv, eta_norms, vectors=True) -> ConditionRows:
-    """mv_condition for rows whose curvatures curv (N, 3) the caller already has,
-    as a sweep has them for a whole ray; vectors=False leaves worst None."""
-    sigma_R = np.linalg.svd(R, compute_uv=False)
-    kappa, ill, worst, s = kappa_from_factors(R, S, sigma_R, _vectors=vectors)
-    kappa_S = np.inf if sigma_R[2] <= SING_TOL * sigma_R[0] else 1.0 / float(sigma_R[2])
+    sigma_R, kappa_S = _sigma_R(R)
+    kappa, ill, worst, s = kappa_from_factors(R, S, sigma_R)
     lo, hi = kappa_bounds(kappa_S, curv, eta_norms)
     return ConditionRows(kappa, ill, worst, s, sigma_R, kappa_S, lo, hi)
+
+
+def _top_eigenvalues(a00, a01, a02, a11, a12, a22):
+    """Top eigenvalues of the symmetric 3 x 3 matrices with these upper-triangle entries
+    (O. K. Smith, CACM 4(4), 1961), and 1 + cos(3 phi), 0 where the top two meet."""
+    q = (a00 + a11 + a22) / 3.0
+    b0, b1, b2 = a00 - q, a11 - q, a22 - q
+    s01, s02, s12 = a01 * a01, a02 * a02, a12 * a12
+    p = np.sqrt((b0 * b0 + b1 * b1 + b2 * b2 + 2.0 * (s01 + s02 + s12)) / 6.0)
+    det = b0 * b1 * b2 + 2.0 * a01 * a02 * a12 - b0 * s12 - b1 * s02 - b2 * s01
+    unit = np.where(p > 0.0, p, 1.0)  # p = 0 is q I, whose eigenvalue is q
+    r = np.minimum(np.maximum(det / unit / unit / unit / 2.0, -1.0), 1.0)
+    return q + 2.0 * p * np.cos(np.arccos(r) / 3.0), 1.0 + r
+
+
+def _ray_condition(R, S_eta, tau) -> ConditionRows:
+    """The ConditionRows, worst directions aside, of the maps tau (N,) S_eta of one ray.
+
+    With S_eta = V diag(c) V^T, row n's (I - S) R is V diag(d) B for d = 1 - tau_n c and
+    B = V^T R: sigma_1^2 and sigma_3^-2 are the top eigenvalues of D G D and D^-1 H D^-1,
+    G = B B^T and H the Gram matrix of B^-1 = R^-1 V (inv(G) would square cond(R)). Near
+    a double top eigenvalue the closed form keeps half the digits (8.7e-9 where the two
+    meet, 7e-15 at _NEAR_DOUBLE): rows whose sigma_2 and sigma_3 nearly meet take the SVD,
+    and sigma_1 only sets the ill-posed threshold. d gives kappa_bounds' bounds exactly.
+    """
+    sigma_R, kappa_S = _sigma_R(R)
+    c, V = np.linalg.eigh(S_eta)
+    B, X = V.T @ R, np.linalg.solve(R, V)
+    d = 1.0 - np.multiply.outer(c, tau)
+    a0, a1, a2 = abs(d)
+    d_max, d_min = np.maximum(np.maximum(a0, a1), a2), np.minimum(np.minimum(a0, a1), a2)
+    d_mid = np.maximum(np.minimum(a0, a1), np.minimum(np.maximum(a0, a1), a2))
+    # d / max|d| and min|d| / d have entries of at most 1, so no square overflows; 1 fills 0 / 0
+    zero, none, N = d == 0.0, d_max == 0.0, len(tau)
+    F = np.concatenate([(d + none) / (d_max + none), (d_min + zero) / (d + zero)], axis=1)
+    K = np.stack([(B @ B.T)[_UPPER], (X.T @ X)[_UPPER]], axis=1)  # G and H
+    lam, meet = _top_eigenvalues(*(F[_UPPER[0]] * F[_UPPER[1]] * np.repeat(K, N, axis=1)))
+    s = np.stack([d_max * np.sqrt(lam[:N]),  # s1 s2 s3 = |det M|
+                  abs(R[0, 0] * R[1, 1] * R[2, 2]) * d_mid * np.sqrt(lam[N:] / lam[:N]),
+                  d_min / np.sqrt(lam[N:])], axis=1)
+    redo = np.flatnonzero((meet[N:] < _NEAR_DOUBLE) & (d_min > 0.0))
+    if len(redo):
+        s[redo] = np.linalg.svd(V @ (d[:, redo].T[:, :, None] * B), compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lo = np.where(d_max <= SING_TOL, np.inf, kappa_S / d_max)
+        hi = np.where(d_min <= SING_TOL, np.inf, kappa_S / d_min)
+    return ConditionRows(*_verdicts(s, sigma_R), None, s, sigma_R, kappa_S, lo, hi)
 
 
 def mv_kappa(rig: CameraRig, y, eta) -> ConditionReport:

@@ -2,10 +2,10 @@
 
 Hypothesis drives cli.main with random JSON for the rig, world-point,
 normal and correspondence files (also valid files with one entry
-replaced), with builtin manifold parameters that include NaN and
-infinities, and with random text cells in a plot CSV. Every call must
-return one of the documented exit codes 0, 1 or 2; any exception that
-escapes main fails the test.
+replaced, and raw text that no JSON value serializes to), with builtin
+manifold parameters that include NaN and infinities, and with random
+text cells in a plot CSV. Every call must return one of the documented
+exit codes 0, 1 or 2; any exception that escapes main fails the test.
 
 The draws replay: derandomize=True seeds each test from its source, and no
 strategy iterates a set, whose order of strings follows the per-process
@@ -63,23 +63,41 @@ def _replace_one(draw, value):
     return draw(SPECIAL | JSON)
 
 
+def _valid_files():
+    return {"rig": {"cameras": CAMERAS}, **{field: {field: v} for field, v in VALID.items()}}
+
+
+def _raw_payloads(valid):
+    """File contents that json.dumps never writes: arrays nested past the parser's
+    recursion limit, a 5,000-digit integer, the valid payload cut short, and the valid
+    payload behind a byte that is not UTF-8."""
+    text = json.dumps(valid).encode()
+    return [b"[" * 100_000 + b"]" * 100_000, b"[" + b"7" * 5000 + b"]",
+            text[: len(text) // 2], b"\xff" + text]
+
+
 @st.composite
 def input_files(draw):
-    """Payloads of the rig file and of the point, normal and correspondence files."""
-    files = {"rig": {"cameras": CAMERAS}, **{field: {field: v} for field, v in VALID.items()}}
+    """Payloads of the rig file and of the point, normal and correspondence files: JSON
+    values, or raw bytes from _raw_payloads."""
+    files = _valid_files()
     # sorted: a set of strings iterates in an order that changes from process to process
     for name in sorted(draw(st.sets(st.sampled_from(sorted(files)), min_size=1))):
-        files[name] = draw(JSON) if draw(st.booleans()) else _replace_one(draw, files[name])
+        how = draw(st.integers(0, 4))
+        if how == 0:
+            files[name] = draw(st.sampled_from(_raw_payloads(files[name])))
+        else:
+            files[name] = draw(JSON) if how % 2 else _replace_one(draw, files[name])
     return files
 
 
-@given(st.data())
-@FUZZ_SETTINGS
-def test_fuzzed_input_files_exit_0_1_or_2(workdir, data):
-    files = data.draw(input_files())
+def _commands(workdir, files):
+    """Write the payloads (JSON values through json.dumps, bytes as they are) and return
+    each command's argv, by name, with the files it reads."""
     paths = {name: workdir / f"{name}.json" for name in files}
     for name, payload in files.items():
-        paths[name].write_text(json.dumps(payload))
+        raw = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
+        paths[name].write_bytes(raw)
     out = str(workdir / "out")
     commands = {
         "kappa": ["kappa", "--rig", paths["rig"], "--point", paths["y"], "--eta-scale", "0.1"],
@@ -90,8 +108,42 @@ def test_fuzzed_input_files_exit_0_1_or_2(workdir, data):
         "validate": ["validate", "--rig", paths["rig"], "--point", paths["y"], "--grid=-1:1:2",
                      "--out", out],
     }
-    argv = commands[data.draw(st.sampled_from(sorted(commands)))]
-    assert main([str(arg) for arg in argv]) in (0, 1, 2)
+    return {name: [str(arg) for arg in argv] for name, argv in commands.items()}
+
+
+@given(st.data())
+@FUZZ_SETTINGS
+def test_fuzzed_input_files_exit_0_1_or_2(workdir, data):
+    commands = _commands(workdir, data.draw(input_files()))
+    assert main(commands[data.draw(st.sampled_from(sorted(commands)))]) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("kind", range(4), ids=["deep", "digits", "truncated", "not-utf8"])
+@pytest.mark.parametrize("name", ["rig", "y", "eta", "x"])
+def test_raw_input_file_exits_2_with_one_error_line(workdir, capsys, name, kind):
+    """A file holding one of _raw_payloads, the other files valid: every command that
+    reads it exits 2 and writes one line, which starts with "error:"."""
+    files = _valid_files()
+    files[name] = _raw_payloads(files[name])[kind]
+    commands = _commands(workdir, files)
+    readers = [argv for argv in commands.values() if str(workdir / f"{name}.json") in argv]
+    assert readers
+    capsys.readouterr()
+    for argv in readers:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and re.fullmatch(r"error: [^\n]*\n", captured.err)
+
+
+def test_far_point_kappa_reports_an_error_not_a_warning(workdir, capsys):
+    """At y = (1e308, -0.2, 0.4) the depths cube to inf in S_hat and the norm of x
+    overflows: kappa exits with one error line (a normal that is not finite, a singular
+    R) and no RuntimeWarning from the norm or from a**3."""
+    commands = _commands(workdir, {**_valid_files(), "y": {"y": [1e308, -0.2, 0.4]}})
+    capsys.readouterr()
+    for name, code in (("kappa", 2), ("kappa-eta", 1)):
+        assert main(commands[name]) == code
+        assert re.fullmatch(r"error: [^\n]*\n", capsys.readouterr().err)
 
 
 BUILTIN_PARAMS = {

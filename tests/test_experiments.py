@@ -10,8 +10,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import riemcond as rc
+from riemcond.condition import SING_TOL
 from riemcond.experiments import _peak_prominences
 from riemcond.linalg import compact_qr
+from riemcond.multiview import _frame, _ray_condition
 
 DEFAULT_Y = np.array([0.35, -0.2, 0.4])
 
@@ -149,7 +151,7 @@ def test_sweep_affine_rig_constant_kappa():
 
 
 # First-order rounding bound of a sweep row against its own mv_kappa call, in units of
-# eps kappa max(||R||_2, ||S R||_2); the largest factor read on the tests' rays is ~36.
+# eps kappa max(||R||_2, ||S R||_2); the largest factor read on the tests' rays is ~37.
 FIRST_ORDER_C = 256
 
 
@@ -207,28 +209,100 @@ def test_sweep_matches_mv_kappa_rows():
               f"difference {far:.2e}, near singular offsets {near:.2e}")
 
 
+def _ray_rows_against_svd(R, S_eta, tau):
+    """_ray_condition's rows of (I - tau_n S_eta) R against a per-row np.linalg.svd of the
+    same matrix: sigma_3 and kappa within the first-order bound (0 = 0 on focal rows), the
+    same ill-posed verdicts, sigma_1 sigma_2 sigma_3 = |det M| where det M is finite, and
+    bounds bit for bit those of kappa_bounds on the ray's curvatures. Returns the rows."""
+    tau = np.asarray(tau, dtype=float)
+    rows = _ray_condition(R, S_eta, tau)
+    sigma_R = np.linalg.svd(R, compute_uv=False)
+    for n, t in enumerate(tau):
+        S = t * S_eta
+        M = (np.eye(3) - S) @ R
+        s = np.linalg.svd(M, compute_uv=False)
+        got = rows.sigma[n]
+        assert rows.ill_posed[n] == (s[2] <= SING_TOL * max(s[0], sigma_R[0]))
+        if s[2] == 0.0 or got[2] == 0.0:
+            assert got[2] == 0.0 and rows.kappa[n] == np.inf
+            continue
+        assert _first_order_c(got[2], s[2], 1.0 / s[2], R, S) <= FIRST_ORDER_C
+        if not rows.ill_posed[n]:
+            assert _first_order_c(rows.kappa[n], 1.0 / s[2], 1.0 / s[2], R, S) <= FIRST_ORDER_C
+        with np.errstate(over="ignore"):
+            det = abs(np.linalg.det(M))
+        if np.isfinite(det):
+            tol = FIRST_ORDER_C * np.finfo(float).eps * s[0] / s[2]
+            assert abs(got.prod() / det - 1.0) <= tol
+    c = np.linalg.eigh(S_eta)[0]
+    lo, hi = rc.kappa_bounds(rows.kappa_S, np.multiply.outer(np.sign(tau), c), abs(tau))
+    assert np.array_equal(rows.bounds_lo, lo) and np.array_equal(rows.bounds_hi, hi)
+    return rows
+
+
+def test_ray_condition_matches_a_per_row_svd():
+    """The sweep's closed-form rows against a per-row SVD (see _ray_rows_against_svd).
+    The RigSpec(k=3, arc 0.05 degrees) frame has cond(R) = 2.6e3, and S = tau S_eta ~ 0:
+    sigma_3 from inv(B B^T), whose rounding grows with cond(R)^2, reads first-order
+    factors up to 555 on its normals 0..7, and from the Gram matrix of B^-1 about 1e-3.
+    A frame with sigma_2(R) = sigma_3(R) is the nearly double top eigenvalue the closed
+    form keeps half the digits of (C ~ 1e7), so its rows take the SVD."""
+    rig = rc.gen_rig(rc.RigSpec(k=3, arc_degrees=0.05))
+    R = _frame(rig, DEFAULT_Y)[4]
+    assert 2e3 < np.linalg.cond(R) < 4e3
+    for seed in range(8):
+        S_eta = rc.mv_weingarten(rig, DEFAULT_Y, rc.random_unit_normal(rig, DEFAULT_Y, seed))[3]
+        _ray_rows_against_svd(R, S_eta, [-1e-200, 0.0, 1e-200, 1e-12, 1e-6, 0.3, -2.0])
+    rng = np.random.default_rng(0)
+    W = rng.standard_normal((3, 3))
+    S_eta = W + W.T
+    R = _frame(_default_rig(), DEFAULT_Y)[4]
+    rows = _ray_rows_against_svd(R, S_eta, [0.0, 0.0])  # tau = 0
+    assert np.array_equal(rows.bounds_lo, [rows.kappa_S] * 2)
+    rows = _ray_rows_against_svd(R, np.zeros((3, 3)), [0.0, -3.0, 1e150])  # S_eta = 0
+    assert np.array_equal(rows.sigma, [rows.sigma[0]] * 3)
+    _ray_rows_against_svd(R, S_eta, rc.log_grid(-3, 3, 40))
+    Q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    _ray_rows_against_svd(compact_qr(Q @ np.diag([3.0, 1.0, 1.0]))[1], S_eta, [0.0, 1e-9])
+
+
+def test_ray_condition_focal_and_huge_rows():
+    """A row with 1 - tau c_i == 0 exactly is ill-posed with sigma_3 = 0 (one, two or all
+    three factors zero); curvatures |c| > 1 at |tau| ~ 1e153, where d^2 would overflow,
+    stay within the first-order bound and raise no warning."""
+    R = _frame(_default_rig(), DEFAULT_Y)[4]
+    for c, tau in (([0.5, -0.25, 2.0], 2.0), ([0.5, -0.25, 2.0], 0.5), ([0.5, 0.5, 2.0], 2.0),
+                   ([0.5, 0.5, 0.5], 2.0)):
+        rows = _ray_rows_against_svd(R, np.diag(c), [tau, 1.0])
+        assert rows.ill_posed[0] and rows.sigma[0, 2] == 0.0 and rows.bounds_hi[0] == np.inf
+    Q = np.linalg.qr(np.random.default_rng(1).standard_normal((3, 3)))[0]
+    S_eta = Q @ np.diag([3.0, -7.0, 20.0]) @ Q.T
+    rows = _ray_rows_against_svd(R, S_eta, [-1.3e154, -1e153, 1e153, 1.3e154])
+    assert np.isfinite(rows.sigma).all() and not rows.ill_posed.any()
+
+
 def test_sweep_solves_one_curvature_per_ray_and_no_vectors(monkeypatch):
-    """A sweep calls eigvalsh on one 3 x 3 map at a time and runs the stacked SVD for
-    values only; validate, which perturbs along the worst directions, computes them."""
+    """A sweep takes the principal curvatures of a ray from one 3 x 3 eigh and no
+    stacked (ndim 3) SVD or eigenvalue solve, so it computes no singular vectors; on this
+    ray no row's sigma_2 and sigma_3 nearly meet, which would take the SVD. validate,
+    which perturbs along the worst directions, runs the stacked SVD with vectors."""
     calls = []
-    real_svd, real_eigvalsh = np.linalg.svd, np.linalg.eigvalsh
 
-    def svd(a, *args, **kwargs):
-        calls.append(("svd", np.ndim(a), kwargs.get("compute_uv", True)))
-        return real_svd(a, *args, **kwargs)
+    def spy(name):
+        real = getattr(np.linalg, name)
 
-    def eigvalsh(a, *args, **kwargs):
-        calls.append(("eigvalsh", np.ndim(a), None))
-        return real_eigvalsh(a, *args, **kwargs)
+        def wrapped(a, *args, **kwargs):
+            calls.append((name, np.ndim(a), kwargs.get("compute_uv", True)))
+            return real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, wrapped)
 
+    for name in ("svd", "eig", "eigh", "eigvals", "eigvalsh"):
+        spy(name)
     rig = _default_rig()
     eta = rc.random_unit_normal(rig, DEFAULT_Y, 0)
-    monkeypatch.setattr(np.linalg, "svd", svd)
-    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     rc.experiment_sweep(rig, DEFAULT_Y, eta, rc.log_grid(-2, 1, 20))
-    assert ("eigvalsh", 2, None) in calls and ("svd", 3, False) in calls
-    assert all(ndim == 2 for name, ndim, _ in calls if name == "eigvalsh")
-    assert all(not uv for name, ndim, uv in calls if name == "svd" and ndim == 3)
+    assert [call for call in calls if call[0] == "eigh"] == [("eigh", 2, True)]
+    assert all(ndim == 2 for _, ndim, _ in calls)
     calls.clear()
     rc.experiment_validate(rig, DEFAULT_Y, eta, [0.01, 1.0])
     assert [uv for name, ndim, uv in calls if name == "svd" and ndim == 3] == [True]

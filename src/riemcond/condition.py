@@ -135,23 +135,27 @@ def kappa_gcpp(pd: ProblemDerivative, H) -> ConditionReport:
     )
 
 
+def _sandwich(kappa_S, d_max, d_min):
+    """kappa_S over the largest and the smallest factor |1 - c_i ||eta|||, elementwise; a
+    factor at most SING_TOL gives infinity."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return tuple(np.where(d <= SING_TOL, np.inf, kappa_S / d) for d in (d_max, d_min))
+
+
 def kappa_bounds(kappa_S: float, c, eta_norm):
     """Curvature sandwich around the generalized condition number.
 
     (kappa_S / max_i |1 - c_i ||eta|||, kappa_S / min_i |1 - c_i ||eta|||);
     both collapse to kappa_S on the manifold (eta = 0). A factor at most
     SING_TOL gives infinity; NaN input propagates as NaN. c may also be a
-    stack (N, m) of curvature rows with eta_norm (N,); lo and hi are then
-    (N,) arrays.
+    stack (N, m) of curvature rows with eta_norm (N,) or one length; lo and
+    hi are then (N,) arrays.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim < 2 and c.size == 0:
         return float(kappa_S), float(kappa_S)
     d = np.abs(1.0 - c * np.asarray(eta_norm, dtype=float)[..., None])
-    d_max, d_min = d.max(axis=-1), d.min(axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lo = np.where(d_max <= SING_TOL, np.inf, kappa_S / d_max)
-        hi = np.where(d_min <= SING_TOL, np.inf, kappa_S / d_min)
+    lo, hi = _sandwich(kappa_S, d.max(axis=-1), d.min(axis=-1))
     if c.ndim < 2:
         return float(lo), float(hi)
     return lo, hi

@@ -15,12 +15,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotNormal, ZeroNormal, _require_finite
+from .errors import NotNormal, ZeroNormal, _non_finite, _require_finite
 from .linalg import congruence_by_inverse
 from .manifold import Parametrization, tangent_frame
 
 # Tangential-component tolerance for vectors claimed to be normal.
 NORMALITY_TOL = 1e-8
+
+
+def _normal_errors(Q, E):
+    """The verdict on every row of the float stack E (N, n) at the orthonormal frame Q (n, m),
+    and the rows' lengths (N,): a list whose entry i is row i's NonFinite or NotNormal error,
+    or None. Rows that are not n long raise NotNormal. Both Weingarten routes ask this, and
+    a caller builds the maps of the good rows alone."""
+    if E.ndim != 2 or E.shape[1] != len(Q):
+        raise NotNormal(f"eta must have length {len(Q)}, got rows of shape {E.shape[1:]}")
+    finite = np.isfinite(E).all(axis=1)
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite rows are reported below
+        nrm = np.linalg.norm(E, axis=1)
+        tangential = np.linalg.norm(E @ Q, axis=1)
+    ok = finite & np.isfinite(nrm) & ~(tangential > NORMALITY_TOL * nrm)
+    errors = [None] * len(E)
+    for i in np.flatnonzero(~ok).tolist():
+        if not finite[i]:
+            errors[i] = _non_finite(E[i], "normal vector eta")
+        elif not np.isfinite(nrm[i]):  # finite entries past ~1.3e154 square to inf
+            errors[i] = _non_finite(nrm[i], "norm of normal vector eta")
+        else:
+            errors[i] = NotNormal(
+                f"eta has tangential component {tangential[i]:.3e} (norm {nrm[i]:.3e})")
+    return errors, nrm
 
 
 @dataclass(frozen=True)
@@ -59,21 +83,16 @@ def weingarten_data(param: Parametrization, u, eta) -> WeingartenData:
     """Assemble frame, contraction, orthonormal Weingarten map, and H = I - S, on one frame."""
     u = np.asarray(u, dtype=float)
     eta = np.asarray(eta, dtype=float)
-    _require_finite(eta, "normal vector eta")
-    with np.errstate(over="ignore"):  # overflows here and below are reported as NonFinite
-        eta_norm = float(np.linalg.norm(eta))
-    _require_finite(np.array(eta_norm), "norm of normal vector eta")
     frame = tangent_frame(param, u)
+    (error,), norms = _normal_errors(frame.Q, eta[None])
+    if error is not None:
+        raise error
+    eta_norm = float(norms[0])
     m = param.intrinsic_dim
     if eta_norm == 0.0:
         S = np.zeros((m, m))
         return WeingartenData(S_hat=np.zeros((m, m)), S=S, H=np.eye(m) - S,
                               curvatures=np.empty(0), eta_norm=eta_norm)
-    tangential = np.linalg.norm(frame.Q.T @ eta)
-    if tangential > NORMALITY_TOL * eta_norm:
-        raise NotNormal(
-            f"eta has tangential component {tangential:.3e} (norm {eta_norm:.3e})"
-        )
     S_hat = np.empty((m, m))
     if param.hess_dirs is not None:
         for i in range(m):

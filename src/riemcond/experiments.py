@@ -171,34 +171,35 @@ def _theory_rows(rig, y, eta, t_grid, x_norm, validate):
     """Records over t_grid from the _frame of y and one _normal_errors call and, for validate,
     the frame Q and the worst direction of each good row, by row.
 
-    Row n uses the normal tau_n eta, tau_n = t_n ||x||, and has its own verdict; an
-    error of y applies to every row. Validate builds each row's S from its own normal,
-    so no row depends on how the grid is split into calls. A sweep reads no singular
-    vectors, and S is linear in the normal: the good row whose offset is nearest 1 in
-    scale gives the map S_eta of eta, and _ray_condition the rows tau_n S_eta.
+    Row n uses the normal tau_n eta, tau_n = t_n ||x||. As in mv_kappa, an error of y
+    applies to every row, then each row has its own verdict, and an error building the maps
+    goes to the rows without one. Validate builds each row's S from its own normal, so no
+    row depends on how the grid is split into calls. A sweep reads no singular vectors, and
+    S is linear in the normal: the good row whose normal's length is nearest 1 gives the map
+    S_eta of eta (0 if no normal has a length), and _ray_condition the rows tau_n S_eta.
     """
     t = np.asarray(t_grid, dtype=float)
-    t_rel = t.tolist()
+    t_rel, errors = t.tolist(), [None] * len(t)
     try:  # the QR in here: a Jacobian that is not finite is every row's error
         a, num, _, Q, R = _frame(rig, y)
         with np.errstate(over="ignore"):  # a row whose normal overflows is NonFinite below
             tau = t * x_norm
             E = np.multiply.outer(tau, np.asarray(eta, dtype=float))
-        errors = _normal_errors(rig, Q, E)
+        errors, norms = _normal_errors(Q, E)
         good = [n for n, err in enumerate(errors) if err is None]
         sel = good if len(good) < len(t) else slice(None)  # a view when every row is good
-        tau = tau[sel]
+        tau, norms = tau[sel], norms[sel]
         if validate:
-            cond = mv_condition(R, weingarten(_stacked_hat(rig, a, num, E[sel]), R), np.abs(tau))
+            cond = mv_condition(R, weingarten(_stacked_hat(rig, a, num, E[sel]), R))
         else:
-            with np.errstate(divide="ignore"):
-                k = np.argmin(np.abs(np.log(np.abs(tau)))) if tau.any() else None
-            S_eta = np.zeros((3, 3))  # every row at tau = 0 (or none): every S is 0
-            if k is not None:
+            S_eta = np.zeros((3, 3))
+            if norms.any():
+                with np.errstate(divide="ignore"):  # a zero length is never nearest 1
+                    k = np.argmin(np.abs(np.log(norms)))
                 S_eta = weingarten(_stacked_hat(rig, a, num, E[good[k]][None]), R)[0] / tau[k]
             cond = _ray_condition(R, S_eta, tau)
     except RiemcondError as exc:
-        return [_error_record(v, exc) for v in t_rel], None, None
+        return [_error_record(v, err or exc) for v, err in zip(t_rel, errors)], None, None
     rows = map(SweepRecord, t[sel].tolist(), cond.kappa.tolist(),
                zip(cond.bounds_lo.tolist(), cond.bounds_hi.tolist()),
                cond.sigma[:, 2].tolist(), cond.ill_posed.tolist())

@@ -15,16 +15,14 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .condition import SING_TOL, ConditionReport, kappa_bounds
-from .curvature import NORMALITY_TOL, weingarten
+from .condition import SING_TOL, ConditionReport, _sandwich, kappa_bounds
+from .curvature import _normal_errors, weingarten
 from .errors import (
     AtInfinity,
     DegenerateKernel,
     InvalidGeometry,
     NonFinite,
-    NotNormal,
     OutsideDomain,
-    _non_finite,
     _require_finite,
 )
 from .linalg import compact_qr
@@ -236,8 +234,10 @@ def mv_domain_check(rig: CameraRig, y) -> bool:
 
 
 def _checked(rig: CameraRig, y):
-    """Depths and numerators of the world point y; NonFinite or OutsideDomain off the domain."""
+    """Depths and numerators of the world point y; InvalidGeometry, NonFinite or OutsideDomain."""
     y = np.asarray(y, dtype=float)
+    if y.shape != (3,):
+        raise InvalidGeometry(f"world point must have shape (3,), got {y.shape}")
     a, num, ok = _domain_rows(rig, y[None])
     if not ok[0]:
         _require_finite(y, "world point")
@@ -258,6 +258,15 @@ def mv_jacobian(rig: CameraRig, y):
     return _jet(rig, y)[2].copy()
 
 
+def _correspondence(rig: CameraRig, x):
+    """x as a float 2r-vector; InvalidGeometry for another shape, NonFinite if not finite."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (2 * rig.r,):
+        raise InvalidGeometry(f"correspondence must have length {2 * rig.r}, got {x.shape}")
+    _require_finite(x, "correspondence")
+    return x
+
+
 def triangulate_linear(rig: CameraRig, x, minimal: bool = False):
     """Direct linear triangulation of a (possibly inconsistent) correspondence.
 
@@ -265,10 +274,7 @@ def triangulate_linear(rig: CameraRig, x, minimal: bool = False):
     dehomogenized kernel direction. minimal=True uses only the first two
     cameras (the 4 x 4 system); the default uses all r cameras.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (2 * rig.r,):
-        raise InvalidGeometry(f"correspondence must have length {2 * rig.r}, got {x.shape}")
-    _require_finite(x, "correspondence")
+    x = _correspondence(rig, x)
     P = rig.P[:2] if minimal else rig.P
     xy = x[: 2 * len(P)].reshape(-1, 2)
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
@@ -332,35 +338,11 @@ def _frame(rig: CameraRig, y):
     return _jet(rig, y, 5)
 
 
-def _normal_errors(rig: CameraRig, Q, E):
-    """The verdict on every row of the float stack E (N, 2r) at the frame Q: a list whose
-    entry n is row n's NonFinite or NotNormal error, or None. A stack whose rows are not
-    2r long raises NotNormal. A caller builds the maps of the good rows itself, with
-    _stacked_hat and weingarten, so no row's map depends on the rows stacked with it."""
-    if E.ndim != 2 or E.shape[1] != 2 * rig.r:
-        raise NotNormal(f"eta must have length {2 * rig.r}, got rows of shape {E.shape[1:]}")
-    finite = np.isfinite(E).all(axis=1)
-    with np.errstate(invalid="ignore", over="ignore"):  # non-finite rows are reported below
-        nrm = np.linalg.norm(E, axis=1)
-        tangential = np.linalg.norm(E @ Q, axis=1)
-    ok = finite & np.isfinite(nrm) & ~(tangential > NORMALITY_TOL * nrm)
-    errors = [None] * len(E)
-    for n in np.flatnonzero(~ok).tolist():
-        if not finite[n]:
-            errors[n] = _non_finite(E[n], "normal vector eta")
-        elif not np.isfinite(nrm[n]):  # finite entries past ~1.3e154 square to inf
-            errors[n] = _non_finite(nrm[n], "norm of normal vector eta")
-        else:
-            errors[n] = NotNormal(
-                f"eta has tangential component {tangential[n]:.3e} (norm {nrm[n]:.3e})")
-    return errors
-
-
 def _one_row(rig: CameraRig, frame, eta):
     """(S_hat, S) of the one normal eta from the _frame of y; the row's error is raised."""
     a, num, _, Q, R = frame
     E = np.asarray(eta, dtype=float)[None]
-    error = _normal_errors(rig, Q, E)[0]
+    (error,), _ = _normal_errors(Q, E)
     if error is not None:
         raise error
     S_hat = _stacked_hat(rig, a, num, E)
@@ -425,19 +407,16 @@ class ConditionRows(NamedTuple):
     bounds_hi: np.ndarray
 
 
-def mv_condition(R, S, eta_norms) -> ConditionRows:
+def mv_condition(R, S) -> ConditionRows:
     """kappa, worst direction, sandwich bounds and sigmas for a stack S (N, 3, 3).
 
-    eta_norms (N,) are the lengths of the normals behind S; a zero length
-    collapses the bounds to kappa_S. Every small-matrix factorization is
-    one call on the whole stack.
+    The bounds' factors are 1 - eigvalsh(S): S holds the normal's length, and a zero
+    normal (S = 0) collapses the bounds to kappa_S. Every small-matrix factorization
+    is one call on the whole stack.
     """
-    eta_norms = np.asarray(eta_norms, dtype=float)
-    # a zero normal has S = 0, so dividing by 1 gives the curvatures 0 and factors 1
-    curv = np.linalg.eigvalsh(S) / np.where(eta_norms > 0, eta_norms, 1.0)[:, None]
     sigma_R, kappa_S = _sigma_R(R)
     kappa, ill, worst, s = kappa_from_factors(R, S, sigma_R)
-    lo, hi = kappa_bounds(kappa_S, curv, eta_norms)
+    lo, hi = kappa_bounds(kappa_S, np.linalg.eigvalsh(S), 1.0)
     return ConditionRows(kappa, ill, worst, s, sigma_R, kappa_S, lo, hi)
 
 
@@ -482,9 +461,7 @@ def _ray_condition(R, S_eta, tau) -> ConditionRows:
     redo = np.flatnonzero((meet[N:] < _NEAR_DOUBLE) & (d_min > 0.0))
     if len(redo):
         s[redo] = np.linalg.svd(V @ (d[:, redo].T[:, :, None] * B), compute_uv=False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lo = np.where(d_max <= SING_TOL, np.inf, kappa_S / d_max)
-        hi = np.where(d_min <= SING_TOL, np.inf, kappa_S / d_min)
+    lo, hi = _sandwich(kappa_S, d_max, d_min)
     return ConditionRows(*_verdicts(s, sigma_R), None, s, sigma_R, kappa_S, lo, hi)
 
 
@@ -494,10 +471,8 @@ def mv_kappa(rig: CameraRig, y, eta) -> ConditionReport:
     The worst_input_direction is in the orthonormal tangent coordinates of
     the frame Q at mu(y); the worst ambient perturbation is Q times it.
     """
-    eta = np.asarray(eta, dtype=float)
     frame = _frame(rig, y)
-    S = _one_row(rig, frame, eta)[1]
-    rows = mv_condition(frame[4], S[None], [np.linalg.norm(eta)])
+    rows = mv_condition(frame[4], _one_row(rig, frame, eta)[1][None])
     ill = bool(rows.ill_posed[0])
     return ConditionReport(
         kappa=float(rows.kappa[0]),

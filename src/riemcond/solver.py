@@ -19,7 +19,8 @@ from .errors import _finite, _non_finite, _require_finite, _require_finite_setti
 from .linalg import compact_qr  # noqa: F401  (a binding perfbench's tracer wraps)
 from .manifold import Parametrization
 from .multiview import (
-    CameraRig, _domain_rows, _frame, _jacobian, _jet, _projection, triangulate_linear)
+    CameraRig, _correspondence, _domain_rows, _frame, _jacobian, _jet, _projection,
+    triangulate_linear)
 
 # Fixed damping schedule of the LM iteration: start, factor on a rejected
 # step, factor on an accepted step.
@@ -288,8 +289,7 @@ def triangulate(
     explicit world point, then refines the reprojection residual: the one
     row of _triangulate_rows. The start point must pass mv_domain_check.
     """
-    a = np.asarray(a, dtype=float)
-    _require_finite(a, "correspondence")
+    a = _correspondence(rig, a)
     y0 = triangulate_linear(rig, a, minimal=minimal_init) if warm_start is None else warm_start
     (res,) = _triangulate_rows(rig, a[None], y0, opts)
     if isinstance(res, RiemcondError):

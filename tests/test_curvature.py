@@ -177,6 +177,15 @@ def test_non_finite_eta_raises_non_finite(param, u, eta):
             route(param, np.array(u), np.array(eta))
 
 
+@pytest.mark.parametrize("eta", [[1.0, 0.0], np.zeros(2), [[1.0, 0.0, 0.0]], 1.0, 0.0])
+def test_wrong_length_eta_raises_not_normal(eta):
+    """On the sphere (n = 3) an eta of shape (2,), (1, 3) or () is no normal there, zeros
+    included: both routes raise NotNormal naming the length."""
+    for route in (rc.weingarten_data, rc.second_fundamental_contraction):
+        with pytest.raises(rc.NotNormal, match="eta must have length 3"):
+            route(rc.sphere(1.0), [0.1, 0.2], eta)
+
+
 def test_overflowing_chart_raises_non_finite():
     """A finite but huge builtin parameter overflows the Jacobian or the contraction."""
     with pytest.raises(rc.NonFinite, match="Jacobian at chart point"):

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.signal
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import riemcond as rc
@@ -386,8 +386,28 @@ def _stacked_runs(draw):
     return rig, y, eta, draw(st.lists(offsets, min_size=1, max_size=12))
 
 
+def _tiny_normal_run():
+    """A normal 1e-182 long, whose norm squares to 0: the rows at +-1e300 have lengths
+    about 1e118, and the row at 1e-290 a normal that underflows to 0. Picking the sweep's
+    map by offset took that row's S = 0, and every row read kappa_S."""
+    rig, y = rc.gen_rig(rc.RigSpec(k=3, seed=0)), DEFAULT_Y.copy()
+    return rig, y, 1e-182 * rc.random_unit_normal(rig, y, 7), [-1e300, 1e300, 1e-290]
+
+
+def _singular_frame_run():
+    """y 1e-7 deep in camera 0 of a two-camera rig: R spans |diag| 4.4e-2..2.4e13, so the
+    congruence raises SingularR. That error went to every row; the rows at +-inf and NaN
+    have their own NonFinite verdict, which mv_kappa gives before it builds a map."""
+    rig = rc.gen_rig(rc.RigSpec(k=2, radius=10.0, arc_degrees=120.0, focal=0.5))
+    c, d = rig.c[0], rig.d[0]
+    y = DEFAULT_Y + (1e-7 - (c @ DEFAULT_Y + d)) * c / (c @ c)
+    return rig, y, rc.random_unit_normal(rig, y, 0), [0.5, np.inf, 0.0, np.nan]
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(_stacked_runs())
+@example(_tiny_normal_run())
+@example(_singular_frame_run())
 def test_stacked_runs_give_every_row_its_one_row_outcome(run):
     """Random rigs, points, normals and grids through both stacked runs. Each sweep row
     is its own mv_kappa outcome: the same RiemcondError with the same message, or the

@@ -417,17 +417,24 @@ def test_non_finite_normal_is_typed():
 
 
 def test_normal_errors_record_row_errors_and_runs_keep_other_rows():
-    from riemcond.multiview import _frame, _normal_errors
+    from riemcond.curvature import _normal_errors
+    from riemcond.multiview import _frame
 
     rig = _generic_rig(k=4, seed=22)
     y = np.array([0.1, 0.2, -0.1])
     eta = _random_normal_at(rig, y, 0)
     Q = _frame(rig, y)[3]
     E = np.array([0.3 * eta, eta + Q[:, 0], np.full(8, np.nan), np.zeros(8), 1e200 * eta, eta])
-    kinds = [type(err).__name__ if err is not None else None for err in _normal_errors(rig, Q, E)]
+    errors, norms = _normal_errors(Q, E)
+    kinds = [type(err).__name__ if err is not None else None for err in errors]
     assert kinds == [None, "NotNormal", "NonFinite", None, "NonFinite", None]
+    # each row's length, as the row's own np.linalg.norm gives it (inf where it overflows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = [np.linalg.norm(e) for e in E]
+    np.testing.assert_allclose(norms, want, rtol=1e-15)
+    assert norms[3] == 0.0 and np.isnan(norms[2]) and norms[4] == np.inf
     with pytest.raises(rc.NotNormal, match="length 8"):
-        _normal_errors(rig, Q, E[:, :6])
+        _normal_errors(Q, E[:, :6])
     # a run builds the maps of its good rows alone: they come out as if the bad rows were absent
     for run in (rc.experiment_sweep, rc.experiment_validate):
         records = run(rig, y, eta, [0.3, np.inf, np.nan, 0.0, 1.0])
@@ -435,6 +442,41 @@ def test_normal_errors_record_row_errors_and_runs_keep_other_rows():
         assert [records[n] for n in (0, 3, 4)] == run(rig, y, eta, [0.3, 0.0, 1.0])
         with pytest.raises(rc.OutsideDomain):
             run(rig, rig.baseline_point + 0.5 * rig.baseline_dir, eta, [0.3, 1.0])
+
+
+_WORLD = "world point must have shape"
+_CORRESPONDENCE = "correspondence must have length 6"
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda rig, y, x: rc.mv_project(rig, y[:2]), _WORLD),
+    (lambda rig, y, x: rc.mv_jacobian(rig, np.append(y, 1.0)), _WORLD),
+    (lambda rig, y, x: rc.mv_weingarten(rig, y[None], np.zeros(6)), _WORLD),
+    (lambda rig, y, x: rc.mv_kappa(rig, y[:2], np.zeros(6)), _WORLD),
+    (lambda rig, y, x: rc.random_unit_normal(rig, y[:2], 0), _WORLD),
+    (lambda rig, y, x: rc.singular_offsets_rel(rig, y[:2], np.zeros(6)), _WORLD),
+    (lambda rig, y, x: rc.mv_certificate(rig, y[:2], x), _WORLD),
+    (lambda rig, y, x: rc.experiment_sweep(rig, y[:2], np.zeros(6), [0.1]), _WORLD),
+    (lambda rig, y, x: rc.experiment_validate(rig, y[:2], np.zeros(6), [0.1]), _WORLD),
+    (lambda rig, y, x: rc.triangulate(rig, x, warm_start=y[:2]), _WORLD),
+    (lambda rig, y, x: rc.triangulate(rig, x[:4], warm_start=y), _CORRESPONDENCE),
+    (lambda rig, y, x: rc.triangulate(rig, np.append(x, 0.0), warm_start=y), _CORRESPONDENCE),
+    (lambda rig, y, x: rc.triangulate(rig, x.reshape(3, 2), warm_start=y), _CORRESPONDENCE),
+    (lambda rig, y, x: rc.triangulate(rig, x.reshape(3, 2)), _CORRESPONDENCE),
+], ids=["mv_project", "mv_jacobian", "mv_weingarten", "mv_kappa", "random_unit_normal",
+        "singular_offsets_rel", "mv_certificate", "experiment_sweep", "experiment_validate",
+        "triangulate-start", "triangulate-4", "triangulate-7", "triangulate-3x2-warm",
+        "triangulate-3x2-dlt"])
+def test_wrong_shape_points_and_correspondences_raise_invalid_geometry(call, match):
+    """A world point that is not a 3-vector, through every entry that takes y's frame,
+    and a correspondence that is not a 2r-vector, warm-started or not, raise
+    InvalidGeometry, where numpy used to raise ValueError or IndexError; a rig that holds
+    y's frame checks the other point all the same."""
+    rig = _generic_rig(k=3, seed=21)
+    y = np.array([0.1, 0.2, -0.1])
+    x = rc.mv_project(rig, y)
+    with pytest.raises(rc.InvalidGeometry, match=match):
+        call(rig, y, x)
 
 
 def test_weingarten_hat_flat_cases():

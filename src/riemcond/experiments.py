@@ -8,6 +8,7 @@ triangulation, and compares the observed amplification with the theory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -30,7 +31,7 @@ from .multiview import (
     mv_condition,
     mv_jacobian,  # noqa: F401  (a binding perfbench's tracer wraps)
 )
-from .solver import SolverOptions, Status, _triangulate_rows
+from .solver import SolverOptions, Status, _dots, _triangulate_rows
 
 # A validation row is a basin escape when the observed output displacement
 # exceeds the first-order prediction by this factor.
@@ -197,6 +198,8 @@ def _theory_rows(rig, y, eta, t_grid, x_norm, validate):
                 with np.errstate(divide="ignore"):  # a zero length is never nearest 1
                     k = np.argmin(np.abs(np.log(norms)))
                 S_eta = weingarten(_stacked_hat(rig, a, num, E[good[k]][None]), R)[0] / tau[k]
+            else:  # as in mv_kappa, a zero normal's map meets the congruence's singularity check
+                weingarten(S_eta, R)
             cond = _ray_condition(R, S_eta, tau)
     except RiemcondError as exc:
         return [_error_record(v, err or exc) for v, err in zip(t_rel, errors)], None, None
@@ -234,31 +237,28 @@ def experiment_validate(rig: CameraRig, y, eta, t_grid: Sequence[float],
     x_norm = float(np.linalg.norm(x))
     eta = np.asarray(eta, dtype=float)
     records, Q, worst = _theory_rows(rig, y, eta, t_grid, x_norm, validate=True)
-    todo, perturbed, perturbations = [], [], []
-    for n, rec in enumerate(records):
-        if rec.error is not None:
-            continue
-        if not np.isfinite(rec.kappa):
-            rec.flagged = True
-            continue
-        a = x + rec.t_rel * x_norm * eta
-        E = perturb_rel * np.linalg.norm(a) * (Q @ worst[n])
-        todo.append(n)
-        perturbed.append(a + E)
-        perturbations.append(E)
-    results = _triangulate_rows(rig, perturbed, y, opts)
-    for n, E, result in zip(todo, perturbations, results):
+    for rec in records:  # a theory value that is not finite: inf, or an error row's NaN
+        rec.flagged = not math.isfinite(rec.kappa)
+    todo = [n for n, rec in enumerate(records) if not rec.flagged]
+    if not todo:
+        return records
+    # each row's bits of a = x + t ||x|| eta and E = perturb_rel ||a|| Q w: sqrt(_dots) is norm
+    A = x + np.multiply.outer(np.array([records[n].t_rel for n in todo]) * x_norm, eta)
+    W = np.array([worst[n] for n in todo])
+    E = (perturb_rel * np.sqrt(_dots(A, A)))[:, None] * (Q[None] @ W[:, :, None])[:, :, 0]
+    results = _triangulate_rows(rig, A + E, y, opts)
+    D = np.array([y if isinstance(res, RiemcondError) else res.u_star for res in results]) - y
+    for n, E_norm, displacement, result in zip(
+            todo, np.sqrt(_dots(E, E)).tolist(), np.sqrt(_dots(D, D)).tolist(), results):
         rec = records[n]
         if isinstance(result, RiemcondError):
             records[n] = _error_record(rec.t_rel, result)
             continue
         rec.status, rec.iterations = result.status, result.iterations
-        displacement = float(np.linalg.norm(result.u_star - y))
-        E_norm = float(np.linalg.norm(E))
         rec.kappa_est = displacement / E_norm
         rec.ratio = rec.kappa / rec.kappa_est if rec.kappa_est > 0 else np.inf
         rec.flagged = (
-            displacement > BASIN_ESCAPE_FACTOR * rec.kappa * E_norm or not np.isfinite(rec.ratio)
+            displacement > BASIN_ESCAPE_FACTOR * rec.kappa * E_norm or not math.isfinite(rec.ratio)
         )
     return records
 

@@ -103,14 +103,14 @@ def _readonly(arr) -> np.ndarray:
 class CameraRig:
     """Ordered collection of r >= 2 cameras with a well-defined baseline.
 
-    Construction stacks the cameras into read-only arrays P (r, 3, 4),
-    A (r, 2, 3), b (r, 2), c (r, 3) and d (r,), and caches the baseline
-    through the first two centers as a point and unit direction. With a
-    center at infinity the baseline runs through the finite center along
-    the infinite direction; with both at infinity there is no affine
-    baseline and both are None. These derived attributes are not dataclass
-    fields: equality, hash and repr see only `cameras`. Nor is the frame
-    of the last point the rig was asked about, which _jet remembers.
+    Construction stacks the cameras into read-only arrays P (r, 3, 4), A (r, 2, 3),
+    b (r, 2), c (r, 3), d (r,), M (3r, 3) and p4 (r, 3), with P_l = [M_l | p4_l] and the
+    M_l = [A_l; c_l] one under another, and caches the baseline through the first two
+    centers as a point and unit direction. With a center at infinity the baseline runs
+    through the finite center along the infinite direction; with both at infinity there
+    is no affine baseline and both are None. These derived attributes are not dataclass
+    fields: equality, hash and repr see only `cameras`. Nor is the frame of the last
+    point the rig was asked about, which _jet remembers.
     """
 
     cameras: Tuple[Camera, ...]
@@ -124,7 +124,8 @@ class CameraRig:
         if 1.0 - abs(float(h0 @ h1)) <= 1e-10:
             raise InvalidGeometry("first two camera centers coincide; baseline undefined")
         P = np.stack([cam.matrix for cam in self.cameras])
-        blocks = {"P": P, "A": P[:, :2, :3], "b": P[:, :2, 3], "c": P[:, 2, :3], "d": P[:, 2, 3]}
+        blocks = {"P": P, "A": P[:, :2, :3], "b": P[:, :2, 3], "c": P[:, 2, :3], "d": P[:, 2, 3],
+                  "M": P[:, :, :3].reshape(-1, 3), "p4": P[:, :, 3]}
         for name, arr in blocks.items():
             object.__setattr__(self, name, _readonly(arr))
         finite0, finite1 = abs(h0[3]) >= _HOMOG_TOL, abs(h1[3]) >= _HOMOG_TOL
@@ -173,20 +174,13 @@ def rig_from_dict(data: dict) -> CameraRig:
     return CameraRig(cameras=tuple(cams))
 
 
-def alphas(rig: CameraRig, y):
-    """Projective depths c_l . y + d_l of the point y (3,), or of every point
-    in a stack y (..., 3), as (..., r).
-
-    A stack runs the matmul of one point on every row, so a row's depths
-    do not depend on the rows stacked with it; the same holds for
-    _numerators, _projection and _jacobian.
-    """
-    return (rig.c @ np.asarray(y, dtype=float)[..., None])[..., 0] + rig.d
-
-
-def _numerators(rig: CameraRig, y):
-    """A_l y + b_l for every camera, as (..., r, 2)."""
-    return (rig.A.reshape(-1, 3) @ y[..., None]).reshape(y.shape[:-1] + (rig.r, 2)) + rig.b
+def _images(rig: CameraRig, Y):
+    """Depths c_l . y + d_l (M, r) and numerators A_l y + b_l (M, r, 2) of the points Y
+    (M, 3), views of the images M_l y + p4_l. The matmul of one point runs on every row, so
+    a row's values do not depend on the rows stacked with it, nor do _projection's and
+    _jacobian's."""
+    H = (rig.M @ Y[:, :, None]).reshape(len(Y), rig.r, 3) + rig.p4
+    return H[:, :, 2], H[:, :, :2]
 
 
 def _baseline_distances(rig: CameraRig, Y):
@@ -203,13 +197,13 @@ def _domain_rows(rig: CameraRig, Y):
     """Depths (M, r), numerators (M, r, 2) and domain verdicts (a list of M bools) of
     the points Y (M, 3), each point checked once: a point passes when it is finite and
     both |depth| in every camera and its distance to the baseline exceed DOM_TOL."""
-    ok = np.isfinite(Y).all(axis=1)
-    if not ok.all():
+    ok = np.logical_and.reduce(np.isfinite(Y), axis=1)
+    if not all(ok.tolist()):
         Y = np.where(ok[:, None], Y, 0.0)  # such points fail; zeros keep the arithmetic quiet
-    a, num = alphas(rig, Y), _numerators(rig, Y)
-    ok &= np.abs(a).min(axis=1) > DOM_TOL
-    dist = iter(_baseline_distances(rig, Y[ok]))
-    return a, num, [passed and next(dist) > DOM_TOL for passed in ok.tolist()]
+    a, num = _images(rig, Y)
+    ok = (ok & (np.minimum.reduce(np.abs(a), axis=1) > DOM_TOL)).tolist()
+    dist = iter(_baseline_distances(rig, Y if all(ok) else Y[ok]))
+    return a, num, [passed and next(dist) > DOM_TOL for passed in ok]
 
 
 def _projection(a, num):
@@ -220,17 +214,19 @@ def _projection(a, num):
 def _jacobian(rig: CameraRig, a, num):
     """Derivative (..., 2r, 3) of the stacked projection from its depths and numerators."""
     # libm pow, as the per-camera a_l ** 2 did: a * a and np.square differ in the last
-    # bit for ~0.1% of inputs, and LM solves near focal points amplify that to ~1e-6
-    with np.errstate(over="ignore"):  # a depth past ~1e154 squares to inf
-        a2 = np.float_power(a, 2.0)
+    # bit for ~0.1% of inputs, and LM solves near focal points amplify that to ~1e-6.
+    # A depth past ~1e154 squares to inf: callers hold np.errstate(over="ignore").
+    a2 = np.float_power(a, 2.0)
     outer = num[..., None] * rig.c[:, None, :]
     J = rig.A / a[..., None, None] - outer / a2[..., None, None]
     return J.reshape(a.shape[:-1] + (-1, 3))
 
 
 def mv_domain_check(rig: CameraRig, y) -> bool:
-    """Whether y is in the domain: the one-row view of _domain_rows."""
-    return _domain_rows(rig, np.asarray(y, dtype=float)[None])[2][0]
+    """Whether y is in the domain: the one-row view of _domain_rows. A y that is not
+    a 3-vector raises _checked's InvalidGeometry."""
+    y = np.asarray(y, dtype=float)
+    return _domain_rows(rig, y[None])[2][0] if y.shape == (3,) else _checked(rig, y)
 
 
 def _checked(rig: CameraRig, y):
@@ -254,8 +250,10 @@ def mv_project(rig: CameraRig, y):
 
 
 def mv_jacobian(rig: CameraRig, y):
-    """2r x 3 derivative of the stacked projection at y."""
-    return _jet(rig, y)[2].copy()
+    """2r x 3 derivative of the stacked projection at y; NonFinite if it overflows."""
+    J = _jet(rig, y)[2]
+    _require_finite(J, "Jacobian")
+    return J.copy()
 
 
 def _correspondence(rig: CameraRig, x):
@@ -310,7 +308,7 @@ def _stacked_hat(rig: CameraRig, a, num, E):
 
 def _jet(rig: CameraRig, y, n=3):
     """The first n of (a, num, J, Q, R) at y: depths, numerators, Jacobian and its compact
-    QR. y's domain errors, and the QR's NonFinite, raise on every call.
+    QR. y's domain errors and the QR's NonFinite raise on every call (a non-finite J not).
 
     The rig remembers them for the last point it was asked about, keyed by y's shape and
     bytes, and fills them only as far as its callers ask: a hit returns the read-only
@@ -323,7 +321,8 @@ def _jet(rig: CameraRig, y, n=3):
     if memo[0] != key:
         memo = (key, *_checked(rig, y))
     if n > 2 and len(memo) == 3:
-        memo += (_jacobian(rig, memo[1], memo[2]),)
+        with np.errstate(over="ignore", invalid="ignore"):  # the callers raise NonFinite
+            memo += (_jacobian(rig, memo[1], memo[2]),)
     if n > 3 and len(memo) == 4:
         memo += compact_qr(memo[3])
     if memo is not last:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DomainEscape, InvalidGeometry, NonFinite, OutsideDomain, RiemcondError
-from .errors import _finite, _non_finite, _require_finite, _require_finite_setting
+from .errors import _non_finite, _require_finite, _require_finite_setting
 from .linalg import compact_qr  # noqa: F401  (a binding perfbench's tracer wraps)
 from .manifold import Parametrization
 from .multiview import (
@@ -83,11 +83,11 @@ def _lm_rows(evaluate, u, r, J, opts: SolverOptions):
     """lm_minimize's iteration on the M rows of u (M, n) in lockstep.
 
     r (M, m) and J (M, m, n) hold the residuals and Jacobians at the start
-    points u; the loop writes accepted points into u. evaluate(U, rows)
-    takes the trial points U (K, n) of the rows numbered `rows` and returns
-    their residuals (K, m), a list of K domain verdicts and jac(sel), the
-    Jacobians at the trial points numbered sel; residuals off the domain
-    are placeholders the loop ignores.
+    points u, which the loop overwrites. evaluate(U, rows) takes the trial
+    points U (K, n) of the rows numbered `rows` and returns their residuals
+    (K, m), a list of K domain verdicts and jac(sel), the Jacobians at the
+    trial points numbered sel (ascending); residuals off the domain are
+    placeholders the loop ignores.
 
     A rejected trial leaves a row's u, J^T r and J^T J as they are, so the
     dampings of its next trials are known in advance. Each pass therefore
@@ -150,17 +150,18 @@ def _lm_rows(evaluate, u, r, J, opts: SolverOptions):
                         break
                     v *= DAMPING_UP
             uj, gj, JtJj = (v.take(src, 0) for v in (u, g, JtJ))
-        A, b = JtJj + np.array(damp)[:, None, None] * eye, -gj[:, :, None]
+        A, b = JtJj + np.multiply.outer(damp, eye), -gj[:, :, None]
         try:
-            delta = np.linalg.solve(A, b)[:, :, 0]
+            delta = np.linalg.solve(A, b)  # (K, n, 1), so dt @ delta is _dots' matmul
         except np.linalg.LinAlgError:  # a rung whose damping is lost against J^T J is singular:
-            delta = np.zeros(gj.shape)  # it takes no step, so its row stalls
+            delta = np.zeros(b.shape)  # it takes no step, so its row stalls
             for j in range(len(A)):
                 with contextlib.suppress(np.linalg.LinAlgError):
-                    delta[j] = np.linalg.solve(A[j:j + 1], b[j:j + 1])[0, :, 0]
-        dd = _dots(delta, delta).tolist()
+                    delta[j] = np.linalg.solve(A[j:j + 1], b[j:j + 1])[0]
+        dt = delta.transpose(0, 2, 1)
+        dd = (dt @ delta)[:, 0, 0].tolist()
         # predicted reduction of 0.5||r||^2 under the damped model, less its lam ||delta||^2
-        model = _dots(0.5 * delta, (JtJj @ delta[:, :, None])[:, :, 0]).tolist()
+        model = ((0.5 * dt) @ (JtJj @ delta))[:, 0, 0].tolist()
         trial, stalled = [], [False] * len(live)  # the rungs evaluated, before each row's stall
         for j, p in enumerate(src):
             if stalled[p]:
@@ -171,7 +172,7 @@ def _lm_rows(evaluate, u, r, J, opts: SolverOptions):
                 trial.append(j)
         moved = []
         if trial:
-            U = uj + delta
+            U = uj + delta[:, :, 0]
             if len(trial) < len(src):
                 U = U.take(trial, 0)
             R, inside, jac = evaluate(U, [live[src[j]] for j in trial])
@@ -211,11 +212,16 @@ def _lm_rows(evaluate, u, r, J, opts: SolverOptions):
             else:
                 rungs[p] *= 2
         if accepted:
-            Ja, Ua, Ra = jac(accepted), U.take(accepted, 0), R.take(accepted, 0)
+            Ja, Ua, Ra = jac(accepted), U, R
+            if len(accepted) < len(trial):
+                Ua, Ra = U.take(accepted, 0), R.take(accepted, 0)
             Jt = Ja.transpose(0, 2, 1)
-            ga = (Jt @ Ra[:, :, None])[:, :, 0]
-            at = np.array(moved)
-            u[at], g[at], JtJ[at] = Ua, ga, Jt @ Ja
+            ga, JtJa = (Jt @ Ra[:, :, None])[:, :, 0], Jt @ Ja
+            if len(moved) == len(live):  # moved is ascending: every live row, in order
+                u, g, JtJ = Ua, ga, JtJa
+            else:
+                at = np.array(moved)
+                u[at], g[at], JtJ[at] = Ua, ga, JtJa
             for p, a, b in zip(moved, _dots(ga, ga).tolist(), _dots(Ua, Ua).tolist()):
                 gg[p], uu[p] = a, b
 
@@ -305,13 +311,16 @@ def _triangulate_rows(rig: CameraRig, A, y0, opts: SolverOptions | None = None):
     OutsideDomain) raises.
     """
     A = np.asarray(A, dtype=float)
-    out = [None if _finite(a) else _non_finite(a, "correspondence") for a in A]
+    finite = np.logical_and.reduce(np.isfinite(A), axis=1).tolist()
+    out = [None if ok else _non_finite(a, "correspondence") for a, ok in zip(A, finite)]
     pos = [n for n, res in enumerate(out) if res is None]
     if not pos:
         return out
     y0 = np.asarray(y0, dtype=float)
     a0, num0, J0 = _jet(rig, y0)
-    target = A[pos]
+    _require_finite(J0, "Jacobian at the start point")
+    target = A if len(pos) == len(A) else A[pos]
+    every = list(range(len(pos)))
 
     def evaluate(Y, rows):
         a, num, inside = _domain_rows(rig, Y)
@@ -320,8 +329,13 @@ def _triangulate_rows(rig: CameraRig, A, y0, opts: SolverOptions | None = None):
             mask = np.array(inside)
             a = np.where(mask[:, None], a, 1.0)
             num = np.where(mask[:, None, None], num, 0.0)
-        return (_projection(a, num) - target.take(rows, 0), inside,
-                lambda sel: _jacobian(rig, a.take(sel, 0), num.take(sel, 0)))
+
+        def jac(sel):  # sel ascends: one as long as a is every trial point
+            at = (a, num) if len(sel) == len(a) else (a.take(sel, 0), num.take(sel, 0))
+            with np.errstate(over="ignore"):  # a depth past ~1e154 squares to inf
+                return _jacobian(rig, *at)
+        T = target if rows == every else target.take(rows, 0)
+        return _projection(a, num) - T, inside, jac
 
     m = len(pos)
     u, J = np.repeat(y0[None], m, axis=0), np.repeat(J0[None], m, axis=0)
@@ -332,6 +346,6 @@ def _triangulate_rows(rig: CameraRig, A, y0, opts: SolverOptions | None = None):
 
 
 def mv_certificate(rig: CameraRig, y, a) -> float:
-    """Tangential residual norm of a - mu(y) on the multiview manifold."""
+    """Tangential residual norm of a - mu(y); a is checked as triangulate checks it."""
     alpha, num, _, Q, _ = _frame(rig, y)
-    return float(np.linalg.norm(Q.T @ (np.asarray(a, dtype=float) - _projection(alpha, num))))
+    return float(np.linalg.norm(Q.T @ (_correspondence(rig, a) - _projection(alpha, num))))

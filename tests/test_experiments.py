@@ -444,6 +444,18 @@ def test_stacked_runs_give_every_row_its_one_row_outcome(run):
                 1e-13 * max(1.0, np.abs(lam).max()) / np.abs(1.0 - lam).min())
 
 
+def test_zero_offset_row_on_a_singular_frame_is_singular_r_on_every_grid():
+    """At t = 0 the normal is zero, so the sweep builds no map from it; on the frame of
+    _singular_frame_run that row still gets the congruence's SingularR, as mv_kappa of a
+    zero normal and validation give it, whatever else its grid holds."""
+    rig, y, eta, _ = _singular_frame_run()
+    with pytest.raises(rc.SingularR) as info:
+        rc.mv_kappa(rig, y, np.zeros(2 * rig.r))
+    for grid in ([0.0], [0.0, 0.5], [0.5, 0.0]):
+        for run in (rc.experiment_sweep, rc.experiment_validate):
+            assert run(rig, y, eta, grid)[grid.index(0.0)].error == f"SingularR: {info.value}"
+
+
 @pytest.mark.parametrize("protocol", ["sweep", "validate"])
 def test_nan_non_normal_and_zero_offset_rows(protocol):
     """Rows of a NaN eta, of an eta with a tangential part, and at t = 0 are what the

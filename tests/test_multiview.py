@@ -327,7 +327,7 @@ def test_kernel_runs_no_svd(monkeypatch):
 
 def test_rig_arrays_are_cached_read_only():
     rig = _generic_rig(k=5, seed=17)
-    for name in ("P", "A", "b", "c", "d", "baseline_point", "baseline_dir"):
+    for name in ("P", "A", "b", "c", "d", "M", "p4", "baseline_point", "baseline_dir"):
         arr = getattr(rig, name)
         assert arr.flags.writeable is False
         with pytest.raises(ValueError):
@@ -336,6 +336,8 @@ def test_rig_arrays_are_cached_read_only():
         assert np.array_equal(rig.P[l], cam.matrix)
         assert np.array_equal(rig.A[l], cam.A) and np.array_equal(rig.b[l], cam.b)
         assert np.array_equal(rig.c[l], cam.c) and rig.d[l] == cam.d
+        assert np.array_equal(rig.M[3 * l:3 * l + 3], cam.matrix[:, :3])
+        assert np.array_equal(rig.p4[l], cam.matrix[:, 3])
     assert abs(np.linalg.norm(rig.baseline_dir) - 1.0) <= 1e-15
     assert _affine_rig().baseline_dir is None and _affine_rig().baseline_point is None
 
@@ -398,6 +400,27 @@ def test_overflowing_dlt_system_is_typed():
             rc.triangulate_linear(rig, x)
         with pytest.raises(rc.NonFinite, match="overflowing DLT system"):
             rc.triangulate(rig, x)
+
+
+def test_overflowing_jacobian_is_typed():
+    """Cameras at scale 1e300 project y = (0.5, 0.5, 1), but the Jacobian's depth square
+    and c-term overflow, leaving NaNs: every entry that reads the Jacobian raises NonFinite,
+    mv_kappa still from the QR, and no numpy warning leaks (scale-free rigs would mend
+    the rejection itself)."""
+    P = [[[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 1.0, 1.0]],
+         [[1.0, 0, 0, 1.0], [0, 1.0, 0, 0], [0, 0, 1.0, 1.0]]]
+    rig = rc.CameraRig(cameras=tuple(rc.Camera.from_matrix(1e300 * np.array(p)) for p in P))
+    y = np.array([0.5, 0.5, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = rc.mv_project(rig, y)
+        with pytest.raises(rc.NonFinite, match="matrix to factor by QR"):
+            rc.mv_kappa(rig, y, np.zeros(4))
+        with pytest.raises(rc.NonFinite, match="Jacobian"):
+            rc.mv_jacobian(rig, y)
+        for warm_start in (y, None):
+            with pytest.raises(rc.NonFinite, match="Jacobian at the start point"):
+                rc.triangulate(rig, x, warm_start=warm_start)
 
 
 def test_non_finite_normal_is_typed():
@@ -463,15 +486,17 @@ _CORRESPONDENCE = "correspondence must have length 6"
     (lambda rig, y, x: rc.triangulate(rig, np.append(x, 0.0), warm_start=y), _CORRESPONDENCE),
     (lambda rig, y, x: rc.triangulate(rig, x.reshape(3, 2), warm_start=y), _CORRESPONDENCE),
     (lambda rig, y, x: rc.triangulate(rig, x.reshape(3, 2)), _CORRESPONDENCE),
+    (lambda rig, y, x: rc.mv_domain_check(rig, [0.1, 0.2]), _WORLD),
+    (lambda rig, y, x: rc.mv_certificate(rig, y, x[:4]), _CORRESPONDENCE),
 ], ids=["mv_project", "mv_jacobian", "mv_weingarten", "mv_kappa", "random_unit_normal",
         "singular_offsets_rel", "mv_certificate", "experiment_sweep", "experiment_validate",
         "triangulate-start", "triangulate-4", "triangulate-7", "triangulate-3x2-warm",
-        "triangulate-3x2-dlt"])
+        "triangulate-3x2-dlt", "mv_domain_check", "mv_certificate-4"])
 def test_wrong_shape_points_and_correspondences_raise_invalid_geometry(call, match):
-    """A world point that is not a 3-vector, through every entry that takes y's frame,
-    and a correspondence that is not a 2r-vector, warm-started or not, raise
-    InvalidGeometry, where numpy used to raise ValueError or IndexError; a rig that holds
-    y's frame checks the other point all the same."""
+    """A world point that is not a 3-vector, through every entry that takes y's frame and
+    through mv_domain_check, and a correspondence that is not a 2r-vector, warm-started or
+    not and in mv_certificate, raise InvalidGeometry, where numpy used to raise ValueError
+    or IndexError; a rig that holds y's frame checks the other point all the same."""
     rig = _generic_rig(k=3, seed=21)
     y = np.array([0.1, 0.2, -0.1])
     x = rc.mv_project(rig, y)
@@ -774,7 +799,7 @@ def test_jacobian_squares_depths_as_libm_pow():
     where a * a does not; a depth past 1e154 squares to inf with no warning."""
     import math
 
-    from riemcond.multiview import _jacobian, _numerators, alphas
+    from riemcond.multiview import _images, _jacobian
 
     def want(rig, a, num):
         with np.errstate(over="ignore"):
@@ -788,14 +813,30 @@ def test_jacobian_squares_depths_as_libm_pow():
     for k in (4, 10, 40):
         rig = rc.gen_rig(rc.RigSpec(k=k, seed=0))
         Y = np.vstack([MEMO_Y, rng.uniform(-0.7, 0.7, size=(500, 3))])
-        a, num = alphas(rig, Y), _numerators(rig, Y)
+        a, num = _images(rig, Y)
         np.testing.assert_array_equal(_jacobian(rig, a, num), want(rig, a, num))
         differs += int((a * a != np.float_power(a, 2.0)).sum())
     assert differs > 0  # the check can tell the two squares apart
     rig = _generic_rig()
     y = np.array([0.0, 0.0, 1e160])
-    assert np.abs(alphas(rig, y)).min() > 1e154
+    a, num = _images(rig, y[None])
+    assert np.abs(a).min() > 1e154
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         J = rc.mv_jacobian(rig, y)
-    np.testing.assert_array_equal(J, want(rig, alphas(rig, y), _numerators(rig, y)))
+    np.testing.assert_array_equal(J, want(rig, a[0], num[0]))
+
+
+@pytest.mark.parametrize("k", range(2, 41))
+def test_fused_images_match_per_camera_oracle(k):
+    """_images' one matmul of the stacked [A_l; c_l] blocks gives, on stacks of 1 to 17
+    points, the bits of each camera's own c_l . y + d_l and A_l y + b_l."""
+    from riemcond.multiview import _images
+
+    rig = _generic_rig(k=k, seed=k)
+    rng = np.random.default_rng(k)
+    for m in range(1, 18):
+        Y = rng.uniform(-0.7, 0.7, size=(m, 3)) * 10.0 ** rng.integers(-3, 4, size=(m, 1))
+        a, num = _images(rig, Y)
+        assert np.array_equal(a, [[cam.c @ y + cam.d for cam in rig.cameras] for y in Y])
+        assert np.array_equal(num, [[cam.A @ y + cam.b for cam in rig.cameras] for y in Y])

@@ -81,16 +81,17 @@ def test_each_trial_point_is_evaluated_once(monkeypatch):
     import riemcond.multiview as mv
 
     calls = {}
-    alphas = mv.alphas
+    images = mv._images
 
-    def counted(rig, y):
-        key = np.asarray(y, dtype=float).tobytes()
-        calls[key] = calls.get(key, 0) + 1
-        return alphas(rig, y)
+    def counted(rig, Y):
+        for y in Y:
+            key = np.asarray(y, dtype=float).tobytes()
+            calls[key] = calls.get(key, 0) + 1
+        return images(rig, Y)
 
     rig = rc.gen_rig(rc.RigSpec(k=10, seed=0))
     rng = np.random.default_rng(8)
-    monkeypatch.setattr(mv, "alphas", counted)
+    monkeypatch.setattr(mv, "_images", counted)
     for _ in range(5):
         x = rc.mv_project(rig, rng.uniform(-0.7, 0.7, size=3))
         a = x + 1e-2 * rng.standard_normal(x.size)

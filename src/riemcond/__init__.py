@@ -10,7 +10,6 @@ from .condition import (
     kappa_cpp_curvatures,
     kappa_cpp_from_weingarten,
     kappa_gcpp,
-    kappa_relative,
 )
 from .curvature import (
     WeingartenData,
@@ -34,7 +33,6 @@ from .errors import (
     RiemcondError,
     SingularR,
     ZeroNormal,
-    ZeroOutput,
 )
 from .experiments import (
     RigSpec,

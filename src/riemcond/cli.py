@@ -25,7 +25,6 @@ from .errors import NonFinite, RiemcondError, _require_finite_setting
 from .experiments import (
     PERTURB_REL,
     RigSpec,
-    _unit_normal,
     experiment_sweep,
     experiment_validate,
     gen_rig,
@@ -35,7 +34,7 @@ from .experiments import (
     records_to_csv,
 )
 from .manifold import builtin, codim1_unit_normal, tangent_frame
-from .multiview import _frame, _projection, mv_kappa, mv_project, rig_from_dict, rig_to_dict
+from .multiview import _frame, mv_kappa, mv_project, rig_from_dict, rig_to_dict
 from .solver import SolverOptions, project_point, triangulate
 
 
@@ -118,8 +117,8 @@ def _parse_grid(text: str):
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise CliInputError(f"--grid: {exc}") from exc
-    if count < 1 or not (math.isfinite(lo) and math.isfinite(hi)):
-        raise CliInputError("--grid: bounds must be finite and count positive")
+    if count < 1:
+        raise CliInputError("--grid: count must be positive")
     return lo, hi, count
 
 
@@ -180,67 +179,47 @@ def cmd_kappa(args) -> int:
             raise CliInputError("kappa --rig needs --point (world-point JSON file)")
         rig = _load_rig(args.rig)
         y = _load_vector(args.point, "y", 3)
-        # the rig keeps y's frame: one domain check and QR serve x, eta, kappa and Q @ u
-        a, num, _, Q, _ = _frame(rig, y)
-        x = _projection(a, num)
+        # the rig keeps y's frame: one domain check and QR serve eta, kappa and Q @ u
+        Q = _frame(rig, y)[3]
         if args.eta:
             raw = _load_vector(args.eta, "eta", 2 * rig.r)
-            eta_vec = raw - Q @ (Q.T @ raw)  # project API input to the normal space
+            eta = raw - Q @ (Q.T @ raw)  # project API input to the normal space
         else:
-            unit = _unit_normal(Q, args.seed)
+            unit = random_unit_normal(rig, y, args.seed)
             with np.errstate(over="ignore", invalid="ignore"):  # mv_kappa reports an inf norm
-                eta_vec = args.eta_scale * float(np.linalg.norm(x)) * unit
-        report = mv_kappa(rig, y, eta_vec)
-        payload = {
-            "kappa": report.kappa,
-            "ill_posed": report.ill_posed,
-            "bounds": [report.bounds_lo, report.bounds_hi],
-            "components": report.components,
-        }
-        print(f"kappa = {report.kappa!r}")
+                eta = args.eta_scale * float(np.linalg.norm(mv_project(rig, y))) * unit
+        report = mv_kappa(rig, y, eta)
+        fields = {"bounds": [report.bounds_lo, report.bounds_hi]}
         if report.worst_input_direction is not None:
-            u = report.worst_input_direction
-            ambient = Q @ u
-            payload["worst_input_direction"] = [float(v) for v in u]
-            payload["worst_ambient_direction"] = [float(v) for v in ambient]
-            print(f"worst input direction (tangent coords) = {u.tolist()}")
-        if args.out:
-            _emit_json(payload, args.out)
-        if report.ill_posed:
-            print("input is ill-posed: kappa is infinite", file=sys.stderr)
-            return 1
-        return 0
-
-    param = _builtin_from_args(args)
-    if args.u is None:
-        raise CliInputError("kappa --manifold needs --u (chart coordinates)")
-    u = _parse_inline_vector(args.u, "--u", param.intrinsic_dim)
-    frame = tangent_frame(param, u)
-    if param.ambient_dim - param.intrinsic_dim != 1:
-        raise CliInputError(
-            "kappa --manifold supports codimension-1 builtins; use --rig for multiview"
-        )
-    normal = codim1_unit_normal(frame)
-    wd = weingarten_data(param, u, args.eta_scale * normal)
-    report = kappa_cpp_from_weingarten(wd)
-    wd_unit = weingarten_data(param, u, normal)
-    offsets = ill_posedness_certificate(wd_unit.curvatures)
+            fields["worst_ambient_direction"] = (Q @ report.worst_input_direction).tolist()
+    else:
+        param = _builtin_from_args(args)
+        if args.u is None:
+            raise CliInputError("kappa --manifold needs --u (chart coordinates)")
+        u = _parse_inline_vector(args.u, "--u", param.intrinsic_dim)
+        frame = tangent_frame(param, u)
+        if param.ambient_dim - param.intrinsic_dim != 1:
+            raise CliInputError(
+                "kappa --manifold supports codimension-1 builtins; use --rig for multiview"
+            )
+        normal = codim1_unit_normal(frame)
+        report = kappa_cpp_from_weingarten(weingarten_data(param, u, args.eta_scale * normal))
+        offsets = ill_posedness_certificate(weingarten_data(param, u, normal).curvatures)
+        fields = {"singular_offsets": offsets.tolist()}
+    payload = {"kappa": report.kappa, "ill_posed": report.ill_posed, **fields,
+               "components": report.components}
     print(f"kappa = {report.kappa!r}")
     if report.worst_input_direction is not None:
-        print(
-            "worst input direction (tangent coords) = "
-            f"{report.worst_input_direction.tolist()}"
-        )
-    print(f"singular offsets along unit normal = {offsets.tolist()}")
+        payload["worst_input_direction"] = report.worst_input_direction.tolist()
+        print(f"worst input direction (tangent coords) = {payload['worst_input_direction']}")
+    if "singular_offsets" in fields:
+        print(f"singular offsets along unit normal = {fields['singular_offsets']}")
     if args.out:
-        payload = {
-            "kappa": report.kappa,
-            "ill_posed": report.ill_posed,
-            "singular_offsets": offsets.tolist(),
-            "components": report.components,
-        }
         _emit_json(payload, args.out)
-    return 1 if report.ill_posed else 0
+    if report.ill_posed:
+        print("input is ill-posed: kappa is infinite", file=sys.stderr)
+        return 1
+    return 0
 
 
 def cmd_project(args) -> int:
@@ -270,9 +249,8 @@ def _ray(args):
     the point's frame, so one domain check and QR serve the normal and the run."""
     rig = _load_rig(args.rig)
     y = _load_vector(args.point, "y", 3)
-    lo, hi, count = _parse_grid(args.grid)
-    return (rig, y, random_unit_normal(rig, y, args.seed),
-            log_grid(lo, hi, count, two_sided=not args.one_sided))
+    grid = log_grid(*_parse_grid(args.grid), two_sided=not args.one_sided)
+    return rig, y, random_unit_normal(rig, y, args.seed), grid
 
 
 def cmd_sweep(args) -> int:

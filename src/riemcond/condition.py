@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .curvature import WeingartenData
-from .errors import ZeroOutput, _require_finite
+from .errors import _require_finite
 from .linalg import metric_cholesky
 
 # Relative threshold below which a singular value counts as zero (ill-posed).
@@ -159,13 +159,6 @@ def kappa_bounds(kappa_S: float, c, eta_norm):
     if c.ndim < 2:
         return float(lo), float(hi)
     return lo, hi
-
-
-def kappa_relative(kappa_abs: float, x_norm: float, y_norm: float) -> float:
-    """Relative condition number kappa * ||x|| / ||y||."""
-    if y_norm <= 0.0:
-        raise ZeroOutput(f"output norm must be positive, got {y_norm}")
-    return float(kappa_abs) * float(x_norm) / float(y_norm)
 
 
 def ill_posedness_certificate(c):

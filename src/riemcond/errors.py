@@ -7,6 +7,7 @@ checks live here too, so every module can raise NonFinite the same way.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -37,10 +38,6 @@ class ZeroNormal(RiemcondError):
 
 class NotSPD(RiemcondError):
     """A metric matrix is not symmetric positive definite."""
-
-
-class ZeroOutput(RiemcondError):
-    """Relative condition number is undefined for zero output norm."""
 
 
 class OutsideDomain(RiemcondError):
@@ -90,3 +87,9 @@ def _require_finite_setting(value, what: str):
         _require_finite(np.array(value, dtype=float), what)
     except OverflowError:
         raise NonFinite(f"{what} is too large for a float") from None
+
+
+def _require_integer(value, what: str, least: int):
+    """InvalidGeometry unless value is an integer of at least least."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise InvalidGeometry(f"{what} must be an integer >= {least}, got {value!r}")

@@ -17,7 +17,7 @@ import numpy as np
 from .condition import ill_posedness_certificate
 from .curvature import weingarten
 from .errors import EmptyInput, InvalidGeometry, NonFinite, RiemcondError
-from .errors import _require_finite, _require_finite_setting
+from .errors import _require_finite, _require_finite_setting, _require_integer
 from .multiview import (
     Camera,
     CameraRig,
@@ -63,8 +63,10 @@ class RigSpec:
     def __post_init__(self):
         for name in ("k", "radius", "arc_degrees", "look_at", "focal"):
             _require_finite_setting(getattr(self, name), name)
-        if self.k < 2:
-            raise InvalidGeometry(f"need at least 2 cameras, got {self.k}")
+        if np.shape(self.look_at) != (3,):
+            raise InvalidGeometry(f"look_at must be 3 numbers, got {self.look_at!r}")
+        _require_integer(self.k, "k", 2)
+        _require_integer(self.seed, "seed", 0)
         if self.radius <= 0 or self.focal <= 0:
             raise InvalidGeometry("radius and focal must be positive")
 
@@ -109,20 +111,22 @@ def gen_rig(spec: RigSpec) -> CameraRig:
     thetas = np.linspace(-arc / 2.0, arc / 2.0, spec.k)
     up = np.array([0.0, 1.0, 0.0])
     cams = []
-    for theta in thetas:
-        roll = rng.uniform(-0.15, 0.15)
-        center = look + spec.radius * np.array([np.sin(theta), 0.0, np.cos(theta)])
-        z = look - center
-        z = z / np.linalg.norm(z)
-        x = np.cross(up, z)
-        x = x / np.linalg.norm(x)
-        yax = np.cross(z, x)
-        Rw2c = np.vstack([x, yax, z])
-        cr, sr = np.cos(roll), np.sin(roll)
-        Rw2c[:2] = np.array([[cr, sr], [-sr, cr]]) @ Rw2c[:2]
-        K = np.diag([spec.focal, spec.focal, 1.0])
-        P = K @ np.hstack([Rw2c, (-Rw2c @ center)[:, None]])
-        cams.append(Camera.from_matrix(P))
+    # a degenerate spec gives a matrix that is not finite, and Camera raises NonFinite
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for theta in thetas:
+            roll = rng.uniform(-0.15, 0.15)
+            center = look + spec.radius * np.array([np.sin(theta), 0.0, np.cos(theta)])
+            z = look - center
+            z = z / np.linalg.norm(z)
+            x = np.cross(up, z)
+            x = x / np.linalg.norm(x)
+            yax = np.cross(z, x)
+            Rw2c = np.vstack([x, yax, z])
+            cr, sr = np.cos(roll), np.sin(roll)
+            Rw2c[:2] = np.array([[cr, sr], [-sr, cr]]) @ Rw2c[:2]
+            K = np.diag([spec.focal, spec.focal, 1.0])
+            P = K @ np.hstack([Rw2c, (-Rw2c @ center)[:, None]])
+            cams.append(Camera.from_matrix(P))
     return CameraRig(cameras=tuple(cams))
 
 
@@ -137,16 +141,13 @@ def prefix_rig(rig: CameraRig, k: int) -> CameraRig:
 
 
 def random_unit_normal(rig: CameraRig, y, seed: int):
-    """Unit normal at mu(y) from a projected standard-normal draw."""
-    return _unit_normal(_frame(rig, y)[3], seed)
-
-
-def _unit_normal(Q, seed: int):
-    """Unit vector orthogonal to the orthonormal columns of Q (a projected standard-normal draw)."""
+    """Unit normal at mu(y) from a projected standard-normal draw, seeded by seed (an
+    integer >= 0, else InvalidGeometry)."""
+    _require_integer(seed, "seed", 0)
+    Q = _frame(rig, y)[3]
     rng = np.random.default_rng(seed)
-    n = Q.shape[0]
     for _ in range(100):
-        v = rng.standard_normal(n)
+        v = rng.standard_normal(len(Q))
         eta = v - Q @ (Q.T @ v)
         nrm = np.linalg.norm(eta)
         if nrm > 1e-8:
@@ -155,14 +156,18 @@ def _unit_normal(Q, seed: int):
 
 
 def log_grid(lo: float, hi: float, count: int, two_sided: bool = True):
-    """Log-spaced |t|/||x|| grid; mirrored to negative offsets when two_sided. A bound
-    whose power of ten is not finite (past about 308.25) raises NonFinite."""
+    """Log-spaced |t|/||x|| grid of count >= 1 points (else InvalidGeometry); mirrored to
+    negative offsets when two_sided. A bound that is not finite, or whose power of ten is
+    not (past about 308.25), raises NonFinite."""
+    for name, bound in (("lo", lo), ("hi", hi)):
+        _require_finite_setting(bound, f"grid bound {name}")
+    _require_integer(count, "grid count", 1)
     with np.errstate(over="ignore"):
         ends = 10.0 ** np.array([lo, hi], dtype=float)
     for name, bound, end in zip(("lo", "hi"), (lo, hi), ends.tolist()):
         if not np.isfinite(end):
             raise NonFinite(f"grid bound 10**{name} is not finite ({name} = {bound})")
-    pos = 10.0 ** np.linspace(float(lo), float(hi), int(count))
+    pos = 10.0 ** np.linspace(float(lo), float(hi), count)
     if not two_sided:
         return pos
     return np.concatenate([-pos[::-1], pos])
@@ -305,7 +310,7 @@ def detect_dips(sigma3: Sequence[float]):
     if s.size == 0:
         raise EmptyInput("sigma_3 profile is empty")
     _require_finite(s, "sigma_3 profile")
-    floor = max(s.max(), 1e-300) * 1e-30
+    floor = max(s.max() * 1e-30, 5e-324)  # the least subnormal: a floor of 0 logs to -inf
     peaks, prominences = _peak_prominences(-np.log10(np.maximum(s, floor)))
     return peaks[prominences >= DIP_PROMINENCE]
 

@@ -3,9 +3,11 @@
 Hypothesis drives cli.main with random JSON for the rig, world-point,
 normal and correspondence files (also valid files with one entry
 replaced, and raw text that no JSON value serializes to), with builtin
-manifold parameters that include NaN and infinities, and with random
-text cells in a plot CSV. Every call must return one of the documented
-exit codes 0, 1 or 2; any exception that escapes main fails the test.
+manifold parameters that include NaN and infinities, with random
+text cells in a plot CSV, and with random numeric flags of gen-rig and
+--grid and --seed of sweep and validate. Every call must return one of the
+documented exit codes 0, 1 or 2; any exception that escapes main fails the
+test.
 
 The draws replay: derandomize=True seeds each test from its source, and no
 strategy iterates a set, whose order of strings follows the per-process
@@ -20,6 +22,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -144,6 +147,46 @@ def test_far_point_kappa_reports_an_error_not_a_warning(workdir, capsys):
     for name, code in (("kappa", 2), ("kappa-eta", 1)):
         assert main(commands[name]) == code
         assert re.fullmatch(r"error: [^\n]*\n", capsys.readouterr().err)
+
+
+# a float flag's value: any float (repr parses back), or one at the edges of the range
+FLAG_FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [1e-300, -1e-300, 5e-324, 1e308, -1e308, 0.0])
+
+
+@st.composite
+def flag_args(draw):
+    """A command and drawn flags: some of gen-rig's (a seed of any sign, a radius or focal
+    length down to 1e-300, a look-at up to 1e308), or the seed and the --grid of sweep or
+    validate, whose bounds may be infinite or NaN and whose count may be 0 or below."""
+    command = draw(st.sampled_from(["gen-rig", "sweep", "validate"]))
+    seed = draw(st.integers(0, 2**70) | st.integers(-3, 3))
+    if command == "gen-rig":
+        flags = {"k": str(draw(st.integers(-1, 12))), "seed": str(seed),
+                 "radius": repr(draw(FLAG_FLOATS)), "arc-degrees": repr(draw(FLAG_FLOATS)),
+                 "focal": repr(draw(FLAG_FLOATS)),
+                 "look-at": ",".join(repr(draw(FLAG_FLOATS)) for _ in range(3))}
+        return [command, *(f"--{name}={value}" for name, value in flags.items()
+                           if draw(st.booleans()))]
+    bound = FLAG_FLOATS.map(repr) | st.sampled_from(["inf", "-inf", "nan", "-3", "1"])
+    grid = f"{draw(bound)}:{draw(bound)}:{draw(st.integers(-2, 3))}"
+    return [command, f"--grid={grid}", f"--seed={seed}"]
+
+
+@given(flag_args())
+@settings(FUZZ_SETTINGS, max_examples=100)  # a call takes about 5 ms
+def test_fuzzed_flags_exit_0_1_or_2_without_warnings(workdir, args):
+    """A seed below 0 is InvalidGeometry (exit 1), not numpy's ValueError, and a spec whose
+    camera frames are not finite is NonFinite (exit 2) with no numpy warning before it."""
+    command, *flags = args
+    if command == "gen-rig":
+        argv = [command, "--out", str(workdir / "gen-rig.json")]
+    else:  # the later --grid and --seed override the valid command's
+        argv = _commands(workdir, _valid_files())[command]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*argv, *flags]) in (0, 1, 2)
+    assert [str(w.message) for w in caught] == []
 
 
 BUILTIN_PARAMS = {

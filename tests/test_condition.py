@@ -164,14 +164,6 @@ def test_sandwich_equality_when_isotropic():
         assert abs(rep.kappa - hi) <= 1e-10 * hi
 
 
-def test_kappa_relative():
-    assert rc.kappa_relative(2.0, 3.0, 6.0) == pytest.approx(1.0)
-    assert rc.kappa_relative(0.0, 5.0, 1.0) == 0.0
-    assert rc.kappa_relative(1.0, 4.0, 4.0) == pytest.approx(1.0)
-    with pytest.raises(rc.ZeroOutput):
-        rc.kappa_relative(1.0, 1.0, 0.0)
-
-
 def test_ill_posedness_certificate():
     np.testing.assert_allclose(rc.ill_posedness_certificate([2.0]), [0.5])
     assert rc.ill_posedness_certificate([0.0, 0.0]).size == 0

@@ -72,6 +72,33 @@ def test_non_finite_rig_spec_raises_non_finite(setting):
         rc.RigSpec(**setting)
 
 
+@pytest.mark.parametrize("setting", [
+    {"seed": -1}, {"seed": 1.5}, {"k": 3.5}, {"k": 3.0}, {"look_at": (0.0, 0.0)},
+], ids=["negative-seed", "fractional-seed", "fractional-k", "float-k", "two-number-look-at"])
+def test_rig_spec_rejects_a_non_integer_or_negative_count_and_a_short_look_at(setting):
+    """numpy would raise its own ValueError or TypeError from gen_rig for these."""
+    (name,) = setting
+    with pytest.raises(rc.InvalidGeometry, match=name):
+        rc.RigSpec(**setting)
+
+
+@pytest.mark.parametrize("setting", [{"radius": 1e-300}, {"look_at": (1e308, 1e308, 1e308)}])
+def test_degenerate_rig_spec_is_non_finite_without_warnings(setting):
+    """The camera frames divide by a zero length: gen_rig raises Camera's NonFinite, and
+    no numpy warning comes before it."""
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(rc.NonFinite, match="camera matrix"):
+            rc.gen_rig(rc.RigSpec(**setting))
+
+
+def test_random_unit_normal_rejects_a_negative_seed():
+    with pytest.raises(rc.InvalidGeometry, match="seed must be an integer >= 0, got -1"):
+        rc.random_unit_normal(_default_rig(), DEFAULT_Y, -1)
+
+
 def test_random_unit_normal_contract():
     rig = _default_rig()
     eta = rc.random_unit_normal(rig, DEFAULT_Y, 11)
@@ -99,6 +126,20 @@ def test_log_grid_bound_past_the_float_range_is_non_finite(lo, hi, name):
         rc.log_grid(lo, hi, 3)
     grid = rc.log_grid(-400.0, 308.0, 3, two_sided=False)  # 10**-400 underflows to 0
     assert grid[0] == 0.0 and np.isfinite(grid).all()
+
+
+@pytest.mark.parametrize("lo, hi, name", [(-np.inf, 1.0, "lo"), (-3.0, -np.inf, "hi")])
+def test_log_grid_infinite_bound_is_non_finite(lo, hi, name):
+    """10**-inf is 0, which passes the power-of-ten check; the bound itself does not."""
+    with pytest.raises(rc.NonFinite, match=f"grid bound {name} -inf is not finite"):
+        rc.log_grid(lo, hi, 3)
+
+
+@pytest.mark.parametrize("count", [-1, 0, np.nan, 2.5])
+def test_log_grid_count_must_be_a_positive_integer(count):
+    with pytest.raises(rc.InvalidGeometry, match="grid count must be an integer >= 1"):
+        rc.log_grid(0.0, 1.0, count)
+    assert len(rc.log_grid(0.0, 1.0, np.int64(2), two_sided=False)) == 2
 
 
 @pytest.mark.parametrize("run", [rc.experiment_sweep, rc.experiment_validate])
@@ -561,6 +602,16 @@ def test_detect_dips_rejects_bad_profiles(profile, error, message):
     with pytest.raises(error) as exc:
         rc.detect_dips(np.array(profile, dtype=object))
     assert message in str(exc.value)
+
+
+def test_all_zero_sigma3_profile_has_no_dips_and_no_warning():
+    """The log floor 1e-30 below the profile's maximum would underflow to 0 here."""
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for profile in ([0.0, 0.0, 0.0], [1e-310, 0.0, 1e-310]):
+            assert rc.detect_dips(profile).tolist() == ([] if max(profile) == 0 else [1])
 
 
 _COLD_IMPORT = """

@@ -117,8 +117,6 @@ def _parse_grid(text: str):
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise CliInputError(f"--grid: {exc}") from exc
-    if count < 1:
-        raise CliInputError("--grid: count must be positive")
     return lo, hi, count
 
 
@@ -460,25 +458,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_args(p, SolverOptions)
     p.set_defaults(func=cmd_project, manifold=None)
 
-    p = sub.add_parser("sweep", help="condition-number sweep along a normal ray")
-    p.add_argument("--rig", required=True)
-    p.add_argument("--point", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grid", default="-3:4:400", help="lo:hi:count in log10 of t/||x||")
-    p.add_argument("--one-sided", action="store_true")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("validate", help="theory-vs-experiment perturbation study")
-    p.add_argument("--rig", required=True)
-    p.add_argument("--point", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grid", default="-3:2:100", help="lo:hi:count in log10 of t/||x||")
-    p.add_argument("--one-sided", action="store_true")
-    p.add_argument("--perturb-rel", type=float, default=PERTURB_REL)
-    p.add_argument("--out", required=True)
+    for name, about, grid, func in (
+            ("sweep", "condition-number sweep along a normal ray", "-3:4:400", cmd_sweep),
+            ("validate", "theory-vs-experiment perturbation study", "-3:2:100", cmd_validate)):
+        p = sub.add_parser(name, help=about)
+        p.add_argument("--rig", required=True)
+        p.add_argument("--point", required=True)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--grid", default=grid, help="lo:hi:count in log10 of t/||x||")
+        p.add_argument("--one-sided", action="store_true")
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=func)
+    p.add_argument("--perturb-rel", type=float, default=PERTURB_REL)  # validate's own flags
     _add_field_args(p, SolverOptions)
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("plot", help="emit a minimal SVG line plot from a sweep CSV")
     p.add_argument("--csv", required=True)

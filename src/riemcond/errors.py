@@ -74,7 +74,7 @@ def _non_finite(v, what: str) -> NonFinite:
     if v.ndim == 0:
         return NonFinite(f"{what} {v} is not finite")
     bad = np.flatnonzero(~np.isfinite(v)).tolist()
-    return NonFinite(f"{what} {v} is not finite (entries {bad})")
+    return NonFinite(f"{what} {v.ravel().tolist()} is not finite (entries {bad})")
 
 
 def _require_finite(v, what: str):

@@ -9,6 +9,7 @@ triangulation, and compares the observed amplification with the theory.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -126,17 +127,17 @@ def gen_rig(spec: RigSpec) -> CameraRig:
             Rw2c[:2] = np.array([[cr, sr], [-sr, cr]]) @ Rw2c[:2]
             K = np.diag([spec.focal, spec.focal, 1.0])
             P = K @ np.hstack([Rw2c, (-Rw2c @ center)[:, None]])
-            cams.append(Camera.from_matrix(P))
+            cams.append(Camera(P))
     return CameraRig(cameras=tuple(cams))
 
 
 def prefix_rig(rig: CameraRig, k: int) -> CameraRig:
     """First k cameras of a rig: the nested family used for monotonicity checks.
 
-    Raises InvalidGeometry unless 2 <= k <= rig.r.
+    Raises InvalidGeometry unless k is an integer with 2 <= k <= rig.r.
     """
-    if not 2 <= k <= rig.r:
-        raise InvalidGeometry(f"prefix of {k} cameras: need 2 <= k <= {rig.r}")
+    if not isinstance(k, numbers.Integral) or not 2 <= k <= rig.r:
+        raise InvalidGeometry(f"prefix of {k!r} cameras: need 2 <= k <= {rig.r}, k an integer")
     return CameraRig(cameras=rig.cameras[:k])
 
 

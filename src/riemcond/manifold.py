@@ -14,6 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidGeometry, OutsideDomain, RankDeficient, _require_finite
+from .errors import _require_finite_setting
 from .linalg import compact_qr
 
 # Central-difference steps balancing truncation against roundoff in float64.
@@ -155,7 +156,7 @@ def sphere(radius: float = 1.0, center=None) -> Parametrization:
     phi(u) = center + radius (cos u1 cos u2, sin u1 cos u2, sin u2);
     the chart degenerates at the poles, excluded by the domain check.
     """
-    _require_finite(np.array(radius, dtype=float), "sphere radius")
+    _require_finite_setting(radius, "sphere radius")
     if radius <= 0:
         raise InvalidGeometry(f"sphere radius must be positive, got {radius}")
     c = np.zeros(3) if center is None else np.asarray(center, dtype=float)
@@ -203,8 +204,8 @@ def sphere(radius: float = 1.0, center=None) -> Parametrization:
 
 def graph2d(coeff: float = 1.0) -> Parametrization:
     """Plane curve phi(u) = (u, coeff u^2): the parabola for coeff = 1."""
+    _require_finite_setting(coeff, "graph2d coeff")
     a = float(coeff)
-    _require_finite(np.array(a), "graph2d coeff")
 
     def point(u):
         return np.array([u[0], a * u[0] ** 2])

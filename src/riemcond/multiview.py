@@ -39,24 +39,21 @@ _UPPER = np.triu_indices(3)
 
 @dataclass(frozen=True)
 class Camera:
-    """Finite projective camera split into the blocks of P = [A b; c^T d]."""
+    """Finite projective camera, kept as a read-only copy of its 3 x 4 matrix [A b; c^T d]."""
 
-    A: np.ndarray  # 2 x 3
-    b: np.ndarray  # (2,)
-    c: np.ndarray  # (3,)
-    d: float
+    matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "A", np.asarray(self.A, dtype=float).reshape(2, 3))
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float).reshape(2))
-        object.__setattr__(self, "c", np.asarray(self.c, dtype=float).reshape(3))
-        object.__setattr__(self, "d", float(self.d))
+        P = np.array(self.matrix, dtype=float)
+        if P.size != 12:
+            raise InvalidGeometry(f"camera matrix must hold 12 numbers, got shape {P.shape}")
+        object.__setattr__(self, "matrix", _readonly(P.reshape(3, 4)))
         _require_finite(self.matrix, "camera matrix")
         s = np.linalg.svd(self.matrix, compute_uv=False)
         if s[0] == 0.0 or s[2] <= 1e-10 * s[0]:
             raise InvalidGeometry("camera matrix must have rank 3")
 
-    # the generated methods would compare and hash the array fields themselves
+    # the generated methods would compare and hash the array itself
     def __eq__(self, other):
         if not isinstance(other, Camera):
             return NotImplemented
@@ -65,20 +62,10 @@ class Camera:
     def __hash__(self):
         return hash(tuple(self.matrix.ravel().tolist()))  # -0.0 and 0.0 hash alike
 
-    @property
-    def matrix(self):
-        """The 3 x 4 projection matrix."""
-        P = np.empty((3, 4))
-        P[:2, :3] = self.A
-        P[:2, 3] = self.b
-        P[2, :3] = self.c
-        P[2, 3] = self.d
-        return P
-
-    @classmethod
-    def from_matrix(cls, P) -> "Camera":
-        P = np.asarray(P, dtype=float).reshape(3, 4)
-        return cls(A=P[:2, :3], b=P[:2, 3], c=P[2, :3], d=P[2, 3])
+    A = property(lambda self: self.matrix[:2, :3])
+    b = property(lambda self: self.matrix[:2, 3])
+    c = property(lambda self: self.matrix[2, :3])
+    d = property(lambda self: float(self.matrix[2, 3]))
 
     def center_homogeneous(self):
         """Unit homogeneous kernel vector of P (the camera center)."""
@@ -170,7 +157,7 @@ def rig_from_dict(data: dict) -> CameraRig:
         bad = np.flatnonzero(~np.isfinite(flat)).tolist()
         if bad:
             raise NonFinite(f"cameras[{i}] is not finite (entries {bad})")
-        cams.append(Camera.from_matrix(flat.reshape(3, 4)))
+        cams.append(Camera(flat))
     return CameraRig(cameras=tuple(cams))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DomainEscape, InvalidGeometry, NonFinite, OutsideDomain, RiemcondError
-from .errors import _non_finite, _require_finite, _require_finite_setting
+from .errors import _non_finite, _require_finite, _require_finite_setting, _require_integer
 from .linalg import compact_qr  # noqa: F401  (a binding perfbench's tracer wraps)
 from .manifold import Parametrization
 from .multiview import (
@@ -45,8 +45,7 @@ class SolverOptions:
     def __post_init__(self):
         for f in fields(self):
             _require_finite_setting(getattr(self, f.name), f.name)
-        if self.max_iters < 1:
-            raise InvalidGeometry("max_iters must be at least 1")
+        _require_integer(self.max_iters, "max_iters", 1)
         for name in ("grad_tol", "step_tol"):
             if getattr(self, name) <= 0:
                 raise InvalidGeometry(f"{name} must be positive")

@@ -550,6 +550,36 @@ def test_non_positive_perturb_rel_is_exit_1(rig_file, point_file, tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sweep", "validate"])
+def test_grid_count_below_one_is_exit_1(command, rig_file, point_file, tmp_path, capsys):
+    """A count below its range exits 1, as --max-iters 0 and --seed -1 do."""
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    assert main([command, "--rig", str(rig_file), "--point", str(point_file),
+                 "--grid", "-3:0:0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: grid count must be an integer >= 1, got 0\n"
+    assert not out.exists()
+
+
+def test_non_finite_matrix_and_long_vector_errors_are_one_line(tmp_path, capsys):
+    """A NonFinite message lists a matrix or a long vector flat, on the error's one line."""
+    rig_path = tmp_path / "rig.json"
+    assert main(["gen-rig", "--radius", "1e-300", "--out", str(rig_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: camera matrix [nan, ") and err.count("\n") == 1
+    assert main(["gen-rig", "--k", "10", "--out", str(rig_path)]) == 0
+    rig = rc.rig_from_dict(json.loads(rig_path.read_text()))
+    x = rc.mv_project(rig, [0.3, -0.1, 0.2])
+    x[3] = np.nan
+    corr = tmp_path / "x.json"
+    corr.write_text(json.dumps({"x": x.tolist()}))
+    capsys.readouterr()
+    assert main(["triangulate", "--rig", str(rig_path), "--corr", str(corr)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: correspondence [") and err.count("\n") == 1
+    assert err.endswith("is not finite (entries [3])\n")
+
+
 def test_parsed_defaults_are_the_library_defaults():
     parser = build_parser()
     gen = parser.parse_args(["gen-rig", "--out", "rig.json"])

@@ -25,7 +25,7 @@ def _default_rig():
 def _affine_rig():
     P1 = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 0, 1.0]])
     P2 = np.array([[1.0, 0, 1.0, 0], [0, 1.0, 0, 0], [0, 0, 0, 1.0]])
-    return rc.CameraRig(cameras=(rc.Camera.from_matrix(P1), rc.Camera.from_matrix(P2)))
+    return rc.CameraRig(cameras=(rc.Camera(P1), rc.Camera(P2)))
 
 
 def test_gen_rig_deterministic_in_seed():
@@ -753,6 +753,14 @@ def test_prefix_rig_takes_two_to_all_cameras():
     for k in (-8, -1, 0, 1, 11):
         with pytest.raises(rc.InvalidGeometry, match="need 2 <= k <= 10"):
             rc.prefix_rig(rig10, k)
+
+
+def test_prefix_rig_needs_an_integer_count():
+    rig10 = _default_rig()
+    for k in (2.5, 3.0, "3"):
+        with pytest.raises(rc.InvalidGeometry, match=r"need 2 <= k <= 10, k an integer"):
+            rc.prefix_rig(rig10, k)
+    assert rc.prefix_rig(rig10, np.int64(3)) == rc.prefix_rig(rig10, 3)
 
 
 def test_csv_schema_and_determinism():

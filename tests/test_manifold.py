@@ -129,9 +129,12 @@ def test_builtin_dispatcher():
     ("sphere", {"center": [0.0, np.nan, 0.0]}, "sphere center"),
     ("graph2d", {"coeff": np.inf}, "graph2d coeff"),
     ("graph2d", {"coeff": -np.inf}, "graph2d coeff"),
+    ("sphere", {"radius": 10**400}, "sphere radius is too large for a float"),
+    ("graph2d", {"coeff": 10**400}, "graph2d coeff is too large for a float"),
     ("affine", {"basis": [[1.0, 0.0], [0.0, np.nan], [0.0, 0.0]]}, "affine basis"),
     ("affine", {"basis": np.eye(3)[:, :2], "offset": [0.0, np.nan, 0.0]}, "affine offset"),
-], ids=["radius-nan", "radius-inf", "center", "coeff-inf", "coeff-minus-inf", "basis", "offset"])
+], ids=["radius-nan", "radius-inf", "center", "coeff-inf", "coeff-minus-inf", "radius-huge",
+        "coeff-huge", "basis", "offset"])
 def test_non_finite_builtin_parameter_raises_non_finite(name, params, entry):
     with pytest.raises(rc.NonFinite, match=entry):
         rc.builtin(name, **params)

@@ -17,7 +17,7 @@ def _generic_rig(k=4, seed=0):
 def _affine_rig():
     P1 = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 0, 1.0]])
     P2 = np.array([[1.0, 0, 1.0, 0], [0, 1.0, 0, 0], [0, 0, 0, 1.0]])
-    return rc.CameraRig(cameras=(rc.Camera.from_matrix(P1), rc.Camera.from_matrix(P2)))
+    return rc.CameraRig(cameras=(rc.Camera(P1), rc.Camera(P2)))
 
 
 def _random_normal_at(rig, y, seed):
@@ -26,7 +26,7 @@ def _random_normal_at(rig, y, seed):
 
 def test_camera_block_decomposition_round_trip():
     P = np.arange(12, dtype=float).reshape(3, 4) + np.eye(3, 4)
-    cam = rc.Camera.from_matrix(P)
+    cam = rc.Camera(P)
     np.testing.assert_allclose(cam.matrix, P, atol=1e-15)
     np.testing.assert_allclose(cam.A, P[:2, :3])
     np.testing.assert_allclose(cam.b, P[:2, 3])
@@ -34,12 +34,38 @@ def test_camera_block_decomposition_round_trip():
     assert cam.d == P[2, 3]
 
 
+def test_camera_keeps_a_read_only_copy_of_its_matrix():
+    P = np.arange(12, dtype=float).reshape(3, 4) + np.eye(3, 4)
+    cam = rc.Camera(P)
+    before = hash(cam)
+    P[0, 0] = 7.0
+    assert cam.matrix[0, 0] == cam.A[0, 0] == 1.0 and hash(cam) == before
+    assert cam == rc.Camera(np.arange(12, dtype=float).reshape(3, 4) + np.eye(3, 4))
+    for view in (cam.matrix, cam.A, cam.b, cam.c):
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = 99.0
+    assert isinstance(cam.d, float)
+
+
+def test_rig_cameras_cannot_drift_from_the_rig_arrays():
+    rig = _generic_rig()
+    with pytest.raises(ValueError, match="read-only"):
+        rig.cameras[0].A[0, 0] = 99.0
+    np.testing.assert_array_equal(rig.P, np.stack([cam.matrix for cam in rig.cameras]))
+
+
+@pytest.mark.parametrize("entries", [11, 13, 0])
+def test_camera_matrix_of_other_than_twelve_numbers_is_invalid(entries):
+    with pytest.raises(rc.InvalidGeometry, match=f"12 numbers, got shape \\({entries},\\)"):
+        rc.Camera(np.ones(entries))
+
+
 def test_camera_rank_invariant():
     bad = np.zeros((3, 4))
     bad[0, 0] = 1.0
     bad[1, 1] = 1.0  # rank 2
     with pytest.raises(rc.InvalidGeometry):
-        rc.Camera.from_matrix(bad)
+        rc.Camera(bad)
 
 
 @pytest.mark.parametrize("entry, value", [((0, 0), np.nan), ((2, 3), np.inf)])
@@ -47,11 +73,11 @@ def test_non_finite_camera_raises_non_finite(entry, value):
     P = CANONICAL.copy()
     P[entry] = value
     with pytest.raises(rc.NonFinite, match="camera matrix"):
-        rc.Camera.from_matrix(P)
+        rc.Camera(P)
 
 
 def test_rig_requires_distinct_centers():
-    cam = rc.Camera.from_matrix(CANONICAL)
+    cam = rc.Camera(CANONICAL)
     with pytest.raises(rc.InvalidGeometry):
         rc.CameraRig(cameras=(cam, cam))
     with pytest.raises(rc.InvalidGeometry):
@@ -59,7 +85,7 @@ def test_rig_requires_distinct_centers():
 
 
 def test_canonical_camera_projection():
-    cam = rc.Camera.from_matrix(CANONICAL)
+    cam = rc.Camera(CANONICAL)
     y = np.array([2.0, 4.0, 2.0])
     block = (cam.A @ y + cam.b) / (cam.c @ y + cam.d)
     np.testing.assert_allclose(block, [1.0, 2.0], atol=1e-15)
@@ -252,7 +278,7 @@ def _centers_baseline_distance(rig, y):
 def _half_affine_rig():
     affine = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 0, 1.0]])
     finite = np.array([[1.0, 0, 0, -1.0], [0, 1.0, 0, 0], [0, 0, 1.0, 5.0]])  # center (1, 0, -5)
-    return rc.CameraRig(cameras=(rc.Camera.from_matrix(affine), rc.Camera.from_matrix(finite)))
+    return rc.CameraRig(cameras=(rc.Camera(affine), rc.Camera(finite)))
 
 
 @pytest.mark.parametrize("make_rig", [_generic_rig, _half_affine_rig, _affine_rig])
@@ -362,7 +388,7 @@ def test_loaded_rigs_compare_and_hash_by_their_matrices():
     assert first.cameras[0] == second.cameras[0] and first.cameras[0] != first.cameras[1]
     assert first != _generic_rig(k=4, seed=19) and first != "rig"
     assert len({first, second}) == 1
-    flipped = rc.Camera.from_matrix(np.where(first.cameras[0].matrix == 0.0, -0.0,
+    flipped = rc.Camera(np.where(first.cameras[0].matrix == 0.0, -0.0,
                                              first.cameras[0].matrix))
     assert flipped == first.cameras[0] and hash(flipped) == hash(first.cameras[0])
 
@@ -409,7 +435,7 @@ def test_overflowing_jacobian_is_typed():
     the rejection itself)."""
     P = [[[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 1.0, 1.0]],
          [[1.0, 0, 0, 1.0], [0, 1.0, 0, 0], [0, 0, 1.0, 1.0]]]
-    rig = rc.CameraRig(cameras=tuple(rc.Camera.from_matrix(1e300 * np.array(p)) for p in P))
+    rig = rc.CameraRig(cameras=tuple(rc.Camera(1e300 * np.array(p)) for p in P))
     y = np.array([0.5, 0.5, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")

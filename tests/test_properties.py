@@ -44,7 +44,7 @@ def instances(draw, min_k=2):
 
 def _transformed_rig(rig, T):
     """Cameras P T: the rig that sees T^{-1} (y, 1) where the old one saw (y, 1)."""
-    return rc.CameraRig(cameras=tuple(rc.Camera.from_matrix(P @ T) for P in rig.P))
+    return rc.CameraRig(cameras=tuple(rc.Camera(P @ T) for P in rig.P))
 
 
 def _rotation(seed):

@@ -120,6 +120,12 @@ def test_solver_options_validation():
         rc.SolverOptions(grad_tol=-1.0)
 
 
+@pytest.mark.parametrize("max_iters", [2.5, 1.0, "3"])
+def test_max_iters_must_be_an_integer(max_iters):
+    with pytest.raises(rc.InvalidGeometry, match="max_iters must be an integer >= 1"):
+        rc.SolverOptions(max_iters=max_iters)
+
+
 @pytest.mark.parametrize("setting", [
     {"grad_tol": np.inf}, {"grad_tol": np.nan}, {"step_tol": np.nan}, {"max_iters": np.inf},
 ])
@@ -323,7 +329,7 @@ def test_singular_step_system_stalls_its_rows():
     P1 = [[-0.98246, -0.0690091, 0.17323421, 0.0],
           [-0.06796069, 0.99761603, 0.0119833, 0.0],
           [-0.17364818, 0.0, -0.98480775, 2.0]]
-    rig = rc.CameraRig(cameras=(rc.Camera.from_matrix(P0), rc.Camera.from_matrix(P1)))
+    rig = rc.CameraRig(cameras=(rc.Camera(P0), rc.Camera(P1)))
     y = np.array([0.62254822, 0.0, 2.14063543])
     J = rc.mv_jacobian(rig, y)
     with pytest.raises(np.linalg.LinAlgError, match="Singular"):

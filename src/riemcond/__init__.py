@@ -56,8 +56,6 @@ from .manifold import (
     codim1_unit_normal,
     graph2d,
     paraboloid,
-    project_normal,
-    project_tangent,
     sphere,
     tangent_frame,
 )

@@ -43,17 +43,21 @@ class CliInputError(Exception):
 
 
 def _atomic_write(path: str, text: str) -> None:
-    """Write via a temp file in the same directory and atomic rename."""
+    """Write via a temp file in the same directory and atomic rename; an OSError names
+    path, not the temp file."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".riemcond-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".riemcond-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
 def _parse_json(text: str, where: str):
@@ -169,12 +173,10 @@ def _builtin_from_args(args):
 
 
 def cmd_kappa(args) -> int:
-    if bool(args.rig) == bool(args.manifold):
-        raise CliInputError("kappa needs exactly one of --rig or --manifold")
     _require_finite_setting(args.eta_scale, "--eta-scale")
-    if args.rig:
+    if args.rig is not None:
         if args.point is None:
-            raise CliInputError("kappa --rig needs --point (world-point JSON file)")
+            raise CliInputError("--rig needs --point (world-point JSON file)")
         rig = _load_rig(args.rig)
         y = _load_vector(args.point, "y", 3)
         # the rig keeps y's frame: one domain check and QR serve eta, kappa and Q @ u
@@ -193,13 +195,11 @@ def cmd_kappa(args) -> int:
     else:
         param = _builtin_from_args(args)
         if args.u is None:
-            raise CliInputError("kappa --manifold needs --u (chart coordinates)")
+            raise CliInputError("--manifold needs --u (chart coordinates)")
         u = _parse_inline_vector(args.u, "--u", param.intrinsic_dim)
         frame = tangent_frame(param, u)
         if param.ambient_dim - param.intrinsic_dim != 1:
-            raise CliInputError(
-                "kappa --manifold supports codimension-1 builtins; use --rig for multiview"
-            )
+            raise CliInputError("--manifold needs a codimension-1 builtin; use --rig for multiview")
         normal = codim1_unit_normal(frame)
         report = kappa_cpp_from_weingarten(weingarten_data(param, u, args.eta_scale * normal))
         offsets = ill_posedness_certificate(weingarten_data(param, u, normal).curvatures)
@@ -221,12 +221,10 @@ def cmd_kappa(args) -> int:
 
 
 def cmd_project(args) -> int:
-    if bool(args.rig) == bool(args.manifold):
-        raise CliInputError("project needs exactly one of --rig or --manifold")
     opts = _from_field_args(SolverOptions, args)
-    if args.rig:
+    if args.rig is not None:
         if args.corr is None:
-            raise CliInputError("project --rig needs --corr (correspondence JSON file)")
+            raise CliInputError("--rig needs --corr (correspondence JSON file)")
         rig = _load_rig(args.rig)
         a = _load_vector(args.corr, "x", 2 * rig.r)
         result = triangulate(rig, a, opts=opts, minimal_init=args.minimal_init)
@@ -234,7 +232,7 @@ def cmd_project(args) -> int:
         return 0
     param = _builtin_from_args(args)
     if args.ambient is None or args.u0 is None:
-        raise CliInputError("project --manifold needs --ambient and --u0")
+        raise CliInputError("--manifold needs --ambient and --u0")
     a = _parse_inline_vector(args.ambient, "--ambient", param.ambient_dim)
     u0 = _parse_inline_vector(args.u0, "--u0", param.intrinsic_dim)
     result = project_point(param, a, u0, opts=opts)
@@ -426,21 +424,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_rig)
 
     p = sub.add_parser("kappa", help="condition number at a critical pair")
-    p.add_argument("--rig")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--rig")
+    source.add_argument("--manifold", help="builtin manifold name (codimension 1)")
     p.add_argument("--point", help='world-point JSON file {"y": [3 numbers]}')
     p.add_argument("--eta", help='normal-vector JSON file {"eta": [2r numbers]}')
     p.add_argument("--eta-scale", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--manifold", help="builtin manifold name (codimension 1)")
     p.add_argument("--manifold-params", help="JSON object of builtin parameters")
     p.add_argument("--u", help="chart coordinates as a JSON list")
     p.add_argument("--out")
     p.set_defaults(func=cmd_kappa)
 
-    p = sub.add_parser("project", help="project an ambient point onto a manifold")
-    p.add_argument("--rig")
+    p = sub.add_parser("project", aliases=["triangulate"],
+                       help="project a point onto a manifold (with --rig: triangulate)")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--rig")
+    source.add_argument("--manifold", help="builtin manifold name")
     p.add_argument("--corr", help='correspondence JSON file {"x": [2r numbers]}')
-    p.add_argument("--manifold")
     p.add_argument("--manifold-params")
     p.add_argument("--ambient", help="ambient point as a JSON list")
     p.add_argument("--u0", help="chart start point as a JSON list")
@@ -449,14 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     _add_field_args(p, SolverOptions)
     p.set_defaults(func=cmd_project)
-
-    p = sub.add_parser("triangulate", help="triangulate a correspondence")
-    p.add_argument("--rig", required=True)
-    p.add_argument("--corr", required=True)
-    p.add_argument("--minimal-init", action="store_true")
-    p.add_argument("--out")
-    _add_field_args(p, SolverOptions)
-    p.set_defaults(func=cmd_project, manifold=None)
 
     for name, about, grid, func in (
             ("sweep", "condition-number sweep along a normal ray", "-3:4:400", cmd_sweep),
@@ -483,29 +476,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _merge_grid_token(argv):
     """Allow `--grid -3:2:100`: argparse would read the value as a flag."""
-    merged = []
-    i = 0
-    while i < len(argv):
-        if argv[i] == "--grid" and i + 1 < len(argv):
-            merged.append(f"--grid={argv[i + 1]}")
-            i += 2
-        else:
-            merged.append(argv[i])
-            i += 1
-    return merged
+    argv = list(argv)
+    while "--grid" in argv[:-1]:
+        i = argv.index("--grid")
+        argv[i:i + 2] = [f"--grid={argv[i + 1]}"]
+    return argv
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    args = build_parser().parse_args(_merge_grid_token(argv))
+    args = build_parser().parse_args(_merge_grid_token(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except (CliInputError, OSError, csv.Error, UnicodeDecodeError, NonFinite) as exc:
+    except (CliInputError, OSError, csv.Error, UnicodeDecodeError, RiemcondError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RiemcondError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, RiemcondError) and not isinstance(exc, NonFinite) else 2
 
 
 if __name__ == "__main__":

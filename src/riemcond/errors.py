@@ -61,7 +61,7 @@ class EmptyInput(RiemcondError):
 
 
 class NonFinite(RiemcondError):
-    """An input holds a NaN or an infinity."""
+    """An input holds a NaN or an infinity, or a setting is not a number at all."""
 
 
 def _finite(v) -> bool:
@@ -83,6 +83,10 @@ def _require_finite(v, what: str):
 
 
 def _require_finite_setting(value, what: str):
+    """NonFinite unless value is one real number, finite as a float. A value that is no
+    number (None, a string, a list) is named as given, never as the NaN numpy makes of it."""
+    if not isinstance(value, numbers.Real):
+        raise NonFinite(f"{what} must be a number, got {value!r}")
     try:  # an integer past the float range does not convert: NonFinite too
         _require_finite(np.array(value, dtype=float), what)
     except OverflowError:

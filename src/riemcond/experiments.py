@@ -62,10 +62,12 @@ class RigSpec:
     focal: float = 1.0
 
     def __post_init__(self):
-        for name in ("k", "radius", "arc_degrees", "look_at", "focal"):
+        for name in ("k", "radius", "arc_degrees", "focal"):
             _require_finite_setting(getattr(self, name), name)
         if np.shape(self.look_at) != (3,):
             raise InvalidGeometry(f"look_at must be 3 numbers, got {self.look_at!r}")
+        for value in self.look_at:
+            _require_finite_setting(value, "look_at")
         _require_integer(self.k, "k", 2)
         _require_integer(self.seed, "seed", 0)
         if self.radius <= 0 or self.focal <= 0:

@@ -1,9 +1,9 @@
 """Embedded submanifolds of R^n given by local parametrizations.
 
 A manifold piece is a smooth immersion u in R^m -> phi(u) in R^n together
-with optional analytic first and second derivatives. Frames, tangent and
-normal projections, and the built-in test manifolds (sphere, parabola,
-paraboloid, affine subspace) live here.
+with optional analytic first and second derivatives. Frames, the
+codimension-1 unit normal, and the built-in test manifolds (sphere,
+parabola, paraboloid, affine subspace) live here.
 """
 
 from __future__ import annotations
@@ -115,17 +115,6 @@ def tangent_frame(param: Parametrization, u) -> TangentFrame:
             f"Jacobian rank-deficient at u={u}: singular values {s[-1]:.3e}..{s[0]:.3e}"
         )
     return TangentFrame(Q=Q, R=R)
-
-
-def project_tangent(frame: TangentFrame, v):
-    """Coordinates of the tangential part of v in the Q basis (shape (m,))."""
-    return frame.Q.T @ np.asarray(v, dtype=float)
-
-
-def project_normal(frame: TangentFrame, v):
-    """Normal part of v: the ambient vector v - Q Q^T v."""
-    v = np.asarray(v, dtype=float)
-    return v - frame.Q @ (frame.Q.T @ v)
 
 
 def codim1_unit_normal(frame: TangentFrame):

@@ -10,7 +10,8 @@ from __future__ import annotations
 import contextlib
 import enum
 import math
-from dataclasses import dataclass, fields
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,8 +44,10 @@ class SolverOptions:
     step_tol: float = 1e-14
 
     def __post_init__(self):
-        for f in fields(self):
-            _require_finite_setting(getattr(self, f.name), f.name)
+        for name in ("grad_tol", "step_tol"):
+            _require_finite_setting(getattr(self, name), name)
+        if isinstance(self.max_iters, numbers.Real):  # else the integer check names it
+            _require_finite_setting(self.max_iters, "max_iters")
         _require_integer(self.max_iters, "max_iters", 1)
         for name in ("grad_tol", "step_tol"):
             if getattr(self, name) <= 0:

@@ -561,6 +561,54 @@ def test_grid_count_below_one_is_exit_1(command, rig_file, point_file, tmp_path,
     assert not out.exists()
 
 
+_RAY = ["--rig", "{rig}", "--point", "{point}"]
+
+
+@pytest.mark.parametrize("argv, says", [
+    (["sweep", *_RAY, "--grid=-3:2", "--out", "{out}"], "--grid: expected lo:hi:count"),
+    (["sweep", *_RAY, "--grid=a:b:c", "--out", "{out}"], "--grid: could not convert"),
+    (["kappa", "--manifold", "sphere", "--out", "{out}"], "--manifold needs --u"),
+    (["kappa", "--manifold", "affine", "--manifold-params", '{{"basis": [[1], [0], [0]]}}',
+      "--u", "[0.1]", "--out", "{out}"], "--manifold needs a codimension-1 builtin"),
+    (["kappa", "--manifold", "sphere", "--manifold-params", '{{"radius": null}}',
+      "--u", "[0.1, 0.2]", "--out", "{out}"], "sphere radius must be a number, got None"),
+    (["project", "--manifold", "sphere", "--out", "{out}"], "--manifold needs --ambient and --u0"),
+    (["triangulate", "--rig", "{rig}", "--out", "{out}"], "--rig needs --corr"),
+    (["plot", "--csv", "{empty_csv}", "--out", "{out}"], "no data rows"),
+    (["sweep", *_RAY, "--grid=-1:1:3", "--out", "{outdir}"], "Is a directory: '{outdir}'"),
+    (["sweep", *_RAY, "--grid=-1:1:3", "--out", "{outdir}/missing/s.csv"],
+     "No such file or directory: '{outdir}/missing/s.csv'"),
+    (["kappa", *_RAY, "--manifold", "sphere", "--out", "{out}"], "not allowed with argument"),
+    (["kappa", "--point", "{point}", "--out", "{out}"], "one of the arguments --rig --manifold"),
+    (["project", "--rig", "{rig}", "--manifold", "sphere", "--out", "{out}"],
+     "not allowed with argument"),
+    (["triangulate", "--corr", "{rig}", "--out", "{out}"], "one of the arguments --rig --manifold"),
+], ids=["grid-two-parts", "grid-not-numbers", "kappa-no-u", "kappa-codim-2", "param-null",
+        "project-no-ambient", "triangulate-no-corr", "plot-no-rows", "out-is-a-directory",
+        "out-in-a-missing-directory", "kappa-both", "kappa-neither", "project-both",
+        "triangulate-neither"])
+def test_rejected_command_exits_2_with_one_error_line_and_no_file(argv, says, rig_file,
+                                                                  point_file, tmp_path, capsys):
+    """Exit 2, one error: line, no file left behind; an --out path that cannot be written
+    is named as given, not as its temp file."""
+    empty_csv = tmp_path / "empty.csv"
+    empty_csv.write_text("t_rel,kappa\n")
+    (tmp_path / "outdir").mkdir()
+    paths = {"rig": rig_file, "point": point_file, "empty_csv": empty_csv,
+             "out": tmp_path / "out", "outdir": tmp_path / "outdir"}
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    try:
+        code = main([arg.format(**paths) for arg in argv])
+    except SystemExit as exc:  # argparse's own rejections
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    (line,) = [line for line in err.splitlines() if "error:" in line]
+    assert says.format(**paths) in line and ".riemcond-" not in line
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_non_finite_matrix_and_long_vector_errors_are_one_line(tmp_path, capsys):
     """A NonFinite message lists a matrix or a long vector flat, on the error's one line."""
     rig_path = tmp_path / "rig.json"

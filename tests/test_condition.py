@@ -5,6 +5,7 @@ import pytest
 
 import riemcond as rc
 from riemcond.condition import spectral_norm_metric
+from riemcond.linalg import metric_cholesky
 
 
 def test_spectral_norm_metric_examples():
@@ -112,6 +113,24 @@ def test_kappa_gcpp_reductions():
     assert rep.kappa == pytest.approx(np.linalg.svd(A)[1][0], rel=1e-12)
     rep_inf = rc.kappa_gcpp(rc.ProblemDerivative(A=A), np.diag([1.0, 0.0]))
     assert rep_inf.ill_posed and rep_inf.kappa == np.inf
+
+
+def test_kappa_gcpp_in_an_output_metric_is_kappa_of_the_cholesky_scaled_derivative():
+    """||A H^{-1}||_G with G = C^T C is the plain norm of C A H^{-1}: kappa and the worst
+    direction match the identity-metric problem with derivative C A."""
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        A = rng.standard_normal((4, 3))
+        B = rng.standard_normal((4, 4))
+        G = B.T @ B + 0.5 * np.eye(4)
+        C = metric_cholesky(G)
+        U = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        H = U @ np.diag(rng.uniform(0.5, 2.0, 3) * rng.choice([-1.0, 1.0], 3)) @ U.T
+        rep_g = rc.kappa_gcpp(rc.ProblemDerivative(A, G), H)
+        rep_c = rc.kappa_gcpp(rc.ProblemDerivative(C @ A), H)
+        assert rep_g.kappa == pytest.approx(rep_c.kappa, rel=1e-12)
+        v_g, v_c = rep_g.worst_input_direction, rep_c.worst_input_direction
+        assert min(np.linalg.norm(v_g - v_c), np.linalg.norm(v_g + v_c)) <= 1e-8
 
 
 def test_problem_derivative_validates_metric():

@@ -82,6 +82,26 @@ def test_rig_spec_rejects_a_non_integer_or_negative_count_and_a_short_look_at(se
         rc.RigSpec(**setting)
 
 
+@pytest.mark.parametrize("call, value", [
+    (lambda: rc.sphere(radius=None), None),
+    (lambda: rc.graph2d(None), None),
+    (lambda: rc.SolverOptions(max_iters=None), None),
+    (lambda: rc.RigSpec(look_at=None), None),
+    (lambda: rc.sphere(radius="abc"), "abc"),
+    (lambda: rc.SolverOptions(grad_tol="x"), "x"),
+    (lambda: rc.log_grid("a", 1, 3), "a"),
+    (lambda: rc.sphere(radius=[1.0, 2.0]), [1.0, 2.0]),
+    (lambda: rc.RigSpec(radius=[1.0, 2.0]), [1.0, 2.0]),
+], ids=["sphere-none", "graph2d-none", "max-iters-none", "look-at-none", "sphere-str",
+        "grad-tol-str", "log-grid-str", "sphere-list", "rig-radius-list"])
+def test_a_setting_that_is_not_a_number_is_named_as_given(call, value):
+    """None, a string or a list where one number belongs raises a RiemcondError that shows
+    the value as given: not the NaN numpy makes of None, nor numpy's or Python's own error."""
+    with pytest.raises(rc.RiemcondError) as exc:
+        call()
+    assert repr(value) in str(exc.value) and "nan" not in str(exc.value)
+
+
 @pytest.mark.parametrize("setting", [{"radius": 1e-300}, {"look_at": (1e308, 1e308, 1e308)}])
 def test_degenerate_rig_spec_is_non_finite_without_warnings(setting):
     """The camera frames divide by a zero length: gen_rig raises Camera's NonFinite, and

@@ -55,40 +55,6 @@ def test_domain_check_rejected():
         rc.tangent_frame(rc.sphere(1.0), [0.0, np.pi / 2])
 
 
-def test_project_tangent_examples():
-    fr = rc.tangent_frame(rc.sphere(1.0), [0.0, 0.0])  # Q = (e2 e3)
-    np.testing.assert_allclose(rc.project_tangent(fr, [1, 0, 0]), [0, 0], atol=1e-14)
-    np.testing.assert_allclose(rc.project_tangent(fr, [0, 1, 0]), [1, 0], atol=1e-14)
-
-
-def test_orthogonal_decomposition_reconstructs():
-    rng = np.random.default_rng(1)
-    fr = rc.tangent_frame(rc.paraboloid(), [0.4, -0.3])
-    for _ in range(20):
-        v = rng.standard_normal(3)
-        recon = fr.Q @ rc.project_tangent(fr, v) + rc.project_normal(fr, v)
-        assert np.linalg.norm(recon - v) <= 1e-12 * np.linalg.norm(v)
-
-
-def test_project_normal_examples():
-    fr = rc.tangent_frame(rc.paraboloid(), [0.2, 0.1])
-    w = np.array([0.3, -0.7])
-    v_tan = fr.Q @ w
-    assert np.linalg.norm(rc.project_normal(fr, v_tan)) <= 1e-14
-    v_nrm = rc.project_normal(fr, np.array([0.0, 0.0, 1.0]))
-    np.testing.assert_allclose(rc.project_normal(fr, v_nrm), v_nrm, atol=1e-14)
-    # parabola at the origin: tangent is the x-axis
-    fr2 = rc.tangent_frame(rc.graph2d(1.0), [0.0])
-    np.testing.assert_allclose(rc.project_normal(fr2, [3.0, 5.0]), [0.0, 5.0], atol=1e-14)
-
-
-def test_normal_projection_satisfies_normal_invariant():
-    rng = np.random.default_rng(2)
-    fr = rc.tangent_frame(rc.sphere(1.5), [0.3, 0.2])
-    eta = rc.project_normal(fr, rng.standard_normal(3))
-    assert np.linalg.norm(fr.Q.T @ eta) <= 1e-10 * max(1.0, np.linalg.norm(eta))
-
-
 def test_builtin_sphere_radius_holds():
     rng = np.random.default_rng(3)
     s = rc.sphere(1.0)

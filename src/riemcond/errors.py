@@ -11,6 +11,8 @@ import numbers
 
 import numpy as np
 
+_SCAN_MAX = 48  # entries up to which a Python scan beats np.isfinite(v).all(): 5x dearer at 240
+
 
 class RiemcondError(Exception):
     """Base class for all library-level errors."""
@@ -65,8 +67,8 @@ class NonFinite(RiemcondError):
 
 
 def _finite(v) -> bool:
-    # a Python-level scan: for a handful of entries it is several times
-    # cheaper than np.isfinite(v).all()
+    if v.size > _SCAN_MAX:
+        return bool(np.isfinite(v).all())
     return all(map(math.isfinite, v.ravel().tolist()))
 
 
@@ -94,6 +96,7 @@ def _require_finite_setting(value, what: str):
 
 
 def _require_integer(value, what: str, least: int):
-    """InvalidGeometry unless value is an integer of at least least."""
+    """_require_finite_setting's NonFinite, then InvalidGeometry unless an integer >= least."""
+    _require_finite_setting(value, what)
     if not isinstance(value, numbers.Integral) or value < least:
         raise InvalidGeometry(f"{what} must be an integer >= {least}, got {value!r}")

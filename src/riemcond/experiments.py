@@ -64,7 +64,8 @@ class RigSpec:
     def __post_init__(self):
         for name in ("k", "radius", "arc_degrees", "focal"):
             _require_finite_setting(getattr(self, name), name)
-        if np.shape(self.look_at) != (3,):
+        look = np.array(self.look_at, dtype=object)  # a ragged list stays one row of objects
+        if look.shape != (3,) or any(map(np.ndim, look)):
             raise InvalidGeometry(f"look_at must be 3 numbers, got {self.look_at!r}")
         for value in self.look_at:
             _require_finite_setting(value, "look_at")

@@ -90,14 +90,14 @@ def _readonly(arr) -> np.ndarray:
 class CameraRig:
     """Ordered collection of r >= 2 cameras with a well-defined baseline.
 
-    Construction stacks the cameras into read-only arrays P (r, 3, 4), A (r, 2, 3),
-    b (r, 2), c (r, 3), d (r,), M (3r, 3) and p4 (r, 3), with P_l = [M_l | p4_l] and the
-    M_l = [A_l; c_l] one under another, and caches the baseline through the first two
-    centers as a point and unit direction. With a center at infinity the baseline runs
-    through the finite center along the infinite direction; with both at infinity there
-    is no affine baseline and both are None. These derived attributes are not dataclass
-    fields: equality, hash and repr see only `cameras`. Nor is the frame of the last
-    point the rig was asked about, which _jet remembers.
+    Construction stacks the cameras into read-only arrays P (r, 3, 4), A (r, 2, 3), b (r, 2),
+    c (r, 3), d (r,), M (3r, 3), p4 (r, 3) and cc (r, 3, 3), with P_l = [M_l | p4_l], the
+    M_l = [A_l; c_l] one under another and cc_l = c_l c_l^T, and caches the baseline
+    through the first two centers as a point and unit direction. With a center at infinity
+    the baseline runs through the finite center along the infinite direction; with both at
+    infinity there is no affine baseline and both are None. These derived attributes are
+    not dataclass fields: equality, hash and repr see only `cameras`. Nor is the frame of
+    the last point the rig was asked about, which _jet and triangulate remember.
     """
 
     cameras: Tuple[Camera, ...]
@@ -113,6 +113,8 @@ class CameraRig:
         P = np.stack([cam.matrix for cam in self.cameras])
         blocks = {"P": P, "A": P[:, :2, :3], "b": P[:, :2, 3], "c": P[:, 2, :3], "d": P[:, 2, 3],
                   "M": P[:, :, :3].reshape(-1, 3), "p4": P[:, :, 3]}
+        with np.errstate(over="ignore"):
+            blocks["cc"] = blocks["c"][:, :, None] * blocks["c"][:, None, :]
         for name, arr in blocks.items():
             object.__setattr__(self, name, _readonly(arr))
         finite0, finite1 = abs(h0[3]) >= _HOMOG_TOL, abs(h1[3]) >= _HOMOG_TOL
@@ -285,11 +287,10 @@ def _stacked_hat(rig: CameraRig, a, num, E):
     # two-term sums written out: the bits of the einsums, at a third of the cost
     beta = e0 * num[:, 0] + e1 * num[:, 1]
     g = e0[:, :, None] * rig.A[:, 0] + e1[:, :, None] * rig.A[:, 1]
-    cc = rig.c[:, :, None] * rig.c[:, None, :]
     cg = rig.c[:, :, None] * g[:, :, None, :]
     # each term is symmetric bitwise, so the sums over cameras are too
     with np.errstate(over="ignore"):  # a depth past ~1e103 cubes to inf, and its term to 0
-        return (np.einsum("nl,lij->nij", 2.0 * beta / a**3, cc)
+        return (np.einsum("nl,lij->nij", 2.0 * beta / a**3, rig.cc)
                 - np.einsum("l,nlij->nij", 1.0 / a**2, cg + cg.transpose(0, 1, 3, 2)))
 
 
@@ -299,8 +300,7 @@ def _jet(rig: CameraRig, y, n=3):
 
     The rig remembers them for the last point it was asked about, keyed by y's shape and
     bytes, and fills them only as far as its callers ask: a hit returns the read-only
-    arrays a miss computed. The memo is one tuple replaced whole, so no thread reads one
-    point's key with another point's arrays.
+    arrays a miss computed. triangulate leaves its solution's first three there.
     """
     y = np.asarray(y, dtype=float)
     key = (y.shape, y.tobytes())
@@ -313,10 +313,16 @@ def _jet(rig: CameraRig, y, n=3):
     if n > 3 and len(memo) == 4:
         memo += compact_qr(memo[3])
     if memo is not last:
-        for arr in memo[1:]:
-            arr.flags.writeable = False
-        object.__setattr__(rig, "_last_point", memo)
+        _remember(rig, memo)
     return memo[1:n + 1]
+
+
+def _remember(rig: CameraRig, memo):
+    """Make memo (key, a, num, ...) the rig's last point: read-only, one tuple replaced whole,
+    so no thread reads one point's key with another point's arrays."""
+    for arr in memo[1:]:
+        arr.setflags(write=False)  # half the cost of arr.flags.writeable = False
+    object.__setattr__(rig, "_last_point", memo)
 
 
 def _frame(rig: CameraRig, y):

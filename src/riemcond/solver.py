@@ -10,7 +10,6 @@ from __future__ import annotations
 import contextlib
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ from .errors import _non_finite, _require_finite, _require_finite_setting, _requ
 from .linalg import compact_qr  # noqa: F401  (a binding perfbench's tracer wraps)
 from .manifold import Parametrization
 from .multiview import (
-    CameraRig, _correspondence, _domain_rows, _frame, _jacobian, _jet, _projection,
+    CameraRig, _correspondence, _domain_rows, _frame, _jacobian, _jet, _projection, _remember,
     triangulate_linear)
 
 # Fixed damping schedule of the LM iteration: start, factor on a rejected
@@ -46,12 +45,13 @@ class SolverOptions:
     def __post_init__(self):
         for name in ("grad_tol", "step_tol"):
             _require_finite_setting(getattr(self, name), name)
-        if isinstance(self.max_iters, numbers.Real):  # else the integer check names it
-            _require_finite_setting(self.max_iters, "max_iters")
         _require_integer(self.max_iters, "max_iters", 1)
         for name in ("grad_tol", "step_tol"):
             if getattr(self, name) <= 0:
                 raise InvalidGeometry(f"{name} must be positive")
+
+
+_DEFAULTS = SolverOptions()  # frozen, so every call without options shares it
 
 
 class Status(enum.Enum):
@@ -258,7 +258,7 @@ def lm_minimize(evaluate, u0, opts: SolverOptions | None = None) -> SolveResult:
             [np.asarray(trials[k][1](), dtype=float) for k in sel])
 
     J = np.asarray(jac(), dtype=float)
-    (res,) = _lm_rows(evaluate_rows, u[None], r[None], J[None], opts or SolverOptions())
+    (res,) = _lm_rows(evaluate_rows, u[None], r[None], J[None], opts or _DEFAULTS)
     if isinstance(res, RiemcondError):
         raise res
     return res
@@ -295,34 +295,40 @@ def triangulate(
 
     Starts from the linear (DLT) solution unless warm_start supplies an
     explicit world point, then refines the reprojection residual: the one
-    row of _triangulate_rows. The start point must pass mv_domain_check.
+    row of _triangulate_rows, whose jet at u_star the rig keeps (see _jet).
+    The start point must pass mv_domain_check.
     """
     a = _correspondence(rig, a)
     y0 = triangulate_linear(rig, a, minimal=minimal_init) if warm_start is None else warm_start
-    (res,) = _triangulate_rows(rig, a[None], y0, opts)
+    (res,), jet = _solve_rows(rig, a[None], y0, opts)
     if isinstance(res, RiemcondError):
         raise res
+    if jet is not None:  # else no step was taken, and the rig keeps y0's
+        _remember(rig, ((res.u_star.shape, res.u_star.tobytes()), *(v[0] for v in jet)))
     return res
 
 
 def _triangulate_rows(rig: CameraRig, A, y0, opts: SolverOptions | None = None):
-    """triangulate(rig, a, warm_start=y0, opts=opts) for every row a of A (N, 2r).
+    """triangulate(rig, a, warm_start=y0, opts=opts) for every row a of A (N, 2r), in one
+    _lm_rows call. Returns, per row, a SolveResult or the RiemcondError triangulate would
+    raise; an error of y0 (NonFinite or OutsideDomain) raises."""
+    return _solve_rows(rig, A, y0, opts)[0]
 
-    One _lm_rows call solves all rows. Returns, per row, a SolveResult or
-    the RiemcondError triangulate would raise; an error of y0 (NonFinite or
-    OutsideDomain) raises.
-    """
+
+def _solve_rows(rig: CameraRig, A, y0, opts: SolverOptions | None):
+    """_triangulate_rows' results, and the depths, numerators and Jacobians (a, num, J) of the
+    trial points accepted last, or None: with one row, row 0 holds _jet's at its u_star."""
     A = np.asarray(A, dtype=float)
     finite = np.logical_and.reduce(np.isfinite(A), axis=1).tolist()
     out = [None if ok else _non_finite(a, "correspondence") for a, ok in zip(A, finite)]
     pos = [n for n, res in enumerate(out) if res is None]
     if not pos:
-        return out
+        return out, None
     y0 = np.asarray(y0, dtype=float)
     a0, num0, J0 = _jet(rig, y0)
     _require_finite(J0, "Jacobian at the start point")
     target = A if len(pos) == len(A) else A[pos]
-    every = list(range(len(pos)))
+    every, jet = list(range(len(pos))), None
 
     def evaluate(Y, rows):
         a, num, inside = _domain_rows(rig, Y)
@@ -333,18 +339,20 @@ def _triangulate_rows(rig: CameraRig, A, y0, opts: SolverOptions | None = None):
             num = np.where(mask[:, None, None], num, 0.0)
 
         def jac(sel):  # sel ascends: one as long as a is every trial point
+            nonlocal jet
             at = (a, num) if len(sel) == len(a) else (a.take(sel, 0), num.take(sel, 0))
             with np.errstate(over="ignore"):  # a depth past ~1e154 squares to inf
-                return _jacobian(rig, *at)
+                jet = (*at, _jacobian(rig, *at))
+            return jet[2]
         T = target if rows == every else target.take(rows, 0)
         return _projection(a, num) - T, inside, jac
 
     m = len(pos)
     u, J = np.repeat(y0[None], m, axis=0), np.repeat(J0[None], m, axis=0)
-    results = _lm_rows(evaluate, u, _projection(a0, num0) - target, J, opts or SolverOptions())
+    results = _lm_rows(evaluate, u, _projection(a0, num0) - target, J, opts or _DEFAULTS)
     for n, res in zip(pos, results):
         out[n] = res
-    return out
+    return out, jet
 
 
 def mv_certificate(rig: CameraRig, y, a) -> float:

@@ -74,7 +74,9 @@ def test_non_finite_rig_spec_raises_non_finite(setting):
 
 @pytest.mark.parametrize("setting", [
     {"seed": -1}, {"seed": 1.5}, {"k": 3.5}, {"k": 3.0}, {"look_at": (0.0, 0.0)},
-], ids=["negative-seed", "fractional-seed", "fractional-k", "float-k", "two-number-look-at"])
+    {"look_at": [1, [2], 3]},
+], ids=["negative-seed", "fractional-seed", "fractional-k", "float-k", "two-number-look-at",
+        "ragged-look-at"])
 def test_rig_spec_rejects_a_non_integer_or_negative_count_and_a_short_look_at(setting):
     """numpy would raise its own ValueError or TypeError from gen_rig for these."""
     (name,) = setting
@@ -155,9 +157,15 @@ def test_log_grid_infinite_bound_is_non_finite(lo, hi, name):
         rc.log_grid(lo, hi, 3)
 
 
-@pytest.mark.parametrize("count", [-1, 0, np.nan, 2.5])
-def test_log_grid_count_must_be_a_positive_integer(count):
-    with pytest.raises(rc.InvalidGeometry, match="grid count must be an integer >= 1"):
+@pytest.mark.parametrize("count, error, message", [
+    (-1, rc.InvalidGeometry, "grid count must be an integer >= 1"),
+    (0, rc.InvalidGeometry, "grid count must be an integer >= 1"),
+    (np.nan, rc.NonFinite, "grid count nan is not finite"),
+    (2.5, rc.InvalidGeometry, "grid count must be an integer >= 1"),
+], ids=["-1", "0", "nan", "2.5"])
+def test_log_grid_count_must_be_a_positive_integer(count, error, message):
+    """NaN is NonFinite, as for every other setting; a finite non-integer InvalidGeometry."""
+    with pytest.raises(error, match=message):
         rc.log_grid(0.0, 1.0, count)
     assert len(rc.log_grid(0.0, 1.0, np.int64(2), two_sided=False)) == 2
 

@@ -105,6 +105,53 @@ def test_each_trial_point_is_evaluated_once(monkeypatch):
         assert set(trials.values()) == {1}
 
 
+def test_triangulate_leaves_its_solution_jet_in_the_rig(monkeypatch):
+    """triangulate leaves u_star's depths, numerators and Jacobian in the rig's memo, the
+    bits a cold _jet computes, read-only; a solve that takes no step leaves y0's, which is
+    u_star. mv_jacobian and mv_project at u_star then check no domain and take no Jacobian."""
+    import riemcond.multiview as mv
+
+    rng = np.random.default_rng(5)
+    for k in (4, 10, 40):
+        spec = rc.RigSpec(k=k, seed=0)
+        rig = rc.gen_rig(spec)
+        y = rng.uniform(-0.5, 0.5, size=3)
+        x = rc.mv_project(rig, y)
+        for a, warm, steps in ((x + 1e-3 * rng.standard_normal(x.size), None, True),
+                               (x, y, False)):
+            res = rc.triangulate(rig, a, warm_start=warm)
+            assert (res.iterations > 0) == steps
+            key, *jet = rig._last_point
+            assert key == ((3,), res.u_star.tobytes()) and len(jet) == 3
+            cold = mv._jet(rc.gen_rig(spec), res.u_star, 3)
+            for got, want in zip(jet, cold):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
+    counts = {"_checked": 0, "_jacobian": 0}
+    for name in counts:
+        def counted(*args, real=getattr(mv, name), name=name):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(mv, name, counted)
+    res = rc.triangulate(rig, x + 1e-3 * rng.standard_normal(x.size))
+    counts.update(_checked=0, _jacobian=0)  # the start point's
+    J, image = rc.mv_jacobian(rig, res.u_star), rc.mv_project(rig, res.u_star)
+    assert counts == {"_checked": 0, "_jacobian": 0}
+    twin = rc.gen_rig(spec)
+    assert np.array_equal(J, rc.mv_jacobian(twin, res.u_star))
+    assert np.array_equal(image, rc.mv_project(twin, res.u_star))
+
+
+def test_validate_leaves_the_memo_on_its_theory_point():
+    """experiment_validate's solves leave the rig's memo on y, so a second run hits it."""
+    rig, y = rc.gen_rig(rc.RigSpec(k=10, seed=0)), np.array([0.35, -0.2, 0.4])
+    records = rc.experiment_validate(rig, y, rc.random_unit_normal(rig, y, 7),
+                                     rc.log_grid(-2.0, 0.0, 3))
+    assert any(rec.iterations for rec in records)
+    assert rig._last_point[0] == ((3,), y.tobytes())
+
+
 def test_max_iters_status():
     p = rc.sphere(1.0)
     res = rc.project_point(p, 2.0 * p([0.3, -0.2]), np.array([0.35, -0.25]),
@@ -120,9 +167,15 @@ def test_solver_options_validation():
         rc.SolverOptions(grad_tol=-1.0)
 
 
-@pytest.mark.parametrize("max_iters", [2.5, 1.0, "3"])
-def test_max_iters_must_be_an_integer(max_iters):
-    with pytest.raises(rc.InvalidGeometry, match="max_iters must be an integer >= 1"):
+@pytest.mark.parametrize("max_iters, error, message", [
+    (2.5, rc.InvalidGeometry, "max_iters must be an integer >= 1"),
+    (1.0, rc.InvalidGeometry, "max_iters must be an integer >= 1"),
+    ("3", rc.NonFinite, "max_iters must be a number, got '3'"),
+], ids=["2.5", "1.0", "3"])
+def test_max_iters_must_be_an_integer(max_iters, error, message):
+    """A finite non-integer is InvalidGeometry; a string is no number at all, NonFinite
+    named as given, as every setting that is not a number."""
+    with pytest.raises(error, match=message):
         rc.SolverOptions(max_iters=max_iters)
 
 

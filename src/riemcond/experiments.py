@@ -255,7 +255,7 @@ def experiment_validate(rig: CameraRig, y, eta, t_grid: Sequence[float],
     A = x + np.multiply.outer(np.array([records[n].t_rel for n in todo]) * x_norm, eta)
     W = np.array([worst[n] for n in todo])
     E = (perturb_rel * np.sqrt(_dots(A, A)))[:, None] * (Q[None] @ W[:, :, None])[:, :, 0]
-    results = _triangulate_rows(rig, A + E, y, opts)
+    results, _ = _triangulate_rows(rig, A + E, y, opts)  # the memo stays on y
     D = np.array([y if isinstance(res, RiemcondError) else res.u_star for res in results]) - y
     for n, E_norm, displacement, result in zip(
             todo, np.sqrt(_dots(E, E)).tolist(), np.sqrt(_dots(D, D)).tolist(), results):

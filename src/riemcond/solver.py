@@ -43,7 +43,7 @@ class SolverOptions:
     step_tol: float = 1e-14
 
     def __post_init__(self):
-        for name in ("grad_tol", "step_tol"):
+        for name in ("grad_tol", "step_tol", "max_iters"):  # so max_iters=10**400 is NonFinite
             _require_finite_setting(getattr(self, name), name)
         _require_integer(self.max_iters, "max_iters", 1)
         for name in ("grad_tol", "step_tol"):
@@ -300,7 +300,7 @@ def triangulate(
     """
     a = _correspondence(rig, a)
     y0 = triangulate_linear(rig, a, minimal=minimal_init) if warm_start is None else warm_start
-    (res,), jet = _solve_rows(rig, a[None], y0, opts)
+    (res,), jet = _triangulate_rows(rig, a[None], y0, opts)
     if isinstance(res, RiemcondError):
         raise res
     if jet is not None:  # else no step was taken, and the rig keeps y0's
@@ -309,15 +309,14 @@ def triangulate(
 
 
 def _triangulate_rows(rig: CameraRig, A, y0, opts: SolverOptions | None = None):
-    """triangulate(rig, a, warm_start=y0, opts=opts) for every row a of A (N, 2r), in one
-    _lm_rows call. Returns, per row, a SolveResult or the RiemcondError triangulate would
-    raise; an error of y0 (NonFinite or OutsideDomain) raises."""
-    return _solve_rows(rig, A, y0, opts)[0]
+    """triangulate(rig, a, warm_start=y0, opts=opts) for every row a of A (N, 2r).
 
-
-def _solve_rows(rig: CameraRig, A, y0, opts: SolverOptions | None):
-    """_triangulate_rows' results, and the depths, numerators and Jacobians (a, num, J) of the
-    trial points accepted last, or None: with one row, row 0 holds _jet's at its u_star."""
+    One _lm_rows call solves all rows. Returns (out, jet): out holds, per row,
+    a SolveResult or the RiemcondError triangulate would raise; jet is the
+    depths, numerators and Jacobians (a, num, J) of the trial points accepted
+    last, or None, so with one row its row 0 is _jet's at u_star. An error of
+    y0 (NonFinite or OutsideDomain) raises.
+    """
     A = np.asarray(A, dtype=float)
     finite = np.logical_and.reduce(np.isfinite(A), axis=1).tolist()
     out = [None if ok else _non_finite(a, "correspondence") for a, ok in zip(A, finite)]

@@ -290,6 +290,12 @@ def test_integer_too_large_for_a_float_is_exit_2(rig_file, point_file, tmp_path,
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_seed_past_the_float_range_is_exit_0(tmp_path):
+    """A seed is never made a float: gen-rig takes 10**400 as numpy's generator does."""
+    assert main(["gen-rig", "--k", "3", "--seed", str(10**400),
+                 "--out", str(tmp_path / "rig.json")]) == 0
+
+
 def test_wrong_arity_correspondence_is_exit_2(rig_file, tmp_path):
     corr = tmp_path / "short.json"
     corr.write_text(json.dumps({"x": [1.0, 2.0]}))

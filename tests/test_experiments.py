@@ -121,6 +121,17 @@ def test_random_unit_normal_rejects_a_negative_seed():
         rc.random_unit_normal(_default_rig(), DEFAULT_Y, -1)
 
 
+def test_a_seed_past_the_float_range_is_a_seed():
+    """A seed goes only to numpy's generator, never to a float, so 10**400 is a seed like
+    any other; a NaN seed is NonFinite."""
+    huge = 10**400
+    assert rc.gen_rig(rc.RigSpec(k=3, seed=huge)).r == 3
+    eta = rc.random_unit_normal(_default_rig(), DEFAULT_Y, huge)
+    assert abs(np.linalg.norm(eta) - 1.0) <= 1e-12
+    with pytest.raises(rc.NonFinite, match="seed nan is not finite"):
+        rc.random_unit_normal(_default_rig(), DEFAULT_Y, np.nan)
+
+
 def test_random_unit_normal_contract():
     rig = _default_rig()
     eta = rc.random_unit_normal(rig, DEFAULT_Y, 11)
@@ -817,9 +828,9 @@ def test_validate_records_per_row_errors(monkeypatch):
     real_rows = exp._triangulate_rows
 
     def flaky(rig_, A, y0, *rest):
-        results = real_rows(rig_, A, y0, *rest)
+        results, jet = real_rows(rig_, A, y0, *rest)
         results[1] = rc.DomainEscape("synthetic failure")  # the second row's solve fails
-        return results
+        return results, jet
 
     monkeypatch.setattr(exp, "_triangulate_rows", flaky)
     records = rc.experiment_validate(rig, DEFAULT_Y, eta, grid)

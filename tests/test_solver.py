@@ -306,7 +306,7 @@ def test_stacked_solve_matches_per_row_triangulate():
     rig, A, y0 = _stacked_fixture()
     seen = set()
     for opts in (None, rc.SolverOptions(max_iters=2), rc.SolverOptions(max_iters=20)):
-        got = _triangulate_rows(rig, A, y0, opts)
+        got, _ = _triangulate_rows(rig, A, y0, opts)
         assert len(got) == len(A)
         for a, res in zip(A, got):
             try:
@@ -337,7 +337,7 @@ def test_overflowing_start_residual_is_non_finite():
             warnings.simplefilter("error")
             with pytest.raises(rc.NonFinite, match="residual norm at the start point") as exc:
                 rc.triangulate(rig, a, warm_start=y0)
-            (row,) = _triangulate_rows(rig, a[None], y0)
+            (row,), _ = _triangulate_rows(rig, a[None], y0)
         assert type(row) is rc.NonFinite and str(row) == str(exc.value)
 
 
@@ -353,7 +353,7 @@ def test_stacked_solve_raises_an_error_of_the_warm_start():
         _triangulate_rows(rig, A, on_plane)
     with pytest.raises(rc.OutsideDomain, match="principal plane"):
         rc.triangulate(rig, A[0], warm_start=on_plane)
-    assert _triangulate_rows(rig, A[:0], on_plane) == []
+    assert _triangulate_rows(rig, A[:0], on_plane) == ([], None)
 
 
 def test_validate_records_do_not_depend_on_chunking():
@@ -444,8 +444,8 @@ def test_ladder_matches_one_trial_loop_on_triangulation(k, seed, y, noise, rows,
     x = rc.mv_project(rig, y)
     A = x + 10.0**noise * np.random.default_rng(seed).standard_normal((rows, x.size))
     opts = rc.SolverOptions(max_iters=max_iters, step_tol=step_tol)
-    got = _triangulate_rows(rig, A, y, opts)
-    want = _one_trial(lambda: _triangulate_rows(rig, A, y, opts))
+    got, _ = _triangulate_rows(rig, A, y, opts)
+    want, _ = _one_trial(lambda: _triangulate_rows(rig, A, y, opts))
     for g, w in zip(got, want, strict=True):
         _same_outcome(g, w)
 
@@ -471,9 +471,9 @@ def test_ladder_matches_one_trial_loop_at_every_exit():
     rig, A, y0 = _stacked_fixture()
     exits = []
     for opts in (None, rc.SolverOptions(max_iters=2), rc.SolverOptions(step_tol=1e-300)):
-        got = _triangulate_rows(rig, A, y0, opts)
-        for g, w in zip(got, _one_trial(lambda: _triangulate_rows(rig, A, y0, opts), exits),
-                        strict=True):
+        got, _ = _triangulate_rows(rig, A, y0, opts)
+        want, _ = _one_trial(lambda: _triangulate_rows(rig, A, y0, opts), exits)
+        for g, w in zip(got, want, strict=True):
             _same_outcome(g, w)
 
     def evaluate(u):  # only the start point is inside

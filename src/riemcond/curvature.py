@@ -81,9 +81,8 @@ def weingarten(S_hat, R):
 
 def weingarten_data(param: Parametrization, u, eta) -> WeingartenData:
     """Assemble frame, contraction, orthonormal Weingarten map, and H = I - S, on one frame."""
-    u = np.asarray(u, dtype=float)
-    eta = np.asarray(eta, dtype=float)
     frame = tangent_frame(param, u)
+    u, eta = np.asarray(u, dtype=float), np.asarray(eta, dtype=float)
     (error,), norms = _normal_errors(frame.Q, eta[None])
     if error is not None:
         raise error

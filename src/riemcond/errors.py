@@ -2,8 +2,8 @@
 
 Every error that signals a geometric or numerical precondition failure
 derives from RiemcondError so callers (and the CLI) can distinguish
-domain problems (exit 1) from I/O problems (exit 2). The finite-input
-checks live here too, so every module can raise NonFinite the same way.
+domain problems (exit 1) from I/O problems (exit 2). The input rules live
+here too, so every module raises the same error for the same bad input.
 """
 
 import math
@@ -91,6 +91,27 @@ def _require_finite_setting(value, what: str):
         _require_finite(np.array(value, dtype=float), what)
     except OverflowError:
         raise NonFinite(f"{what} is too large for a float") from None
+
+
+def _require_positive(value, what: str):
+    """_require_finite_setting, then InvalidGeometry unless value > 0."""
+    _require_finite_setting(value, what)
+    if value <= 0:
+        raise InvalidGeometry(f"{what} must be positive, got {value!r}")
+
+
+def _vector(v, n: int, what: str):
+    """v as a float array of shape (n,), else InvalidGeometry; NonFinite unless finite."""
+    try:
+        v = np.asarray(v, dtype=float)
+    except OverflowError:  # an integer past the float range
+        raise NonFinite(f"{what} holds an integer too large for a float") from None
+    except (TypeError, ValueError) as exc:  # ragged, or not numbers
+        raise InvalidGeometry(f"{what} must be {n} numbers: {exc}") from None
+    if v.shape != (n,):
+        raise InvalidGeometry(f"{what} must have shape ({n},), got {v.shape}")
+    _require_finite(v, what)
+    return v
 
 
 def _require_integer(value, what: str, least: int):

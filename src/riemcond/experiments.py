@@ -18,7 +18,7 @@ import numpy as np
 from .condition import ill_posedness_certificate
 from .curvature import weingarten
 from .errors import EmptyInput, InvalidGeometry, NonFinite, RiemcondError
-from .errors import _require_finite, _require_finite_setting, _require_integer
+from .errors import _require_finite, _require_finite_setting, _require_integer, _require_positive
 from .multiview import (
     Camera,
     CameraRig,
@@ -42,6 +42,8 @@ PERTURB_REL = 1e-6
 # Prominence (decades of sigma_3) of a singular dip: true dips deepen without bound as
 # the grid refines (>= ~0.6 decades on the default grids), singular-value crossings ~0.1.
 DIP_PROMINENCE = 0.4
+# Largest log_grid count: a run holds every row and its record in memory.
+MAX_GRID_COUNT = 10**6
 
 
 @dataclass(frozen=True)
@@ -62,8 +64,10 @@ class RigSpec:
     focal: float = 1.0
 
     def __post_init__(self):
-        for name in ("k", "radius", "arc_degrees", "focal"):
+        for name in ("k", "arc_degrees"):
             _require_finite_setting(getattr(self, name), name)
+        for name in ("radius", "focal"):
+            _require_positive(getattr(self, name), name)
         look = np.array(self.look_at, dtype=object)  # a ragged list stays one row of objects
         if look.shape != (3,) or any(map(np.ndim, look)):
             raise InvalidGeometry(f"look_at must be 3 numbers, got {self.look_at!r}")
@@ -71,8 +75,6 @@ class RigSpec:
             _require_finite_setting(value, "look_at")
         _require_integer(self.k, "k", 2)
         _require_integer(self.seed, "seed", 0)
-        if self.radius <= 0 or self.focal <= 0:
-            raise InvalidGeometry("radius and focal must be positive")
 
 
 @dataclass
@@ -160,12 +162,14 @@ def random_unit_normal(rig: CameraRig, y, seed: int):
 
 
 def log_grid(lo: float, hi: float, count: int, two_sided: bool = True):
-    """Log-spaced |t|/||x|| grid of count >= 1 points (else InvalidGeometry); mirrored to
-    negative offsets when two_sided. A bound that is not finite, or whose power of ten is
-    not (past about 308.25), raises NonFinite."""
+    """Log-spaced |t|/||x|| grid of count points, 1 <= count <= MAX_GRID_COUNT (else
+    InvalidGeometry); mirrored to negative offsets when two_sided. A bound that is not
+    finite, or whose power of ten is not (past about 308.25), raises NonFinite."""
     for name, bound in (("lo", lo), ("hi", hi)):
         _require_finite_setting(bound, f"grid bound {name}")
     _require_integer(count, "grid count", 1)
+    if count > MAX_GRID_COUNT:  # the count itself may be too long to print
+        raise InvalidGeometry(f"grid count must be at most {MAX_GRID_COUNT}")
     with np.errstate(over="ignore"):
         ends = 10.0 ** np.array([lo, hi], dtype=float)
     for name, bound, end in zip(("lo", "hi"), (lo, hi), ends.tolist()):
@@ -189,6 +193,8 @@ def _theory_rows(rig, y, eta, t_grid, x_norm, validate):
     S_eta of eta (0 if no normal has a length), and _ray_condition the rows tau_n S_eta.
     """
     t = np.asarray(t_grid, dtype=float)
+    if t.ndim != 1:
+        raise InvalidGeometry(f"t_grid must be 1-D, got shape {t.shape}")
     t_rel, errors = t.tolist(), [None] * len(t)
     try:  # the QR in here: a Jacobian that is not finite is every row's error
         a, num, _, Q, R = _frame(rig, y)
@@ -238,9 +244,7 @@ def experiment_validate(rig: CameraRig, y, eta, t_grid: Sequence[float],
     perturb_rel that is not finite raises NonFinite, one <= 0
     InvalidGeometry, before anything is solved.
     """
-    _require_finite_setting(perturb_rel, "perturb_rel")
-    if perturb_rel <= 0:
-        raise InvalidGeometry(f"perturb_rel must be positive, got {perturb_rel}")
+    _require_positive(perturb_rel, "perturb_rel")
     y = np.asarray(y, dtype=float)
     x = _projection(*_jet(rig, y, 2))  # the rig keeps y's frame for the theory and solves
     x_norm = float(np.linalg.norm(x))

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidGeometry, OutsideDomain, RankDeficient, _require_finite
-from .errors import _require_finite_setting
+from .errors import _require_finite_setting, _require_positive, _vector
 from .linalg import compact_qr
 
 # Central-difference steps balancing truncation against roundoff in float64.
@@ -96,14 +96,13 @@ class TangentFrame:
 def tangent_frame(param: Parametrization, u) -> TangentFrame:
     """Compact QR frame of the Jacobian at u.
 
-    Raises NonFinite when u or the Jacobian at u (say one that overflows)
-    holds a NaN or an infinity, OutsideDomain when the chart's own domain
-    check rejects u, and RankDeficient when the smallest singular value of
-    the Jacobian drops below RANK_TOL times the largest (u outside the
-    smooth locus).
+    Raises InvalidGeometry when u is not an intrinsic_dim-vector, NonFinite
+    when u or the Jacobian at u (say one that overflows) holds a NaN or an
+    infinity, OutsideDomain when the chart's own domain check rejects u, and
+    RankDeficient when the smallest singular value of the Jacobian drops
+    below RANK_TOL times the largest (u outside the smooth locus).
     """
-    u = np.asarray(u, dtype=float)
-    _require_finite(u, "chart point")
+    u = _vector(u, param.intrinsic_dim, "chart point")
     if not param.in_domain(u):
         raise OutsideDomain(f"chart point {u} rejected by domain check")
     J = param.jacobian(u)
@@ -145,13 +144,8 @@ def sphere(radius: float = 1.0, center=None) -> Parametrization:
     phi(u) = center + radius (cos u1 cos u2, sin u1 cos u2, sin u2);
     the chart degenerates at the poles, excluded by the domain check.
     """
-    _require_finite_setting(radius, "sphere radius")
-    if radius <= 0:
-        raise InvalidGeometry(f"sphere radius must be positive, got {radius}")
-    c = np.zeros(3) if center is None else np.asarray(center, dtype=float)
-    _require_finite(c, "sphere center")
-    if c.shape != (3,):
-        raise InvalidGeometry(f"sphere center must be a 3-vector, got shape {c.shape}")
+    _require_positive(radius, "sphere radius")
+    c = np.zeros(3) if center is None else _vector(center, 3, "sphere center")
     r = float(radius)
 
     def point(u):
@@ -241,10 +235,7 @@ def affine(basis, offset=None) -> Parametrization:
     s = np.linalg.svd(B, compute_uv=False)
     if s[0] == 0.0 or s[-1] <= 1e-12 * s[0]:
         raise InvalidGeometry("affine basis is rank-deficient")
-    o = np.zeros(n) if offset is None else np.asarray(offset, dtype=float)
-    _require_finite(o, "affine offset")
-    if o.shape != (n,):
-        raise InvalidGeometry(f"offset must have shape ({n},), got {o.shape}")
+    o = np.zeros(n) if offset is None else _vector(offset, n, "affine offset")
 
     return Parametrization(
         ambient_dim=n,

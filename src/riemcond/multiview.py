@@ -17,14 +17,8 @@ import numpy as np
 
 from .condition import SING_TOL, ConditionReport, _sandwich, kappa_bounds
 from .curvature import _normal_errors, weingarten
-from .errors import (
-    AtInfinity,
-    DegenerateKernel,
-    InvalidGeometry,
-    NonFinite,
-    OutsideDomain,
-    _require_finite,
-)
+from .errors import AtInfinity, DegenerateKernel, InvalidGeometry, NonFinite, OutsideDomain
+from .errors import _require_finite, _vector
 from .linalg import compact_qr
 from .manifold import Parametrization
 
@@ -220,12 +214,9 @@ def mv_domain_check(rig: CameraRig, y) -> bool:
 
 def _checked(rig: CameraRig, y):
     """Depths and numerators of the world point y; InvalidGeometry, NonFinite or OutsideDomain."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (3,):
-        raise InvalidGeometry(f"world point must have shape (3,), got {y.shape}")
+    y = _vector(y, 3, "world point")
     a, num, ok = _domain_rows(rig, y[None])
     if not ok[0]:
-        _require_finite(y, "world point")
         raise OutsideDomain(
             f"world point {y} lies on a principal plane "
             "or the baseline (or within tolerance of them)"
@@ -245,15 +236,6 @@ def mv_jacobian(rig: CameraRig, y):
     return J.copy()
 
 
-def _correspondence(rig: CameraRig, x):
-    """x as a float 2r-vector; InvalidGeometry for another shape, NonFinite if not finite."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (2 * rig.r,):
-        raise InvalidGeometry(f"correspondence must have length {2 * rig.r}, got {x.shape}")
-    _require_finite(x, "correspondence")
-    return x
-
-
 def triangulate_linear(rig: CameraRig, x, minimal: bool = False):
     """Direct linear triangulation of a (possibly inconsistent) correspondence.
 
@@ -261,7 +243,7 @@ def triangulate_linear(rig: CameraRig, x, minimal: bool = False):
     dehomogenized kernel direction. minimal=True uses only the first two
     cameras (the 4 x 4 system); the default uses all r cameras.
     """
-    x = _correspondence(rig, x)
+    x = _vector(x, 2 * rig.r, "correspondence")
     P = rig.P[:2] if minimal else rig.P
     xy = x[: 2 * len(P)].reshape(-1, 2)
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
@@ -313,16 +295,16 @@ def _jet(rig: CameraRig, y, n=3):
     if n > 3 and len(memo) == 4:
         memo += compact_qr(memo[3])
     if memo is not last:
-        _remember(rig, memo)
+        _remember(rig, y, memo[1:])
     return memo[1:n + 1]
 
 
-def _remember(rig: CameraRig, memo):
-    """Make memo (key, a, num, ...) the rig's last point: read-only, one tuple replaced whole,
-    so no thread reads one point's key with another point's arrays."""
-    for arr in memo[1:]:
+def _remember(rig: CameraRig, y, arrays):
+    """Make y, with the arrays (a, num, ...) of its jet, the rig's last point: read-only, one
+    tuple replaced whole, so no thread reads one point's key with another point's arrays."""
+    for arr in arrays:
         arr.setflags(write=False)  # half the cost of arr.flags.writeable = False
-    object.__setattr__(rig, "_last_point", memo)
+    object.__setattr__(rig, "_last_point", ((y.shape, y.tobytes()), *arrays))
 
 
 def _frame(rig: CameraRig, y):

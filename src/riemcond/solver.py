@@ -14,12 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainEscape, InvalidGeometry, NonFinite, OutsideDomain, RiemcondError
-from .errors import _non_finite, _require_finite, _require_finite_setting, _require_integer
+from .errors import DomainEscape, NonFinite, OutsideDomain, RiemcondError, _non_finite
+from .errors import _require_finite, _require_finite_setting, _require_integer, _require_positive
+from .errors import _vector
 from .linalg import compact_qr  # noqa: F401  (a binding perfbench's tracer wraps)
 from .manifold import Parametrization
 from .multiview import (
-    CameraRig, _correspondence, _domain_rows, _frame, _jacobian, _jet, _projection, _remember,
+    CameraRig, _domain_rows, _frame, _jacobian, _jet, _projection, _remember,
     triangulate_linear)
 
 # Fixed damping schedule of the LM iteration: start, factor on a rejected
@@ -43,12 +44,10 @@ class SolverOptions:
     step_tol: float = 1e-14
 
     def __post_init__(self):
-        for name in ("grad_tol", "step_tol", "max_iters"):  # so max_iters=10**400 is NonFinite
-            _require_finite_setting(getattr(self, name), name)
-        _require_integer(self.max_iters, "max_iters", 1)
         for name in ("grad_tol", "step_tol"):
-            if getattr(self, name) <= 0:
-                raise InvalidGeometry(f"{name} must be positive")
+            _require_positive(getattr(self, name), name)
+        _require_finite_setting(self.max_iters, "max_iters")  # so 10**400 is NonFinite
+        _require_integer(self.max_iters, "max_iters", 1)
 
 
 _DEFAULTS = SolverOptions()  # frozen, so every call without options shares it
@@ -272,9 +271,8 @@ def project_point(param: Parametrization, a, u0, opts: SolverOptions | None = No
     that the chart's domain check rejects raises OutsideDomain, as
     tangent_frame does there.
     """
-    a = np.asarray(a, dtype=float)
-    _require_finite(a, "ambient point")
-    _require_finite(np.asarray(u0, dtype=float), "start point")
+    a = _vector(a, param.ambient_dim, "ambient point")
+    u0 = _vector(u0, param.intrinsic_dim, "start point")
 
     def evaluate(u):
         if not param.in_domain(u):
@@ -298,13 +296,13 @@ def triangulate(
     row of _triangulate_rows, whose jet at u_star the rig keeps (see _jet).
     The start point must pass mv_domain_check.
     """
-    a = _correspondence(rig, a)
+    a = _vector(a, 2 * rig.r, "correspondence")
     y0 = triangulate_linear(rig, a, minimal=minimal_init) if warm_start is None else warm_start
     (res,), jet = _triangulate_rows(rig, a[None], y0, opts)
     if isinstance(res, RiemcondError):
         raise res
     if jet is not None:  # else no step was taken, and the rig keeps y0's
-        _remember(rig, ((res.u_star.shape, res.u_star.tobytes()), *(v[0] for v in jet)))
+        _remember(rig, res.u_star, [v[0] for v in jet])
     return res
 
 
@@ -357,4 +355,5 @@ def _triangulate_rows(rig: CameraRig, A, y0, opts: SolverOptions | None = None):
 def mv_certificate(rig: CameraRig, y, a) -> float:
     """Tangential residual norm of a - mu(y); a is checked as triangulate checks it."""
     alpha, num, _, Q, _ = _frame(rig, y)
-    return float(np.linalg.norm(Q.T @ (_correspondence(rig, a) - _projection(alpha, num))))
+    a = _vector(a, 2 * rig.r, "correspondence")
+    return float(np.linalg.norm(Q.T @ (a - _projection(alpha, num))))

@@ -567,6 +567,17 @@ def test_grid_count_below_one_is_exit_1(command, rig_file, point_file, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sweep", "validate"])
+def test_grid_count_past_max_grid_count_is_exit_1(command, rig_file, point_file, tmp_path, capsys):
+    """A 400-digit count is one error line and exit 1, not a MemoryError or numpy's ValueError."""
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    assert main([command, "--rig", str(rig_file), "--point", str(point_file),
+                 f"--grid=0:1:{10**400}", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: grid count must be at most 1000000\n"
+    assert not out.exists()
+
+
 _RAY = ["--rig", "{rig}", "--point", "{point}"]
 
 

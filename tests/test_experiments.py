@@ -104,6 +104,39 @@ def test_a_setting_that_is_not_a_number_is_named_as_given(call, value):
     assert repr(value) in str(exc.value) and "nan" not in str(exc.value)
 
 
+_POSITIVE = {
+    "sphere radius": lambda v: rc.sphere(radius=v),
+    "grad_tol": lambda v: rc.SolverOptions(grad_tol=v),
+    "step_tol": lambda v: rc.SolverOptions(step_tol=v),
+    "radius": lambda v: rc.RigSpec(radius=v),
+    "focal": lambda v: rc.RigSpec(focal=v),
+    "perturb_rel": lambda v: rc.experiment_validate(None, DEFAULT_Y, None, [0.1], perturb_rel=v),
+}
+
+
+@pytest.mark.parametrize("name, value", [
+    ("sphere radius", 0.0), ("grad_tol", 0.0), ("grad_tol", np.nan), ("grad_tol", None),
+    ("step_tol", 0.0), ("step_tol", -1.0), ("step_tol", np.nan), ("step_tol", None),
+    ("radius", 0.0), ("radius", None), ("focal", 0.0), ("focal", -1.0), ("focal", np.nan),
+    ("focal", None), ("perturb_rel", None),
+])
+def test_a_positive_setting_rejects_zero_negative_nan_and_none(name, value):
+    """0 and -1 raise InvalidGeometry, NaN and None NonFinite, each naming the setting first:
+    the values the other tests of these settings leave out."""
+    error = rc.NonFinite if value is None or np.isnan(value) else rc.InvalidGeometry
+    with pytest.raises(error, match=f"^{name} "):
+        _POSITIVE[name](value)
+
+
+@pytest.mark.parametrize("run", [rc.experiment_sweep, rc.experiment_validate])
+def test_a_grid_that_is_not_1d_is_invalid_geometry(run):
+    rig = _default_rig()
+    eta = rc.random_unit_normal(rig, DEFAULT_Y, 0)
+    for grid in ([[0.1, 1.0]], 0.1):
+        with pytest.raises(rc.InvalidGeometry, match="t_grid must be 1-D"):
+            run(rig, DEFAULT_Y, eta, grid)
+
+
 @pytest.mark.parametrize("setting", [{"radius": 1e-300}, {"look_at": (1e308, 1e308, 1e308)}])
 def test_degenerate_rig_spec_is_non_finite_without_warnings(setting):
     """The camera frames divide by a zero length: gen_rig raises Camera's NonFinite, and
@@ -173,9 +206,13 @@ def test_log_grid_infinite_bound_is_non_finite(lo, hi, name):
     (0, rc.InvalidGeometry, "grid count must be an integer >= 1"),
     (np.nan, rc.NonFinite, "grid count nan is not finite"),
     (2.5, rc.InvalidGeometry, "grid count must be an integer >= 1"),
-], ids=["-1", "0", "nan", "2.5"])
+    (10**6 + 1, rc.InvalidGeometry, "grid count must be at most 1000000"),
+    (10**12, rc.InvalidGeometry, "grid count must be at most 1000000"),
+    (10**400, rc.InvalidGeometry, "grid count must be at most 1000000"),
+], ids=["-1", "0", "nan", "2.5", "1e6+1", "1e12", "1e400"])
 def test_log_grid_count_must_be_a_positive_integer(count, error, message):
-    """NaN is NonFinite, as for every other setting; a finite non-integer InvalidGeometry."""
+    """NaN is NonFinite, as for every other setting; a finite non-integer InvalidGeometry, as
+    is a count past MAX_GRID_COUNT, where numpy raised MemoryError or its own ValueError."""
     with pytest.raises(error, match=message):
         rc.log_grid(0.0, 1.0, count)
     assert len(rc.log_grid(0.0, 1.0, np.int64(2), two_sided=False)) == 2

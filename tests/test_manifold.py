@@ -106,6 +106,58 @@ def test_non_finite_builtin_parameter_raises_non_finite(name, params, entry):
         rc.builtin(name, **params)
 
 
+_EYE = [1.0, 0.0, 0.0]
+_HUGE = 10**400  # an integer no float holds
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda rig: rc.project_point(rc.sphere(), [2.0], [0.1, 0.2]),
+     rc.InvalidGeometry, r"ambient point must have shape \(3,\)"),
+    (lambda rig: rc.project_point(rc.graph2d(), [2.0], [0.1]),
+     rc.InvalidGeometry, r"ambient point must have shape \(2,\)"),
+    (lambda rig: rc.project_point(rc.sphere(), _EYE, [0.1]),
+     rc.InvalidGeometry, r"start point must have shape \(2,\)"),
+    (lambda rig: rc.project_point(rc.sphere(), _EYE, [[0.1, 0.2]]),
+     rc.InvalidGeometry, r"start point must have shape \(2,\)"),
+    (lambda rig: rc.tangent_frame(rc.sphere(), [0.1]),
+     rc.InvalidGeometry, r"chart point must have shape \(2,\)"),
+    (lambda rig: rc.tangent_frame(rc.sphere(), [[0.1, 0.2]]),
+     rc.InvalidGeometry, r"chart point must have shape \(2,\)"),
+    (lambda rig: rc.weingarten_data(rc.sphere(), [0.1], _EYE),
+     rc.InvalidGeometry, r"chart point must have shape \(2,\)"),
+    (lambda rig: rc.weingarten_data(rc.sphere(), [[0.1, 0.2]], _EYE),
+     rc.InvalidGeometry, r"chart point must have shape \(2,\)"),
+    (lambda rig: rc.second_fundamental_contraction(rc.graph2d(), [0.1, 0.2], [0.0, 1.0]),
+     rc.InvalidGeometry, r"chart point must have shape \(1,\)"),
+    (lambda rig: rc.sphere(center=[1.0, [2.0], 3.0]),
+     rc.InvalidGeometry, "sphere center must be 3 numbers"),
+    (lambda rig: rc.affine(np.eye(3)[:, :2], offset=[0.0, [1.0], 2.0]),
+     rc.InvalidGeometry, "affine offset must be 3 numbers"),
+    (lambda rig: rc.triangulate(rig, [1, [2], 3, 4, 5, 6]),
+     rc.InvalidGeometry, "correspondence must be 6 numbers"),
+    (lambda rig: rc.project_point(rc.sphere(), [_HUGE, 0, 0], [0.1, 0.2]),
+     rc.NonFinite, "ambient point holds an integer too large for a float"),
+    (lambda rig: rc.tangent_frame(rc.sphere(), [_HUGE, 0]),
+     rc.NonFinite, "chart point holds an integer too large for a float"),
+    (lambda rig: rc.sphere(center=[_HUGE, 0, 0]),
+     rc.NonFinite, "sphere center holds an integer too large for a float"),
+    (lambda rig: rc.triangulate(rig, [_HUGE, 0, 0, 0, 0, 0]),
+     rc.NonFinite, "correspondence holds an integer too large for a float"),
+], ids=["project_point-sphere-ambient", "project_point-graph2d-ambient",
+        "project_point-short-start", "project_point-2d-start", "tangent_frame-short",
+        "tangent_frame-2d", "weingarten_data-short", "weingarten_data-2d",
+        "second_fundamental_contraction-long", "sphere-ragged-center", "affine-ragged-offset",
+        "triangulate-ragged", "project_point-huge", "tangent_frame-huge", "sphere-huge-center",
+        "triangulate-huge"])
+def test_wrong_shape_ragged_or_huge_vectors_raise_typed_errors(call, error, match):
+    """An ambient point, start point or chart point of the wrong shape, a ragged center,
+    offset or correspondence, and an entry no float holds raise InvalidGeometry or NonFinite,
+    where numpy broadcast the point or raised its own IndexError, ValueError or OverflowError."""
+    rig = rc.gen_rig(rc.RigSpec(k=3, seed=21))
+    with pytest.raises(error, match=match):
+        call(rig)
+
+
 def test_analytic_jacobians_match_finite_differences():
     rng = np.random.default_rng(4)
     cases = [rc.sphere(1.0), rc.sphere(3.0, center=[1, -2, 0.5]), rc.graph2d(1.0),

@@ -494,7 +494,7 @@ def test_normal_errors_record_row_errors_and_runs_keep_other_rows():
 
 
 _WORLD = "world point must have shape"
-_CORRESPONDENCE = "correspondence must have length 6"
+_CORRESPONDENCE = r"correspondence must have shape \(6,\)"
 
 
 @pytest.mark.parametrize("call, match", [

@@ -2,10 +2,10 @@
 
 Each case draws a RigSpec rig, a world point in front of it and a scaled
 normal at its image, then checks that mv_kappa is unchanged (or scales
-as it must) when the world, the rig or the camera order is transformed
-in a way that leaves the image manifold's geometry intact, that it
-reduces to 1 / sigma_3(R) on the manifold, and that the stacked kernel
-gives every row what a one-row call gives it.
+as it must) when the world, the rig, the camera order or one camera's
+image plane is transformed in a way that leaves the image manifold's
+geometry intact, that it reduces to 1 / sigma_3(R) on the manifold, and
+that the stacked kernel gives every row what a one-row call gives it.
 """
 
 import numpy as np
@@ -85,6 +85,28 @@ def test_permuting_cameras_past_the_baseline_leaves_kappa_unchanged(instance, rn
     eta_p = eta.reshape(rig.r, 2)[order].reshape(-1)
     kappa_p = rc.mv_kappa(permuted, y, eta_p).kappa
     assert abs(kappa_p - kappa) <= REL_TOL * kappa
+
+
+@PROPERTY_SETTINGS
+@given(instances(), st.integers(0, 7), st.floats(-np.pi, np.pi),
+       st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2))
+def test_image_plane_isometry_of_one_camera_leaves_kappa_and_bounds_unchanged(
+        instance, l, angle, shift):
+    """P_l -> T P_l with T = [[O, t], [0, 0, 1]] moves camera l's image by the isometry
+    x -> O x + t, so the image manifold keeps its metric when eta's block l turns by O."""
+    rig, y, eta, _ = instance
+    l %= rig.r
+    O = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    T = np.eye(3)
+    T[:2, :2], T[:2, 2] = O, shift
+    P = rig.P.copy()
+    P[l] = T @ P[l]
+    eta_m = eta.copy()
+    eta_m[2 * l:2 * l + 2] = O @ eta[2 * l:2 * l + 2]
+    got = rc.mv_kappa(rc.CameraRig(cameras=tuple(rc.Camera(p) for p in P)), y, eta_m)
+    want = rc.mv_kappa(rig, y, eta)
+    np.testing.assert_allclose([got.kappa, got.bounds_lo, got.bounds_hi],
+                               [want.kappa, want.bounds_lo, want.bounds_hi], rtol=REL_TOL)
 
 
 @PROPERTY_SETTINGS

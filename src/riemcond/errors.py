@@ -100,14 +100,20 @@ def _require_positive(value, what: str):
         raise InvalidGeometry(f"{what} must be positive, got {value!r}")
 
 
+def _floats(v, what: str, kind: str):
+    """np.asarray(v, dtype=float): InvalidGeometry ("<what> must be <kind>: ...") when v is
+    ragged or not numbers, NonFinite when it holds an integer past the float range."""
+    try:
+        return np.asarray(v, dtype=float)
+    except OverflowError:
+        raise NonFinite(f"{what} holds an integer too large for a float") from None
+    except (TypeError, ValueError) as exc:
+        raise InvalidGeometry(f"{what} must be {kind}: {exc}") from None
+
+
 def _vector(v, n: int, what: str):
     """v as a float array of shape (n,), else InvalidGeometry; NonFinite unless finite."""
-    try:
-        v = np.asarray(v, dtype=float)
-    except OverflowError:  # an integer past the float range
-        raise NonFinite(f"{what} holds an integer too large for a float") from None
-    except (TypeError, ValueError) as exc:  # ragged, or not numbers
-        raise InvalidGeometry(f"{what} must be {n} numbers: {exc}") from None
+    v = _floats(v, what, f"{n} numbers")
     if v.shape != (n,):
         raise InvalidGeometry(f"{what} must have shape ({n},), got {v.shape}")
     _require_finite(v, what)

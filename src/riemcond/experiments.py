@@ -17,7 +17,7 @@ import numpy as np
 
 from .condition import ill_posedness_certificate
 from .curvature import weingarten
-from .errors import EmptyInput, InvalidGeometry, NonFinite, RiemcondError
+from .errors import EmptyInput, InvalidGeometry, NonFinite, RiemcondError, _floats
 from .errors import _require_finite, _require_finite_setting, _require_integer, _require_positive
 from .multiview import (
     Camera,
@@ -192,7 +192,7 @@ def _theory_rows(rig, y, eta, t_grid, x_norm, validate):
     S is linear in the normal: the good row whose normal's length is nearest 1 gives the map
     S_eta of eta (0 if no normal has a length), and _ray_condition the rows tau_n S_eta.
     """
-    t = np.asarray(t_grid, dtype=float)
+    t = _floats(t_grid, "t_grid", "a 1-D array of numbers")
     if t.ndim != 1:
         raise InvalidGeometry(f"t_grid must be 1-D, got shape {t.shape}")
     t_rel, errors = t.tolist(), [None] * len(t)

@@ -41,20 +41,37 @@ def _forward_substitution(R, B):
     return X
 
 
+def _forward_rows(R, B):
+    """_forward_substitution on Python lists, R's rows and B's m rows: the same operations
+    in the same order, so the same bits (IEEE arithmetic rounds alike in CPython and numpy)."""
+    X = []
+    for i, s in enumerate(B):
+        for j in range(i):
+            s = [v - R[j][i] * x for v, x in zip(s, X[j])]
+        X.append([v / R[i][i] for v in s])
+    return X
+
+
 def congruence_by_inverse(S_hat, R):
     """Return R^{-T} S_hat R^{-1} for upper-triangular R, symmetrized.
 
     S_hat may be one m x m matrix or a stack (N, m, m): each of the two
-    triangular solves is one forward substitution over the whole stack.
+    triangular solves is one forward substitution over the whole stack. One
+    matrix, which costs less on Python floats, gives the bits of its row in a stack.
     Raises SingularR when R is numerically singular (its diagonal carries
     the singular values of the triangular factor up to conditioning).
     """
     R = np.asarray(R, dtype=float)
     diag = np.abs(np.diag(R))
-    if diag.min() == 0.0 or diag.min() <= TRIANGULAR_TOL * diag.max():
-        raise SingularR(f"triangular factor singular: |diag| range {diag.min():.3e}..{diag.max():.3e}")
+    lo = diag.min()
+    if lo == 0.0 or lo <= TRIANGULAR_TOL * diag.max():
+        raise SingularR(f"triangular factor singular: |diag| range {lo:.3e}..{diag.max():.3e}")
     S_hat = np.asarray(S_hat, dtype=float)
     m = len(R)
+    if S_hat.size == m * m and lo > 0.0:  # lo is NaN if R's diagonal holds one: numpy's path
+        Rl = R.tolist()
+        St = np.array(_forward_rows(Rl, zip(*_forward_rows(Rl, S_hat.reshape(m, m).tolist()))))
+        return (0.5 * (St + St.T)).reshape(S_hat.shape)  # St is S^T, and a + b is b + a
     # R^{-T} S_hat = solve(R^T, S_hat) on the block row [S_hat_1 ... S_hat_N],
     # then (.) R^{-1} = solve(R^T, (.)^T)^T on the block row of transposes
     Y = _forward_substitution(R, S_hat.reshape(-1, m, m).transpose(1, 0, 2))

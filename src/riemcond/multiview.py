@@ -18,7 +18,7 @@ import numpy as np
 from .condition import SING_TOL, ConditionReport, _sandwich, kappa_bounds
 from .curvature import _normal_errors, weingarten
 from .errors import AtInfinity, DegenerateKernel, InvalidGeometry, NonFinite, OutsideDomain
-from .errors import _require_finite, _vector
+from .errors import _floats, _require_finite, _vector
 from .linalg import compact_qr
 from .manifold import Parametrization
 
@@ -243,7 +243,11 @@ def triangulate_linear(rig: CameraRig, x, minimal: bool = False):
     dehomogenized kernel direction. minimal=True uses only the first two
     cameras (the 4 x 4 system); the default uses all r cameras.
     """
-    x = _vector(x, 2 * rig.r, "correspondence")
+    return _dlt(rig, _vector(x, 2 * rig.r, "correspondence"), minimal)
+
+
+def _dlt(rig: CameraRig, x, minimal):
+    """triangulate_linear of the correspondence x, a checked float array (2r,)."""
     P = rig.P[:2] if minimal else rig.P
     xy = x[: 2 * len(P)].reshape(-1, 2)
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
@@ -284,7 +288,7 @@ def _jet(rig: CameraRig, y, n=3):
     bytes, and fills them only as far as its callers ask: a hit returns the read-only
     arrays a miss computed. triangulate leaves its solution's first three there.
     """
-    y = np.asarray(y, dtype=float)
+    y = _floats(y, "world point", "3 numbers")
     key = (y.shape, y.tobytes())
     last = memo = rig._last_point
     if memo[0] != key:
@@ -315,7 +319,7 @@ def _frame(rig: CameraRig, y):
 def _one_row(rig: CameraRig, frame, eta):
     """(S_hat, S) of the one normal eta from the _frame of y; the row's error is raised."""
     a, num, _, Q, R = frame
-    E = np.asarray(eta, dtype=float)[None]
+    E = _floats(eta, "normal vector eta", f"{len(Q)} numbers")[None]
     (error,), _ = _normal_errors(Q, E)
     if error is not None:
         raise error
@@ -446,20 +450,22 @@ def mv_kappa(rig: CameraRig, y, eta) -> ConditionReport:
     the frame Q at mu(y); the worst ambient perturbation is Q times it.
     """
     frame = _frame(rig, y)
-    rows = mv_condition(frame[4], _one_row(rig, frame, eta)[1][None])
-    ill = bool(rows.ill_posed[0])
+    R, S = frame[4], _one_row(rig, frame, eta)[1]
+    sigma_R, kappa_S = _sigma_R(R)
+    # mv_condition's row, bit for bit: its LAPACK calls, then Python floats, not the stack
+    U, s = np.linalg.svd((np.eye(3) - S) @ R)[:2]
+    (s1, _, s3), (sR1, _, sR3) = s.tolist(), sigma_R.tolist()
+    scale = max(s1, sR1)  # _verdicts' rule
+    ill = scale == 0.0 or s3 <= SING_TOL * scale
+    d = [abs(1.0 - c) for c in np.linalg.eigvalsh(S).tolist()]  # _sandwich's rule
+    lo, hi = (math.inf if v <= SING_TOL else kappa_S / v for v in (max(d), min(d)))
     return ConditionReport(
-        kappa=float(rows.kappa[0]),
+        kappa=math.inf if ill else 1.0 / s3,
         ill_posed=ill,
-        worst_input_direction=None if ill else rows.worst[0],
-        bounds_lo=float(rows.bounds_lo[0]),
-        bounds_hi=float(rows.bounds_hi[0]),
-        components={
-            "sigma3": float(rows.sigma[0, 2]),
-            "sigma1": float(rows.sigma[0, 0]),
-            "sigma3_R": float(rows.sigma_R[2]),
-            "kappa_S": rows.kappa_S,
-        },
+        worst_input_direction=None if ill else np.ascontiguousarray(U[:, 2]),
+        bounds_lo=lo,
+        bounds_hi=hi,
+        components={"sigma3": s3, "sigma1": s1, "sigma3_R": sR3, "kappa_S": kappa_S},
     )
 
 

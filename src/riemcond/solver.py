@@ -20,8 +20,7 @@ from .errors import _vector
 from .linalg import compact_qr  # noqa: F401  (a binding perfbench's tracer wraps)
 from .manifold import Parametrization
 from .multiview import (
-    CameraRig, _domain_rows, _frame, _jacobian, _jet, _projection, _remember,
-    triangulate_linear)
+    CameraRig, _dlt, _domain_rows, _frame, _jacobian, _jet, _projection, _remember)
 
 # Fixed damping schedule of the LM iteration: start, factor on a rejected
 # step, factor on an accepted step.
@@ -297,7 +296,7 @@ def triangulate(
     The start point must pass mv_domain_check.
     """
     a = _vector(a, 2 * rig.r, "correspondence")
-    y0 = triangulate_linear(rig, a, minimal=minimal_init) if warm_start is None else warm_start
+    y0 = _dlt(rig, a, minimal_init) if warm_start is None else warm_start
     (res,), jet = _triangulate_rows(rig, a[None], y0, opts)
     if isinstance(res, RiemcondError):
         raise res
@@ -313,7 +312,7 @@ def _triangulate_rows(rig: CameraRig, A, y0, opts: SolverOptions | None = None):
     a SolveResult or the RiemcondError triangulate would raise; jet is the
     depths, numerators and Jacobians (a, num, J) of the trial points accepted
     last, or None, so with one row its row 0 is _jet's at u_star. An error of
-    y0 (NonFinite or OutsideDomain) raises.
+    y0 (InvalidGeometry, NonFinite or OutsideDomain) raises.
     """
     A = np.asarray(A, dtype=float)
     finite = np.logical_and.reduce(np.isfinite(A), axis=1).tolist()
@@ -321,8 +320,8 @@ def _triangulate_rows(rig: CameraRig, A, y0, opts: SolverOptions | None = None):
     pos = [n for n, res in enumerate(out) if res is None]
     if not pos:
         return out, None
-    y0 = np.asarray(y0, dtype=float)
     a0, num0, J0 = _jet(rig, y0)
+    y0 = np.asarray(y0, dtype=float)
     _require_finite(J0, "Jacobian at the start point")
     target = A if len(pos) == len(A) else A[pos]
     every, jet = list(range(len(pos))), None
@@ -338,15 +337,15 @@ def _triangulate_rows(rig: CameraRig, A, y0, opts: SolverOptions | None = None):
         def jac(sel):  # sel ascends: one as long as a is every trial point
             nonlocal jet
             at = (a, num) if len(sel) == len(a) else (a.take(sel, 0), num.take(sel, 0))
-            with np.errstate(over="ignore"):  # a depth past ~1e154 squares to inf
-                jet = (*at, _jacobian(rig, *at))
+            jet = (*at, _jacobian(rig, *at))
             return jet[2]
         T = target if rows == every else target.take(rows, 0)
         return _projection(a, num) - T, inside, jac
 
     m = len(pos)
     u, J = np.repeat(y0[None], m, axis=0), np.repeat(J0[None], m, axis=0)
-    results = _lm_rows(evaluate, u, _projection(a0, num0) - target, J, opts or _DEFAULTS)
+    with np.errstate(over="ignore"):  # for jac: a depth past ~1e154 squares to inf
+        results = _lm_rows(evaluate, u, _projection(a0, num0) - target, J, opts or _DEFAULTS)
     for n, res in zip(pos, results):
         out[n] = res
     return out, jet

@@ -57,6 +57,36 @@ def test_weingarten_change_of_basis():
         rc.weingarten(S_hat, np.array([[1.0, 1.0], [0.0, 0.0]]))
 
 
+def test_one_matrix_congruence_is_its_row_in_a_stack():
+    """congruence_by_inverse takes one matrix on Python floats and a stack on numpy: the
+    matrix, as (m, m) or (1, m, m), gives the bits of its row in a 2-stack, with per-entry
+    scales 2^+-40, and a nearly singular R raises the same SingularR."""
+    from riemcond.linalg import congruence_by_inverse
+
+    rng = np.random.default_rng(27)
+    R_near = np.array([[1.0, 0.5, 0.2], [0.0, 1e-15, 0.3], [0.0, 0.0, 2.0]])
+    cases, singular = [(rng.standard_normal((2, 3, 3)), R_near)], 0
+    for m in (1, 2, 3):
+        for _ in range(300):
+            scales = 2.0 ** rng.integers(-40, 41, (3, m, m))
+            cases.append((rng.standard_normal((2, m, m)) * scales[:2],
+                          np.triu(rng.standard_normal((m, m)) * scales[2])))
+    for S_hat, R in cases:
+        try:
+            want = congruence_by_inverse(S_hat, R)[0]
+        except rc.SingularR as exc:
+            singular += 1
+            for one in (S_hat[0], S_hat[:1]):
+                with pytest.raises(rc.SingularR) as got:
+                    congruence_by_inverse(one, R)
+                assert str(got.value) == str(exc)
+            continue
+        for one in (S_hat[0], S_hat[:1]):
+            got = congruence_by_inverse(one, R)
+            assert got.shape == one.shape and got.tobytes() == want.reshape(one.shape).tobytes()
+    assert 1 <= singular < len(cases) // 2
+
+
 def test_parabola_weingarten_scales_with_offset():
     for t in (0.1, 0.25, -0.4):
         wd = rc.weingarten_data(rc.graph2d(1.0), [0.0], [0.0, t])

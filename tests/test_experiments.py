@@ -137,6 +137,20 @@ def test_a_grid_that_is_not_1d_is_invalid_geometry(run):
             run(rig, DEFAULT_Y, eta, grid)
 
 
+@pytest.mark.parametrize("run", [rc.experiment_sweep, rc.experiment_validate])
+@pytest.mark.parametrize("grid, error, match", [
+    ([0.1, [0.2]], rc.InvalidGeometry, "t_grid must be a 1-D array of numbers"),
+    ([0.1, "a"], rc.InvalidGeometry, "t_grid must be a 1-D array of numbers"),
+    ([0.1, 10**400], rc.NonFinite, "t_grid holds an integer too large for a float"),
+], ids=["ragged", "not-a-number", "huge"])
+def test_a_ragged_non_numeric_or_huge_grid_is_typed(run, grid, error, match):
+    """The grid's conversion raises the library's errors, not numpy's ValueError or the
+    OverflowError of an integer no float holds."""
+    rig = _default_rig()
+    with pytest.raises(error, match=match):
+        run(rig, DEFAULT_Y, rc.random_unit_normal(rig, DEFAULT_Y, 0), grid)
+
+
 @pytest.mark.parametrize("setting", [{"radius": 1e-300}, {"look_at": (1e308, 1e308, 1e308)}])
 def test_degenerate_rig_spec_is_non_finite_without_warnings(setting):
     """The camera frames divide by a zero length: gen_rig raises Camera's NonFinite, and

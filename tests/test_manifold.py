@@ -108,6 +108,7 @@ def test_non_finite_builtin_parameter_raises_non_finite(name, params, entry):
 
 _EYE = [1.0, 0.0, 0.0]
 _HUGE = 10**400  # an integer no float holds
+_Y = [0.1, 0.2, -0.1]  # a world point in the domain of the rig below
 
 
 @pytest.mark.parametrize("call, error, match", [
@@ -143,16 +144,33 @@ _HUGE = 10**400  # an integer no float holds
      rc.NonFinite, "sphere center holds an integer too large for a float"),
     (lambda rig: rc.triangulate(rig, [_HUGE, 0, 0, 0, 0, 0]),
      rc.NonFinite, "correspondence holds an integer too large for a float"),
+    (lambda rig: rc.mv_project(rig, [0.1, [0.2], -0.1]),
+     rc.InvalidGeometry, "world point must be 3 numbers"),
+    (lambda rig: rc.triangulate(rig, rc.mv_project(rig, _Y), warm_start=[1, [2], 3]),
+     rc.InvalidGeometry, "world point must be 3 numbers"),
+    (lambda rig: rc.mv_project(rig, [_HUGE, 0, 0]),
+     rc.NonFinite, "world point holds an integer too large for a float"),
+    (lambda rig: rc.mv_kappa(rig, _Y, [1, [2]]),
+     rc.InvalidGeometry, "normal vector eta must be 6 numbers"),
+    (lambda rig: rc.mv_weingarten(rig, _Y, [1, [2]]),
+     rc.InvalidGeometry, "normal vector eta must be 6 numbers"),
+    (lambda rig: rc.mv_kappa(rig, _Y, [_HUGE] + [0] * 5),
+     rc.NonFinite, "normal vector eta holds an integer too large for a float"),
+    (lambda rig: rc.mv_kappa(rig, _Y, [1.0, 2.0]),
+     rc.NotNormal, "eta must have length 6"),
 ], ids=["project_point-sphere-ambient", "project_point-graph2d-ambient",
         "project_point-short-start", "project_point-2d-start", "tangent_frame-short",
         "tangent_frame-2d", "weingarten_data-short", "weingarten_data-2d",
         "second_fundamental_contraction-long", "sphere-ragged-center", "affine-ragged-offset",
         "triangulate-ragged", "project_point-huge", "tangent_frame-huge", "sphere-huge-center",
-        "triangulate-huge"])
+        "triangulate-huge", "mv_project-ragged", "triangulate-ragged-start", "mv_project-huge",
+        "mv_kappa-ragged-eta", "mv_weingarten-ragged-eta", "mv_kappa-huge-eta",
+        "mv_kappa-short-eta"])
 def test_wrong_shape_ragged_or_huge_vectors_raise_typed_errors(call, error, match):
     """An ambient point, start point or chart point of the wrong shape, a ragged center,
-    offset or correspondence, and an entry no float holds raise InvalidGeometry or NonFinite,
-    where numpy broadcast the point or raised its own IndexError, ValueError or OverflowError."""
+    offset, correspondence, world point or normal, and an entry no float holds raise
+    InvalidGeometry or NonFinite, where numpy broadcast the point or raised its own
+    IndexError, ValueError or OverflowError; a normal of the wrong length is NotNormal."""
     rig = rc.gen_rig(rc.RigSpec(k=3, seed=21))
     with pytest.raises(error, match=match):
         call(rig)

@@ -590,6 +590,37 @@ def test_mv_kappa_on_manifold_reduces_to_frame_factor():
     assert rep.bounds_hi == pytest.approx(rep.kappa, rel=1e-12)
 
 
+def test_mv_kappa_is_its_row_of_the_stacked_kernel():
+    """mv_kappa takes its one critical pair on Python floats, mv_condition a stack on numpy:
+    every field of mv_kappa is the stack's row, with ==, and the worst direction's bytes,
+    at generic normals, at focal pairs (ill-posed) and at eta = 0."""
+    from riemcond.multiview import _frame, _stacked_hat, mv_condition
+
+    rng = np.random.default_rng(27)
+    y = np.array([0.35, -0.2, 0.4])
+    for k in (2, 10, 40):
+        rig = rc.gen_rig(rc.RigSpec(k=k, seed=0))
+        x_norm = float(np.linalg.norm(rc.mv_project(rig, y)))
+        unit = _random_normal_at(rig, y, 7)
+        E = [rng.uniform(-3.0, 3.0) * x_norm * _random_normal_at(rig, y, s) for s in range(6)]
+        E += [t * x_norm * unit for t in rc.singular_offsets_rel(rig, y, unit)]
+        E.append(np.zeros(2 * k))
+        a, num, _, _, R = _frame(rig, y)
+        rows = mv_condition(R, rc.weingarten(_stacked_hat(rig, a, num, np.array(E)), R))
+        assert rows.ill_posed.any() and not rows.ill_posed.all()
+        for n, eta in enumerate(E):
+            rep = rc.mv_kappa(rig, y, eta)
+            assert rep.ill_posed == rows.ill_posed[n]
+            assert rep.kappa == rows.kappa[n]
+            assert (rep.bounds_lo, rep.bounds_hi) == (rows.bounds_lo[n], rows.bounds_hi[n])
+            assert rep.components == {"sigma3": rows.sigma[n, 2], "sigma1": rows.sigma[n, 0],
+                                      "sigma3_R": rows.sigma_R[2], "kappa_S": rows.kappa_S}
+            if rep.ill_posed:
+                assert rep.worst_input_direction is None
+            else:
+                assert rep.worst_input_direction.tobytes() == rows.worst[n].tobytes()
+
+
 def test_mv_kappa_affine_rig_insensitive_to_eta():
     rig = _affine_rig()
     y = np.array([0.4, -0.2, 0.6])

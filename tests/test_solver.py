@@ -143,6 +143,26 @@ def test_triangulate_leaves_its_solution_jet_in_the_rig(monkeypatch):
     assert np.array_equal(image, rc.mv_project(twin, res.u_star))
 
 
+def test_triangulate_checks_its_correspondence_once(monkeypatch):
+    """triangulate hands its checked correspondence to the DLT body, so _vector converts
+    and checks it once per call, with or without a warm start."""
+    original, whats = rc.errors._vector, []
+
+    def counted(v, n, what):
+        whats.append(what)
+        return original(v, n, what)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("riemcond") and getattr(module, "_vector", None) is original:
+            monkeypatch.setattr(module, "_vector", counted)
+    rig, y = rc.gen_rig(rc.RigSpec(k=10, seed=0)), np.array([0.35, -0.2, 0.4])
+    x = rc.mv_project(rig, y) + 1e-3 * np.random.default_rng(3).standard_normal(20)
+    for warm_start in (None, y):
+        whats.clear()
+        rc.triangulate(rig, x, warm_start=warm_start)
+        assert whats.count("correspondence") == 1
+
+
 def test_validate_leaves_the_memo_on_its_theory_point():
     """experiment_validate's solves leave the rig's memo on y, so a second run hits it."""
     rig, y = rc.gen_rig(rc.RigSpec(k=10, seed=0)), np.array([0.35, -0.2, 0.4])

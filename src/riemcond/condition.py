@@ -16,8 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .curvature import WeingartenData
-from .errors import _require_finite
-from .linalg import metric_cholesky
+from .errors import InvalidGeometry, _floats, _require_finite
+from .linalg import _require_symmetric, metric_cholesky
 
 # Relative threshold below which a singular value counts as zero (ill-posed).
 SING_TOL = 1e-12
@@ -57,10 +57,10 @@ class ProblemDerivative:
     output_metric: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
+        object.__setattr__(self, "A", _floats(self.A, "problem derivative A", "a matrix"))
         _require_finite(self.A, "problem derivative A")
         if self.output_metric is not None:
-            G = np.asarray(self.output_metric, dtype=float)
+            G = _floats(self.output_metric, "output metric", "a matrix")
             _require_finite(G, "output metric")
             metric_cholesky(G)  # raises NotSPD on failure
             object.__setattr__(self, "output_metric", G)
@@ -73,7 +73,7 @@ def spectral_norm_metric(M, G=None):
     C^T C = G and v is the corresponding right singular vector (the worst
     input direction). G = None means the identity metric.
     """
-    M = np.atleast_2d(np.asarray(M, dtype=float))
+    M = np.atleast_2d(_floats(M, "matrix M", "a matrix"))
     if G is not None:
         with np.errstate(over="ignore", invalid="ignore"):  # reported just below
             M = metric_cholesky(G) @ M
@@ -85,12 +85,13 @@ def spectral_norm_metric(M, G=None):
 def kappa_cpp(H) -> ConditionReport:
     """Condition number ||H^{-1}|| of a critical point with distance Hessian H.
 
-    H must be symmetric; a NaN or infinity in it raises NonFinite. Returns
-    infinity (ill_posed) when the smallest singular value of H falls below
-    SING_TOL relative to the largest.
+    H must be a square symmetric matrix (SYM_TOL's rule), else InvalidGeometry; a NaN or
+    infinity in it raises NonFinite. Returns infinity (ill_posed) when the smallest
+    singular value of H falls below SING_TOL relative to the largest.
     """
-    H = np.atleast_2d(np.asarray(H, dtype=float))
+    H = np.atleast_2d(_floats(H, "distance Hessian H", "a square matrix"))
     _require_finite(H, "distance Hessian H")
+    _require_symmetric(H, InvalidGeometry, "distance Hessian H")
     evals, evecs = np.linalg.eigh(H)
     sigma = np.abs(evals)
     k = int(np.argmin(sigma))
@@ -121,10 +122,12 @@ def kappa_cpp_curvatures(c, eta_norm: float) -> float:
 def kappa_gcpp(pd: ProblemDerivative, H) -> ConditionReport:
     """Condition number ||A H^{-1}||_G of a generalized critical point.
 
-    H's spectrum and the ill-posed verdict are those of kappa_cpp(H).
+    H's spectrum and ill-posed verdict are kappa_cpp(H)'s; InvalidGeometry unless A has m columns.
     """
-    H = np.atleast_2d(np.asarray(H, dtype=float))
+    H = np.atleast_2d(_floats(H, "distance Hessian H", "a square matrix"))
     base = kappa_cpp(H)
+    if pd.A.shape[-1:] != H.shape[1:]:  # A is p x m, or one row of m
+        raise InvalidGeometry(f"problem derivative A {pd.A.shape} does not fit H {H.shape}")
     if base.ill_posed:
         return base
     M = np.linalg.solve(H, pd.A.T).T  # A H^{-1}
@@ -151,10 +154,10 @@ def kappa_bounds(kappa_S: float, c, eta_norm):
     stack (N, m) of curvature rows with eta_norm (N,) or one length; lo and
     hi are then (N,) arrays.
     """
-    c = np.asarray(c, dtype=float)
+    c = _floats(c, "curvatures", "an array of numbers")
     if c.ndim < 2 and c.size == 0:
         return float(kappa_S), float(kappa_S)
-    d = np.abs(1.0 - c * np.asarray(eta_norm, dtype=float)[..., None])
+    d = np.abs(1.0 - c * _floats(eta_norm, "normal length", "a number or an array")[..., None])
     lo, hi = _sandwich(kappa_S, d.max(axis=-1), d.min(axis=-1))
     if c.ndim < 2:
         return float(lo), float(hi)
@@ -168,7 +171,7 @@ def ill_posedness_certificate(c):
     a critical radius. Offsets equal up to MERGE_TOL (relative) are
     reported once, sorted.
     """
-    c = np.asarray(c, dtype=float)
+    c = _floats(c, "curvatures", "an array of numbers")
     nz = c[c != 0.0]
     if nz.size == 0:
         return np.empty(0)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotNormal, ZeroNormal, _non_finite, _require_finite
+from .errors import NotNormal, ZeroNormal, _floats, _non_finite, _require_finite
 from .linalg import congruence_by_inverse
 from .manifold import Parametrization, tangent_frame
 
@@ -81,8 +81,8 @@ def weingarten(S_hat, R):
 
 def weingarten_data(param: Parametrization, u, eta) -> WeingartenData:
     """Assemble frame, contraction, orthonormal Weingarten map, and H = I - S, on one frame."""
-    frame = tangent_frame(param, u)
-    u, eta = np.asarray(u, dtype=float), np.asarray(eta, dtype=float)
+    frame = tangent_frame(param, u)  # u is checked here, and second_derivative converts it
+    eta = _floats(eta, "normal vector eta", f"{param.ambient_dim} numbers")
     (error,), norms = _normal_errors(frame.Q, eta[None])
     if error is not None:
         raise error
@@ -127,7 +127,7 @@ def principal_curvatures(wd: WeingartenData):
 
 def critical_radii(c):
     """Osculating-circle radii 1/|c_i|; infinite where the curvature vanishes."""
-    c = np.asarray(c, dtype=float)
+    c = _floats(c, "curvatures", "an array of numbers")
     with np.errstate(divide="ignore"):
         return np.where(c == 0.0, np.inf, 1.0 / np.abs(c))
 

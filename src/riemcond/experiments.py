@@ -181,13 +181,13 @@ def log_grid(lo: float, hi: float, count: int, two_sided: bool = True):
     return np.concatenate([-pos[::-1], pos])
 
 
-def _theory_rows(rig, y, eta, t_grid, x_norm, validate):
-    """Records over t_grid from the _frame of y and one _normal_errors call and, for validate,
-    the frame Q and the worst direction of each good row, by row.
+def _theory_rows(rig, y, eta, t_grid, x, validate):
+    """Records over t_grid from the _frame of y and one _normal_errors call, the normals E
+    (N, 2r) and, for validate, the worst ambient direction Q w of each good row, by row.
 
-    Row n uses the normal tau_n eta, tau_n = t_n ||x||. As in mv_kappa, an error of y
-    applies to every row, then each row has its own verdict, and an error building the maps
-    goes to the rows without one. Validate builds each row's S from its own normal, so no
+    Row n uses the normal E_n = tau_n eta, tau_n = t_n ||x||, x = mu(y). As in mv_kappa, an
+    error of y applies to every row, then each row has its own verdict, and an error building
+    the maps goes to the rows without one. Validate builds each row's S from its own normal, so no
     row depends on how the grid is split into calls. A sweep reads no singular vectors, and
     S is linear in the normal: the good row whose normal's length is nearest 1 gives the map
     S_eta of eta (0 if no normal has a length), and _ray_condition the rows tau_n S_eta.
@@ -199,8 +199,8 @@ def _theory_rows(rig, y, eta, t_grid, x_norm, validate):
     try:  # the QR in here: a Jacobian that is not finite is every row's error
         a, num, _, Q, R = _frame(rig, y)
         with np.errstate(over="ignore"):  # a row whose normal overflows is NonFinite below
-            tau = t * x_norm
-            E = np.multiply.outer(tau, np.asarray(eta, dtype=float))
+            tau = t * float(np.linalg.norm(x))
+            E = np.multiply.outer(tau, _floats(eta, "normal vector eta", f"{len(Q)} numbers"))
         errors, norms = _normal_errors(Q, E)
         good = [n for n, err in enumerate(errors) if err is None]
         sel = good if len(good) < len(t) else slice(None)  # a view when every row is good
@@ -223,13 +223,13 @@ def _theory_rows(rig, y, eta, t_grid, x_norm, validate):
                cond.sigma[:, 2].tolist(), cond.ill_posed.tolist())
     records = [next(rows) if err is None else _error_record(v, err)
                for v, err in zip(t_rel, errors)]
-    return records, Q, dict(zip(good, cond.worst)) if validate else None
+    worst = dict(zip(good, (Q[None] @ cond.worst[:, :, None])[:, :, 0])) if validate else None
+    return records, E, worst
 
 
 def experiment_sweep(rig: CameraRig, y, eta, t_grid: Sequence[float]):
     """Theoretical condition numbers along a(t) = x + t ||x|| eta over t_grid."""
-    x_norm = float(np.linalg.norm(_projection(*_jet(rig, y, 2))))
-    return _theory_rows(rig, y, eta, t_grid, x_norm, validate=False)[0]
+    return _theory_rows(rig, y, eta, t_grid, _projection(*_jet(rig, y, 2)), validate=False)[0]
 
 
 def experiment_validate(rig: CameraRig, y, eta, t_grid: Sequence[float],
@@ -245,20 +245,17 @@ def experiment_validate(rig: CameraRig, y, eta, t_grid: Sequence[float],
     InvalidGeometry, before anything is solved.
     """
     _require_positive(perturb_rel, "perturb_rel")
-    y = np.asarray(y, dtype=float)
+    y = _floats(y, "world point", "3 numbers")
     x = _projection(*_jet(rig, y, 2))  # the rig keeps y's frame for the theory and solves
-    x_norm = float(np.linalg.norm(x))
-    eta = np.asarray(eta, dtype=float)
-    records, Q, worst = _theory_rows(rig, y, eta, t_grid, x_norm, validate=True)
+    records, normals, worst = _theory_rows(rig, y, eta, t_grid, x, validate=True)
     for rec in records:  # a theory value that is not finite: inf, or an error row's NaN
         rec.flagged = not math.isfinite(rec.kappa)
     todo = [n for n, rec in enumerate(records) if not rec.flagged]
     if not todo:
         return records
-    # each row's bits of a = x + t ||x|| eta and E = perturb_rel ||a|| Q w: sqrt(_dots) is norm
-    A = x + np.multiply.outer(np.array([records[n].t_rel for n in todo]) * x_norm, eta)
-    W = np.array([worst[n] for n in todo])
-    E = (perturb_rel * np.sqrt(_dots(A, A)))[:, None] * (Q[None] @ W[:, :, None])[:, :, 0]
+    # each row's a = x + t ||x|| eta and E = perturb_rel ||a|| Q w: sqrt(_dots) is norm
+    A = x + normals[todo]
+    E = (perturb_rel * np.sqrt(_dots(A, A)))[:, None] * np.array([worst[n] for n in todo])
     results, _ = _triangulate_rows(rig, A + E, y, opts)  # the memo stays on y
     D = np.array([y if isinstance(res, RiemcondError) else res.u_star for res in results]) - y
     for n, E_norm, displacement, result in zip(
@@ -312,7 +309,7 @@ def detect_dips(sigma3: Sequence[float]):
     (else EmptyInput) and finite (else NonFinite: a row without a value
     reads as NaN).
     """
-    s = np.asarray(sigma3, dtype=float)
+    s = _floats(sigma3, "sigma_3 profile", "a 1-D array of numbers")
     if s.ndim != 1:
         raise InvalidGeometry(f"sigma_3 profile must be 1-D, got shape {s.shape}")
     if s.size == 0:

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotSPD, SingularR, _require_finite
+from .errors import NotSPD, SingularR, _floats, _require_finite
 
 # Relative |diagonal| floor at or below which a triangular factor is singular.
 TRIANGULAR_TOL = 1e-14
-# Largest metric asymmetry |G - G^T|, relative to max(1, max |G|).
+# Largest asymmetry |G - G^T| of a metric or a distance Hessian, relative to max(1, max |G|).
 SYM_TOL = 1e-10
 
 
@@ -30,14 +30,14 @@ def compact_qr(J):
 
 
 def _forward_substitution(R, B):
-    """X with R^T X = B for upper-triangular R (m, m), along the leading axis of B.
-    Elementwise, not a matmul, so no entry of X depends on what else B stacks."""
+    """X with R^T X = B for upper-triangular R (m rows of Python floats), along the leading
+    axis of B. Elementwise, not a matmul, so no entry of X depends on what else B stacks."""
     X = np.empty_like(B)
     for i in range(len(R)):
         s = B[i]
         for j in range(i):
-            s = s - R[j, i] * X[j]
-        X[i] = s / R[i, i]
+            s = s - R[j][i] * X[j]
+        X[i] = s / R[i][i]
     return X
 
 
@@ -58,35 +58,39 @@ def congruence_by_inverse(S_hat, R):
     S_hat may be one m x m matrix or a stack (N, m, m): each of the two
     triangular solves is one forward substitution over the whole stack. One
     matrix, which costs less on Python floats, gives the bits of its row in a stack.
-    Raises SingularR when R is numerically singular (its diagonal carries
-    the singular values of the triangular factor up to conditioning).
+    R is read once, as floats: NonFinite unless finite, SingularR when numerically
+    singular (its diagonal carries the singular values up to conditioning).
     """
-    R = np.asarray(R, dtype=float)
-    diag = np.abs(np.diag(R))
-    lo = diag.min()
-    if lo == 0.0 or lo <= TRIANGULAR_TOL * diag.max():
-        raise SingularR(f"triangular factor singular: |diag| range {lo:.3e}..{diag.max():.3e}")
-    S_hat = np.asarray(S_hat, dtype=float)
-    m = len(R)
-    if S_hat.size == m * m and lo > 0.0:  # lo is NaN if R's diagonal holds one: numpy's path
-        Rl = R.tolist()
+    R = _floats(R, "triangular factor R", "a square matrix")
+    _require_finite(R, "triangular factor R")
+    Rl = R.tolist()
+    diag = sorted(abs(row[i]) for i, row in enumerate(Rl))
+    if diag[0] == 0.0 or diag[0] <= TRIANGULAR_TOL * diag[-1]:
+        raise SingularR(f"triangular factor singular: |diag| range {diag[0]:.3e}..{diag[-1]:.3e}")
+    S_hat = _floats(S_hat, "S_hat", "a matrix or a stack of matrices")
+    m = len(Rl)
+    if S_hat.size == m * m:
         St = np.array(_forward_rows(Rl, zip(*_forward_rows(Rl, S_hat.reshape(m, m).tolist()))))
         return (0.5 * (St + St.T)).reshape(S_hat.shape)  # St is S^T, and a + b is b + a
     # R^{-T} S_hat = solve(R^T, S_hat) on the block row [S_hat_1 ... S_hat_N],
     # then (.) R^{-1} = solve(R^T, (.)^T)^T on the block row of transposes
-    Y = _forward_substitution(R, S_hat.reshape(-1, m, m).transpose(1, 0, 2))
-    S = _forward_substitution(R, Y.transpose(2, 1, 0)).transpose(1, 2, 0)
+    Y = _forward_substitution(Rl, S_hat.reshape(-1, m, m).transpose(1, 0, 2))
+    S = _forward_substitution(Rl, Y.transpose(2, 1, 0)).transpose(1, 2, 0)
     return (0.5 * (S + S.transpose(0, 2, 1))).reshape(S_hat.shape)
+
+
+def _require_symmetric(G, error, what: str):
+    """error unless the finite float array G is a non-empty square matrix within SYM_TOL."""
+    if G.ndim != 2 or G.shape[0] != G.shape[1] or G.size == 0:
+        raise error(f"{what} must be a non-empty square matrix, got shape {G.shape}")
+    if np.abs(G - G.T).max() > SYM_TOL * max(1.0, np.abs(G).max()):
+        raise error(f"{what} is not symmetric")
 
 
 def metric_cholesky(G):
     """Upper-triangular factor C with G = C^T C; raises NotSPD otherwise."""
-    G = np.asarray(G, dtype=float)
-    if G.ndim != 2 or G.shape[0] != G.shape[1]:
-        raise NotSPD(f"metric must be square, got shape {G.shape}")
-    scale = max(1.0, np.abs(G).max())
-    if np.abs(G - G.T).max() > SYM_TOL * scale:
-        raise NotSPD("metric is not symmetric")
+    G = _floats(G, "metric", "a square matrix")
+    _require_symmetric(G, NotSPD, "metric")
     try:
         L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError as exc:

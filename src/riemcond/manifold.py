@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidGeometry, OutsideDomain, RankDeficient, _require_finite
-from .errors import _require_finite_setting, _require_positive, _vector
+from .errors import _floats, _require_finite_setting, _require_positive, _vector
 from .linalg import compact_qr
 
 # Central-difference steps balancing truncation against roundoff in float64.
@@ -227,7 +227,7 @@ def paraboloid() -> Parametrization:
 
 def affine(basis, offset=None) -> Parametrization:
     """Affine subspace phi(u) = offset + basis @ u (flat: zero curvature)."""
-    B = np.asarray(basis, dtype=float)
+    B = _floats(basis, "affine basis", "a matrix")
     _require_finite(B, "affine basis")
     if B.ndim != 2 or not B.shape[0] >= B.shape[1] >= 1:
         raise InvalidGeometry(f"basis must be a tall n x m matrix, m >= 1, got shape {B.shape}")

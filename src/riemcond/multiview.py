@@ -38,7 +38,7 @@ class Camera:
     matrix: np.ndarray
 
     def __post_init__(self):
-        P = np.array(self.matrix, dtype=float)
+        P = _floats(self.matrix, "camera matrix", "12 numbers").copy()  # frozen below
         if P.size != 12:
             raise InvalidGeometry(f"camera matrix must hold 12 numbers, got shape {P.shape}")
         object.__setattr__(self, "matrix", _readonly(P.reshape(3, 4)))
@@ -208,7 +208,7 @@ def _jacobian(rig: CameraRig, a, num):
 def mv_domain_check(rig: CameraRig, y) -> bool:
     """Whether y is in the domain: the one-row view of _domain_rows. A y that is not
     a 3-vector raises _checked's InvalidGeometry."""
-    y = np.asarray(y, dtype=float)
+    y = _floats(y, "world point", "3 numbers")
     return _domain_rows(rig, y[None])[2][0] if y.shape == (3,) else _checked(rig, y)
 
 

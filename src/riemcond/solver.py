@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainEscape, NonFinite, OutsideDomain, RiemcondError, _non_finite
 from .errors import _require_finite, _require_finite_setting, _require_integer, _require_positive
-from .errors import _vector
+from .errors import _floats, _vector
 from .linalg import compact_qr  # noqa: F401  (a binding perfbench's tracer wraps)
 from .manifold import Parametrization
 from .multiview import (
@@ -242,7 +242,7 @@ def lm_minimize(evaluate, u0, opts: SolverOptions | None = None) -> SolveResult:
     finite raises NonFinite; later trial points with one are rejected.
     The iteration is _lm_rows on one row.
     """
-    u = np.array(u0, dtype=float)
+    u = _floats(u0, "start point", "a vector of numbers").copy()  # never the caller's array
     start = evaluate(u)
     if start is None:
         raise OutsideDomain(f"start point {u} rejected by domain check")

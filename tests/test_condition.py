@@ -79,6 +79,45 @@ def test_kappa_bounds_propagate_nan():
     assert all(np.isnan(rc.kappa_bounds(1.0, [np.nan], 1.0)))
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: rc.kappa_cpp([[1.0, 5.0], [0.0, 1.0]]), "^distance Hessian H is not symmetric"),
+    (lambda: rc.kappa_cpp([1.0, 2.0]), r"square matrix, got shape \(1, 2\)"),
+    (lambda: rc.kappa_cpp(np.ones((2, 2, 2))), r"square matrix, got shape \(2, 2, 2\)"),
+    (lambda: rc.kappa_cpp(np.zeros((0, 0))), r"non-empty square matrix, got shape \(0, 0\)"),
+    (lambda: rc.kappa_gcpp(rc.ProblemDerivative(np.eye(3)), [[1.0, 5.0], [0.0, 1.0]]),
+     "^distance Hessian H is not symmetric"),
+    (lambda: rc.kappa_gcpp(rc.ProblemDerivative(np.eye(2, 3)), np.eye(2)),
+     r"^problem derivative A \(2, 3\) does not fit H \(2, 2\)"),
+], ids=["asymmetric", "vector", "3-d", "empty", "gcpp-asymmetric", "gcpp-columns"])
+def test_a_hessian_that_is_not_square_symmetric_is_invalid_geometry(call, match):
+    """H is a square symmetric matrix by metric_cholesky's SYM_TOL rule, and A has its column
+    count: eigh read one triangle of [[1, 5], [0, 1]] and said kappa = 1 (||H^-1|| is about
+    5.19); the others raised numpy's LinAlgError, TypeError or ValueError."""
+    with pytest.raises(rc.InvalidGeometry, match=match):
+        call()
+
+
+def test_the_symmetry_rule_is_shared_and_forgives_rounding():
+    """One rule for the metric (NotSPD) and the Hessian (InvalidGeometry); an asymmetry of
+    SYM_TOL passes, the next step past it does not, and a V diag V^T Hessian passes."""
+    from riemcond.linalg import SYM_TOL
+
+    for eps, ok in ((SYM_TOL, True), (2.0 * SYM_TOL, False)):
+        H = np.array([[1.0, eps], [0.0, 1.0]])  # scale max(1, max |H|) = 1
+        if ok:
+            assert rc.kappa_cpp(H).kappa == pytest.approx(1.0)
+            metric_cholesky(H)
+        else:
+            with pytest.raises(rc.InvalidGeometry, match="not symmetric"):
+                rc.kappa_cpp(H)
+            with pytest.raises(rc.NotSPD, match="^metric is not symmetric"):
+                metric_cholesky(H)
+    U = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))[0]
+    H = U @ np.diag([0.5, -1.5, 2.0]) @ U.T
+    assert H.tobytes() != H.T.tobytes()  # asymmetric in the last bits
+    assert rc.kappa_cpp(H).kappa == pytest.approx(2.0, rel=1e-12)
+
+
 def test_kappa_cpp_curvatures_examples():
     assert rc.kappa_cpp_curvatures([2.0], 0.25) == pytest.approx(2.0, rel=1e-14)
     t = 0.7

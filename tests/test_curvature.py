@@ -87,6 +87,26 @@ def test_one_matrix_congruence_is_its_row_in_a_stack():
     assert 1 <= singular < len(cases) // 2
 
 
+@pytest.mark.parametrize("R", [
+    np.diag([1.0, np.nan, 1.0]), np.diag([0.0, np.nan, 1.0]), np.diag([1.0, 2.0, np.inf]),
+    np.array([[1.0, np.nan, 0.2], [0.0, 2.0, 0.3], [0.0, 0.0, 3.0]]),
+    np.array([[1.0, 0.1, 0.2], [0.0, 2.0, -np.inf], [0.0, 0.0, 3.0]]),
+], ids=["nan-diagonal", "nan-diagonal-beside-zero", "inf-diagonal", "nan-off-diagonal",
+        "inf-off-diagonal"])
+@pytest.mark.parametrize("stack", [1, 2], ids=["one-matrix", "2-stack"])
+def test_a_non_finite_R_raises_non_finite(R, stack):
+    """The congruence reads R once and checks it is finite before its singularity test: a
+    NaN or an infinity anywhere raises NonFinite, with no numpy warning, where a NaN on the
+    diagonal gave a NaN map (or an inf one after RuntimeWarnings) and one off it a NaN map."""
+    import warnings
+
+    S_hat = np.array([[1.0, 0.2, 0.0], [0.2, -1.0, 0.5], [0.0, 0.5, 0.3]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(rc.NonFinite, match=r"^triangular factor R .* is not finite"):
+            rc.weingarten(S_hat if stack == 1 else np.stack([S_hat, 2.0 * S_hat]), R)
+
+
 def test_parabola_weingarten_scales_with_offset():
     for t in (0.1, 0.25, -0.4):
         wd = rc.weingarten_data(rc.graph2d(1.0), [0.0], [0.0, t])

@@ -151,6 +151,20 @@ def test_a_ragged_non_numeric_or_huge_grid_is_typed(run, grid, error, match):
         run(rig, DEFAULT_Y, rc.random_unit_normal(rig, DEFAULT_Y, 0), grid)
 
 
+@pytest.mark.parametrize("run", [rc.experiment_sweep, rc.experiment_validate])
+@pytest.mark.parametrize("eta, record", [
+    ([1.0, [2.0]] + [0.0] * 18, "InvalidGeometry: normal vector eta must be 20 numbers"),
+    ([10**400] + [0.0] * 19,
+     "NonFinite: normal vector eta holds an integer too large for a float"),
+], ids=["ragged", "huge"])
+def test_a_ragged_or_huge_normal_is_every_rows_error(run, eta, record):
+    """The theory pass converts eta inside its try, so a normal no float array holds becomes
+    every row's error record, as a normal of the wrong length does, and the run returns."""
+    records = run(_default_rig(), DEFAULT_Y, eta, [-0.1, 0.1])
+    assert len(records) == 2
+    assert all(rec.flagged and rec.error.startswith(record) for rec in records)
+
+
 @pytest.mark.parametrize("setting", [{"radius": 1e-300}, {"look_at": (1e308, 1e308, 1e308)}])
 def test_degenerate_rig_spec_is_non_finite_without_warnings(setting):
     """The camera frames divide by a zero length: gen_rig raises Camera's NonFinite, and

@@ -176,6 +176,56 @@ def test_wrong_shape_ragged_or_huge_vectors_raise_typed_errors(call, error, matc
         call(rig)
 
 
+_R2 = [[2.0, 1.0], [0.0, 0.5]]  # a nonsingular triangular factor
+
+# Each public entry that takes an array, with the bad value in that array's place and the
+# name its error gives the array.
+_ARRAY_INPUTS = {
+    "Camera": (lambda rig, v: rc.Camera(v), "camera matrix"),
+    "mv_domain_check": (lambda rig, v: rc.mv_domain_check(rig, v), "world point"),
+    "lm_minimize": (lambda rig, v: rc.lm_minimize(lambda u: (u, lambda: np.eye(2)), v),
+                    "start point"),
+    "experiment_validate": (lambda rig, v: rc.experiment_validate(rig, v, np.zeros(6), [0.1]),
+                            "world point"),
+    "detect_dips": (lambda rig, v: rc.detect_dips(v), "sigma_3 profile"),
+    "weingarten_data": (lambda rig, v: rc.weingarten_data(rc.sphere(), [0.1, 0.2], v),
+                        "normal vector eta"),
+    "second_fundamental_contraction": (
+        lambda rig, v: rc.second_fundamental_contraction(rc.sphere(), [0.1, 0.2], v),
+        "normal vector eta"),
+    "critical_radii": (lambda rig, v: rc.critical_radii(v), "curvatures"),
+    "ProblemDerivative-A": (lambda rig, v: rc.ProblemDerivative(v), "problem derivative A"),
+    "ProblemDerivative-metric": (lambda rig, v: rc.ProblemDerivative(np.eye(2), v),
+                                 "output metric"),
+    "kappa_cpp": (lambda rig, v: rc.kappa_cpp(v), "distance Hessian H"),
+    "kappa_gcpp": (lambda rig, v: rc.kappa_gcpp(rc.ProblemDerivative(np.eye(2)), v),
+                   "distance Hessian H"),
+    "kappa_bounds-c": (lambda rig, v: rc.kappa_bounds(1.0, v, 0.5), "curvatures"),
+    "kappa_bounds-eta_norm": (lambda rig, v: rc.kappa_bounds(1.0, [1.0, 2.0], v),
+                              "normal length"),
+    "kappa_cpp_curvatures": (lambda rig, v: rc.kappa_cpp_curvatures(v, 0.5), "curvatures"),
+    "ill_posedness_certificate": (lambda rig, v: rc.ill_posedness_certificate(v), "curvatures"),
+    "weingarten-S_hat": (lambda rig, v: rc.weingarten(v, _R2), "S_hat"),
+    "weingarten-R": (lambda rig, v: rc.weingarten(np.eye(2), v), "triangular factor R"),
+    "affine": (lambda rig, v: rc.affine(v), "affine basis"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ARRAY_INPUTS))
+@pytest.mark.parametrize("value, error, says", [
+    ([1.0, [2.0, 3.0]], rc.InvalidGeometry, "must be"),
+    ([_HUGE, 0.0], rc.NonFinite, "holds an integer too large for a float"),
+], ids=["ragged", "huge"])
+def test_every_public_array_is_converted_by_one_rule(entry, value, error, says):
+    """errors._floats converts each of these arrays: a ragged value raises InvalidGeometry
+    naming the input and an integer no float holds NonFinite, where numpy raised its own
+    ValueError or OverflowError."""
+    call, what = _ARRAY_INPUTS[entry]
+    rig = rc.gen_rig(rc.RigSpec(k=3, seed=21))
+    with pytest.raises(error, match=f"^{what} {says}"):
+        call(rig, value)
+
+
 def test_analytic_jacobians_match_finite_differences():
     rng = np.random.default_rng(4)
     cases = [rc.sphere(1.0), rc.sphere(3.0, center=[1, -2, 0.5]), rc.graph2d(1.0),

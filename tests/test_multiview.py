@@ -621,6 +621,27 @@ def test_mv_kappa_is_its_row_of_the_stacked_kernel():
                 assert rep.worst_input_direction.tobytes() == rows.worst[n].tobytes()
 
 
+def test_ill_posed_scale_takes_sigma_1_of_R(monkeypatch):
+    """At the near-umbilic pair S = (1 - 1e-14) I, (I - S) R is about 1e-14 R: s3 (2.4e-15)
+    lies above SING_TOL s1 but below SING_TOL sigma_1(R). The pair is ill-posed by the rule
+    scale = max(s1, sigma_1(R)) on all three paths (a scale of s1 alone would call it well
+    posed with kappa ~ 4e14)."""
+    from riemcond import multiview
+    from riemcond.condition import SING_TOL
+
+    rig, y = rc.gen_rig(rc.RigSpec(k=10, seed=0)), np.array([0.35, -0.2, 0.4])
+    R, S = multiview._frame(rig, y)[4], (1.0 - 1e-14) * np.eye(3)
+    rows = multiview.mv_condition(R, S[None])
+    s, sigma_R = rows.sigma[0], rows.sigma_R
+    assert SING_TOL * s[0] < s[2] <= SING_TOL * sigma_R[0]  # the case the sigma_1(R) term decides
+    assert rows.ill_posed.tolist() == [True] and rows.kappa.tolist() == [np.inf]
+    ray = multiview._ray_condition(R, np.eye(3), np.array([1.0 - 1e-14]))
+    assert ray.ill_posed.tolist() == [True] and ray.kappa.tolist() == [np.inf]
+    monkeypatch.setattr(multiview, "_one_row", lambda rig, frame, eta: (None, S))
+    rep = rc.mv_kappa(rig, y, np.zeros(20))
+    assert rep.ill_posed and rep.kappa == np.inf and rep.worst_input_direction is None
+
+
 def test_mv_kappa_affine_rig_insensitive_to_eta():
     rig = _affine_rig()
     y = np.array([0.4, -0.2, 0.6])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -98,8 +100,6 @@ def test_a_non_finite_R_raises_non_finite(R, stack):
     """The congruence reads R once and checks it is finite before its singularity test: a
     NaN or an infinity anywhere raises NonFinite, with no numpy warning, where a NaN on the
     diagonal gave a NaN map (or an inf one after RuntimeWarnings) and one off it a NaN map."""
-    import warnings
-
     S_hat = np.array([[1.0, 0.2, 0.0], [0.2, -1.0, 0.5], [0.0, 0.5, 0.3]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotSPD, SingularR, _floats, _require_finite
+from .errors import InvalidGeometry, NotSPD, SingularR, _floats, _require_finite
 
 # Relative |diagonal| floor at or below which a triangular factor is singular.
 TRIANGULAR_TOL = 1e-14
@@ -58,10 +58,12 @@ def congruence_by_inverse(S_hat, R):
     S_hat may be one m x m matrix or a stack (N, m, m): each of the two
     triangular solves is one forward substitution over the whole stack. One
     matrix, which costs less on Python floats, gives the bits of its row in a stack.
-    R is read once, as floats: NonFinite unless finite, SingularR when numerically
-    singular (its diagonal carries the singular values up to conditioning).
+    R is read once, as floats: InvalidGeometry unless square (and S_hat unless R's size),
+    NonFinite unless finite, SingularR when numerically singular (its diagonal carries
+    the singular values up to conditioning).
     """
     R = _floats(R, "triangular factor R", "a square matrix")
+    _require_square(R, InvalidGeometry, "triangular factor R")
     _require_finite(R, "triangular factor R")
     Rl = R.tolist()
     diag = sorted(abs(row[i]) for i, row in enumerate(Rl))
@@ -69,6 +71,9 @@ def congruence_by_inverse(S_hat, R):
         raise SingularR(f"triangular factor singular: |diag| range {diag[0]:.3e}..{diag[-1]:.3e}")
     S_hat = _floats(S_hat, "S_hat", "a matrix or a stack of matrices")
     m = len(Rl)
+    if S_hat.ndim not in (2, 3) or S_hat.shape[-2:] != (m, m):
+        raise InvalidGeometry(f"S_hat must be ({m}, {m}) or (N, {m}, {m}) to fit R, "
+                              f"got shape {S_hat.shape}")
     if S_hat.size == m * m:
         St = np.array(_forward_rows(Rl, zip(*_forward_rows(Rl, S_hat.reshape(m, m).tolist()))))
         return (0.5 * (St + St.T)).reshape(S_hat.shape)  # St is S^T, and a + b is b + a
@@ -79,10 +84,15 @@ def congruence_by_inverse(S_hat, R):
     return (0.5 * (S + S.transpose(0, 2, 1))).reshape(S_hat.shape)
 
 
-def _require_symmetric(G, error, what: str):
-    """error unless the finite float array G is a non-empty square matrix within SYM_TOL."""
+def _require_square(G, error, what: str):
+    """error unless the float array G is a non-empty square matrix."""
     if G.ndim != 2 or G.shape[0] != G.shape[1] or G.size == 0:
         raise error(f"{what} must be a non-empty square matrix, got shape {G.shape}")
+
+
+def _require_symmetric(G, error, what: str):
+    """error unless the finite float array G is a non-empty square matrix within SYM_TOL."""
+    _require_square(G, error, what)
     if np.abs(G - G.T).max() > SYM_TOL * max(1.0, np.abs(G).max()):
         raise error(f"{what} is not symmetric")
 

@@ -209,13 +209,15 @@ def mv_domain_check(rig: CameraRig, y) -> bool:
     """Whether y is in the domain: the one-row view of _domain_rows. A y that is not
     a 3-vector raises _checked's InvalidGeometry."""
     y = _floats(y, "world point", "3 numbers")
-    return _domain_rows(rig, y[None])[2][0] if y.shape == (3,) else _checked(rig, y)
+    with np.errstate(over="ignore"):  # an image past the float range is no domain failure
+        return _domain_rows(rig, y[None])[2][0] if y.shape == (3,) else _checked(rig, y)
 
 
 def _checked(rig: CameraRig, y):
     """Depths and numerators of the world point y; InvalidGeometry, NonFinite or OutsideDomain."""
     y = _vector(y, 3, "world point")
-    a, num, ok = _domain_rows(rig, y[None])
+    with np.errstate(over="ignore"):  # an image past the float range: its callers raise NonFinite
+        a, num, ok = _domain_rows(rig, y[None])
     if not ok[0]:
         raise OutsideDomain(
             f"world point {y} lies on a principal plane "
@@ -225,8 +227,11 @@ def _checked(rig: CameraRig, y):
 
 
 def mv_project(rig: CameraRig, y):
-    """Stacked pinhole projection of y: a 2r-vector of image coordinates."""
-    return _projection(*_jet(rig, y, 2))
+    """Stacked pinhole projection of y, a 2r-vector; NonFinite if it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        x = _projection(*_jet(rig, y, 2))
+    _require_finite(x, "projection")
+    return x
 
 
 def mv_jacobian(rig: CameraRig, y):

@@ -32,6 +32,8 @@ DAMPING_DOWN = 0.1
 # 200 accepted steps from INITIAL_DAMPING stay above it.
 MIN_DAMPING = 1e-300
 MAX_DAMPING = 1e18  # a row whose damping passes this on a rejected step stalls
+LADDER_CAP = 8  # the most rungs _lm_rows gives a row after an acceptance
+LADDER_GROWTH = 4  # the factor on a row's rungs after a pass that rejected them all
 
 
 @dataclass(frozen=True)
@@ -93,18 +95,22 @@ def _lm_rows(evaluate, u, r, J, opts: SolverOptions):
     dampings of its next trials are known in advance. Each pass therefore
     tries a ladder of dampings per running row: rung j damps by the row's
     damping times DAMPING_UP, j times over, and no rung goes past the first
-    one above MAX_DAMPING. A row has one rung at the start and after each
-    acceptance, and twice as many after a pass whose rungs were all
-    rejected. A pass makes one stacked solve over every rung, one evaluate
-    call on the rungs before each row's first step_tol stall and one jac
-    call on the accepted ones; each row then replays its rungs in order,
-    as passes of one trial each, up to its first acceptance or exit, and
-    the rungs past that are wasted. Each row keeps its own damping,
-    domain-failure count, iteration count and exit, decided on Python
-    floats. Every contraction is a stacked matmul or _dots, which run the
-    BLAS call of the one-row `@` on each slice, so a row's result does not
-    depend on the rows or rungs beside it. Returns, per row, a SolveResult
-    or the NonFinite or DomainEscape that lm_minimize raises.
+    one above MAX_DAMPING. A row has one rung at the start; after an
+    acceptance, one per trial it made since the acceptance before
+    (LADDER_CAP at most: rows repeat their rejection streaks); after a pass
+    whose rungs were all rejected, LADDER_GROWTH times as many. A pass makes
+    one stacked solve over every rung, one evaluate call on the rungs before
+    each row's first step_tol stall and one jac call on the accepted ones;
+    each row then replays its rungs in order, as passes of one trial each,
+    up to its first acceptance or exit, and the rungs past that are wasted:
+    ladders set a solve's passes and evaluations, never a row's trials,
+    decisions or bits, which are the one-trial loop's (tests/lm_oracle.py).
+    Each row keeps its own damping, domain-failure count, iteration count
+    and exit, decided on Python floats. Every contraction is a stacked
+    matmul or _dots, which run the BLAS call of the one-row `@` on each
+    slice, so a row's result does not depend on the rows or rungs beside it.
+    Returns, per row, a SolveResult or the NonFinite or DomainEscape that
+    lm_minimize raises.
     """
     out = [None] * len(u)
     Jt = J.transpose(0, 2, 1)
@@ -115,10 +121,10 @@ def _lm_rows(evaluate, u, r, J, opts: SolverOptions):
         if not math.isfinite(v):
             out[i] = NonFinite(f"residual norm at the start point {u[i]} is not finite "
                                f"({math.sqrt(v)})")
-    # the running rows: position p holds input row live[p], its u, g = J^T r and
-    # JtJ = J^T J, and its damping, domain failures, iterations, squared norms and rungs
+    # the running rows: position p holds input row live[p], its u, g = J^T r, JtJ = J^T J,
+    # damping, domain failures, iterations, squared norms, rungs and trials since accepting
     live = list(range(len(u)))
-    lam, fails, iters, rungs = ([v] * len(u) for v in (INITIAL_DAMPING, 0, 0, 1))
+    lam, fails, iters, rungs, tries = ([v] * len(u) for v in (INITIAL_DAMPING, 0, 0, 1, 0))
     eye = np.eye(u.shape[1])
 
     def finish(p, status):
@@ -135,8 +141,8 @@ def _lm_rows(evaluate, u, r, J, opts: SolverOptions):
         if not keep:
             return out
         if len(keep) < len(live):
-            live, lam, fails, iters, rr, gg, uu, rungs = (
-                [v[p] for p in keep] for v in (live, lam, fails, iters, rr, gg, uu, rungs))
+            live, lam, fails, iters, rr, gg, uu, rungs, tries = ([v[p] for p in keep] for v in (
+                live, lam, fails, iters, rr, gg, uu, rungs, tries))
             u, g, JtJ = (v.take(keep, 0) for v in (u, g, JtJ))
         if max(rungs) == 1:
             src, damp, uj, gj, JtJj = range(len(live)), lam, u, g, JtJ
@@ -182,6 +188,7 @@ def _lm_rows(evaluate, u, r, J, opts: SolverOptions):
             p = src[j]
             if decided[p]:
                 continue
+            tries[p] += 1
             if not inside[k]:
                 fails[p] += 1
                 if fails[p] > 10:
@@ -197,7 +204,7 @@ def _lm_rows(evaluate, u, r, J, opts: SolverOptions):
                 lam[p] = max(lam[p] * DAMPING_DOWN, MIN_DAMPING)
                 iters[p] += 1
                 fails[p] = 0
-                rungs[p] = 1
+                rungs[p], tries[p] = min(tries[p], LADDER_CAP), 0
                 decided[p] = True
             else:
                 lam[p] *= DAMPING_UP
@@ -210,7 +217,7 @@ def _lm_rows(evaluate, u, r, J, opts: SolverOptions):
             if stalled[p]:  # every rung before the stall was rejected
                 finish(p, Status.Stalled)
             else:
-                rungs[p] *= 2
+                rungs[p] *= LADDER_GROWTH
         if accepted:
             Ja, Ua, Ra = jac(accepted), U, R
             if len(accepted) < len(trial):
@@ -246,16 +253,16 @@ def lm_minimize(evaluate, u0, opts: SolverOptions | None = None) -> SolveResult:
     start = evaluate(u)
     if start is None:
         raise OutsideDomain(f"start point {u} rejected by domain check")
-    r, jac = start
+    r, jac = _floats(start[0], "residual", "a vector of numbers"), start[1]
 
     def evaluate_rows(U, _):
         trials = [evaluate(v) for v in U]
         # the start residual is the ignored placeholder of a point off the domain
-        R = np.array([r if t is None else t[0] for t in trials], dtype=float)
+        R = _floats([r if t is None else t[0] for t in trials], "residual", "a vector of numbers")
         return R, [t is not None for t in trials], lambda sel: np.array(
-            [np.asarray(trials[k][1](), dtype=float) for k in sel])
+            [_floats(trials[k][1](), "Jacobian", "a matrix of numbers") for k in sel])
 
-    J = np.asarray(jac(), dtype=float)
+    J = _floats(jac(), "Jacobian", "a matrix of numbers")
     (res,) = _lm_rows(evaluate_rows, u[None], r[None], J[None], opts or _DEFAULTS)
     if isinstance(res, RiemcondError):
         raise res

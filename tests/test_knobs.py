@@ -103,7 +103,7 @@ def test_cli_flags_are_listed():
 
 # Lines of src/riemcond/*.py at the last change that moved the count. Growth past it is
 # a visible decision, argued where it is made, like a new name in PUBLIC.
-LINE_BUDGET = 2628
+LINE_BUDGET = 2650
 
 
 def test_src_line_budget():

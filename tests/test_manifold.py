@@ -158,6 +158,12 @@ _Y = [0.1, 0.2, -0.1]  # a world point in the domain of the rig below
      rc.NonFinite, "normal vector eta holds an integer too large for a float"),
     (lambda rig: rc.mv_kappa(rig, _Y, [1.0, 2.0]),
      rc.NotNormal, "eta must have length 6"),
+    (lambda rig: rc.weingarten(np.eye(2), [1.0, 2.0]),
+     rc.InvalidGeometry, r"triangular factor R must be .* square matrix, got shape \(2,\)"),
+    (lambda rig: rc.weingarten(np.eye(2), np.ones((2, 2, 2))),
+     rc.InvalidGeometry, r"triangular factor R must be .*, got shape \(2, 2, 2\)"),
+    (lambda rig: rc.weingarten(np.eye(3), np.eye(2)),
+     rc.InvalidGeometry, r"S_hat must be \(2, 2\) or \(N, 2, 2\) to fit R, got shape \(3, 3\)"),
 ], ids=["project_point-sphere-ambient", "project_point-graph2d-ambient",
         "project_point-short-start", "project_point-2d-start", "tangent_frame-short",
         "tangent_frame-2d", "weingarten_data-short", "weingarten_data-2d",
@@ -165,12 +171,13 @@ _Y = [0.1, 0.2, -0.1]  # a world point in the domain of the rig below
         "triangulate-ragged", "project_point-huge", "tangent_frame-huge", "sphere-huge-center",
         "triangulate-huge", "mv_project-ragged", "triangulate-ragged-start", "mv_project-huge",
         "mv_kappa-ragged-eta", "mv_weingarten-ragged-eta", "mv_kappa-huge-eta",
-        "mv_kappa-short-eta"])
+        "mv_kappa-short-eta", "weingarten-1d-R", "weingarten-3d-R", "weingarten-S_hat-size"])
 def test_wrong_shape_ragged_or_huge_vectors_raise_typed_errors(call, error, match):
     """An ambient point, start point or chart point of the wrong shape, a ragged center,
     offset, correspondence, world point or normal, and an entry no float holds raise
     InvalidGeometry or NonFinite, where numpy broadcast the point or raised its own
-    IndexError, ValueError or OverflowError; a normal of the wrong length is NotNormal."""
+    IndexError, ValueError or OverflowError; a normal of the wrong length is NotNormal. So
+    does a triangular factor R that is not square, or an S_hat of another size than R's."""
     rig = rc.gen_rig(rc.RigSpec(k=3, seed=21))
     with pytest.raises(error, match=match):
         call(rig)

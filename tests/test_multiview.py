@@ -428,14 +428,18 @@ def test_overflowing_dlt_system_is_typed():
             rc.triangulate(rig, x)
 
 
+def _rig_at_1e300():
+    P = [[[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 1.0, 1.0]],
+         [[1.0, 0, 0, 1.0], [0, 1.0, 0, 0], [0, 0, 1.0, 1.0]]]
+    return rc.CameraRig(cameras=tuple(rc.Camera(1e300 * np.array(p)) for p in P))
+
+
 def test_overflowing_jacobian_is_typed():
     """Cameras at scale 1e300 project y = (0.5, 0.5, 1), but the Jacobian's depth square
     and c-term overflow, leaving NaNs: every entry that reads the Jacobian raises NonFinite,
     mv_kappa still from the QR, and no numpy warning leaks (scale-free rigs would mend
     the rejection itself)."""
-    P = [[[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 1.0, 1.0]],
-         [[1.0, 0, 0, 1.0], [0, 1.0, 0, 0], [0, 0, 1.0, 1.0]]]
-    rig = rc.CameraRig(cameras=tuple(rc.Camera(1e300 * np.array(p)) for p in P))
+    rig = _rig_at_1e300()
     y = np.array([0.5, 0.5, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -447,6 +451,24 @@ def test_overflowing_jacobian_is_typed():
         for warm_start in (y, None):
             with pytest.raises(rc.NonFinite, match="Jacobian at the start point"):
                 rc.triangulate(rig, x, warm_start=warm_start)
+
+
+def test_overflowing_images_are_typed_without_a_warning():
+    """The 1e300-scale rig at y = (1e10, 0, 1): the point is in the domain (its depths are finite),
+    but its image numerators overflow, so the projection is [inf, 0, inf, 0]. Checking the
+    point raises no numpy warning, mv_project raises NonFinite rather than returning the
+    infinities, and mv_kappa raises its NonFinite from the QR."""
+    y = np.array([1e10, 0.0, 1.0])
+    calls = [(rc.mv_project, (), "projection"),
+             (rc.mv_kappa, (np.zeros(4),), "matrix to factor by QR")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for order in (calls, calls[::-1]):  # a fresh rig: the first entry checks the point
+            rig = _rig_at_1e300()
+            assert rc.mv_domain_check(rig, y) is True
+            for entry, args, match in order:
+                with pytest.raises(rc.NonFinite, match=match):
+                    entry(rig, y, *args)
 
 
 def test_non_finite_normal_is_typed():

@@ -16,20 +16,18 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .condition import ill_posedness_certificate
-from .curvature import weingarten
 from .errors import EmptyInput, InvalidGeometry, NonFinite, RiemcondError, _floats
 from .errors import _require_finite, _require_finite_setting, _require_integer, _require_positive
 from .multiview import (
     Camera,
     CameraRig,
+    _condition,
     _frame,
     _jet,
+    _maps,
     _normal_errors,
     _one_row,
-    _projection,
     _ray_condition,
-    _stacked_hat,
-    mv_condition,
     mv_jacobian,  # noqa: F401  (a binding perfbench's tracer wraps)
 )
 from .solver import SolverOptions, Status, _dots, _triangulate_rows
@@ -181,8 +179,8 @@ def log_grid(lo: float, hi: float, count: int, two_sided: bool = True):
     return np.concatenate([-pos[::-1], pos])
 
 
-def _theory_rows(rig, y, eta, t_grid, x, validate):
-    """Records over t_grid from the _frame of y and one _normal_errors call, the normals E
+def _theory_rows(rig, y, eta, t_grid, validate):
+    """Records over t_grid from the _jet of y and one _normal_errors call, the normals E
     (N, 2r) and, for validate, the worst ambient direction Q w of each good row, by row.
 
     Row n uses the normal E_n = tau_n eta, tau_n = t_n ||x||, x = mu(y). As in mv_kappa, an
@@ -190,46 +188,50 @@ def _theory_rows(rig, y, eta, t_grid, x, validate):
     the maps goes to the rows without one. Validate builds each row's S from its own normal, so no
     row depends on how the grid is split into calls. A sweep reads no singular vectors, and
     S is linear in the normal: the good row whose normal's length is nearest 1 gives the map
-    S_eta of eta (0 if no normal has a length), and _ray_condition the rows tau_n S_eta.
+    S_eta of eta (0 if no normal has a length), and _ray_condition the rows tau_n S_eta. The
+    rig keeps y's jet: a second run at y reads x, the maps' constants and sigma(R) from it.
     """
+    _jet(rig, y, 2)  # an error of y raises, before the grid's
     t = _floats(t_grid, "t_grid", "a 1-D array of numbers")
     if t.ndim != 1:
         raise InvalidGeometry(f"t_grid must be 1-D, got shape {t.shape}")
     t_rel, errors = t.tolist(), [None] * len(t)
     try:  # the QR in here: a Jacobian that is not finite is every row's error
-        a, num, _, Q, R = _frame(rig, y)
+        jet = _jet(rig, y, 8)
+        Q, R, sigma = jet[3], jet[4], jet[6]
         with np.errstate(over="ignore"):  # a row whose normal overflows is NonFinite below
-            tau = t * float(np.linalg.norm(x))
+            tau = t * jet[7][1]
             E = np.multiply.outer(tau, _floats(eta, "normal vector eta", f"{len(Q)} numbers"))
         errors, norms = _normal_errors(Q, E)
-        good = [n for n, err in enumerate(errors) if err is None]
-        sel = good if len(good) < len(t) else slice(None)  # a view when every row is good
+        every = errors.count(None) == len(t)
+        good = range(len(t)) if every else [n for n, err in enumerate(errors) if err is None]
+        sel = slice(None) if every else good  # a view when every row is good
         tau, norms = tau[sel], norms[sel]
         if validate:
-            cond = mv_condition(R, weingarten(_stacked_hat(rig, a, num, E[sel]), R))
+            cond = _condition(R, sigma, _maps(rig, jet, E[sel])[1])
         else:
             S_eta = np.zeros((3, 3))
             if norms.any():
                 with np.errstate(divide="ignore"):  # a zero length is never nearest 1
                     k = np.argmin(np.abs(np.log(norms)))
-                S_eta = weingarten(_stacked_hat(rig, a, num, E[good[k]][None]), R)[0] / tau[k]
+                S_eta = _maps(rig, jet, E[good[k]][None])[1][0] / tau[k]
             else:  # as in mv_kappa, a zero normal's map meets the congruence's singularity check
-                weingarten(S_eta, R)
-            cond = _ray_condition(R, S_eta, tau)
+                _maps(rig, jet, E[:0])
+            cond = _ray_condition(R, sigma, S_eta, tau)
     except RiemcondError as exc:
         return [_error_record(v, err or exc) for v, err in zip(t_rel, errors)], None, None
-    rows = map(SweepRecord, t[sel].tolist(), cond.kappa.tolist(),
+    rows = map(SweepRecord, t_rel if every else t[sel].tolist(), cond.kappa.tolist(),
                zip(cond.bounds_lo.tolist(), cond.bounds_hi.tolist()),
                cond.sigma[:, 2].tolist(), cond.ill_posed.tolist())
-    records = [next(rows) if err is None else _error_record(v, err)
-               for v, err in zip(t_rel, errors)]
+    records = list(rows) if every else [
+        next(rows) if err is None else _error_record(v, err) for v, err in zip(t_rel, errors)]
     worst = dict(zip(good, (Q[None] @ cond.worst[:, :, None])[:, :, 0])) if validate else None
     return records, E, worst
 
 
 def experiment_sweep(rig: CameraRig, y, eta, t_grid: Sequence[float]):
     """Theoretical condition numbers along a(t) = x + t ||x|| eta over t_grid."""
-    return _theory_rows(rig, y, eta, t_grid, _projection(*_jet(rig, y, 2)), validate=False)[0]
+    return _theory_rows(rig, y, eta, t_grid, validate=False)[0]
 
 
 def experiment_validate(rig: CameraRig, y, eta, t_grid: Sequence[float],
@@ -246,15 +248,15 @@ def experiment_validate(rig: CameraRig, y, eta, t_grid: Sequence[float],
     """
     _require_positive(perturb_rel, "perturb_rel")
     y = _floats(y, "world point", "3 numbers")
-    x = _projection(*_jet(rig, y, 2))  # the rig keeps y's frame for the theory and solves
-    records, normals, worst = _theory_rows(rig, y, eta, t_grid, x, validate=True)
+    records, normals, worst = _theory_rows(rig, y, eta, t_grid, validate=True)
     for rec in records:  # a theory value that is not finite: inf, or an error row's NaN
         rec.flagged = not math.isfinite(rec.kappa)
     todo = [n for n, rec in enumerate(records) if not rec.flagged]
     if not todo:
         return records
-    # each row's a = x + t ||x|| eta and E = perturb_rel ||a|| Q w: sqrt(_dots) is norm
-    A = x + normals[todo]
+    # each row's a = x + t ||x|| eta and E = perturb_rel ||a|| Q w: sqrt(_dots) is norm;
+    # the rig keeps y's jet, x included, for the solves
+    A = _jet(rig, y, 8)[7][0] + normals[todo]
     E = (perturb_rel * np.sqrt(_dots(A, A)))[:, None] * np.array([worst[n] for n in todo])
     results, _ = _triangulate_rows(rig, A + E, y, opts)  # the memo stays on y
     D = np.array([y if isinstance(res, RiemcondError) else res.u_star for res in results]) - y
@@ -294,10 +296,9 @@ def singular_offsets_rel(rig: CameraRig, y, eta):
     nonzero eigenvalues c_i of the Weingarten map in the unit direction
     eta, in units of ||x||.
     """
-    frame = _frame(rig, y)
-    x_norm = float(np.linalg.norm(_projection(frame[0], frame[1])))
-    S_unit = _one_row(rig, frame, eta)[1]
-    return ill_posedness_certificate(np.linalg.eigvalsh(S_unit)) / x_norm
+    jet = _jet(rig, y, 8)
+    S_unit = _one_row(rig, jet, eta)[1]
+    return ill_posedness_certificate(np.linalg.eigvalsh(S_unit)) / jet[7][1]
 
 
 def detect_dips(sigma3: Sequence[float]):

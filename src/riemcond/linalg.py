@@ -65,15 +65,29 @@ def congruence_by_inverse(S_hat, R):
     R = _floats(R, "triangular factor R", "a square matrix")
     _require_square(R, InvalidGeometry, "triangular factor R")
     _require_finite(R, "triangular factor R")
-    Rl = R.tolist()
-    diag = sorted(abs(row[i]) for i, row in enumerate(Rl))
-    if diag[0] == 0.0 or diag[0] <= TRIANGULAR_TOL * diag[-1]:
-        raise SingularR(f"triangular factor singular: |diag| range {diag[0]:.3e}..{diag[-1]:.3e}")
+    Rl, singular = _triangular_rows(R)
+    if singular is not None:
+        raise SingularR(singular)
     S_hat = _floats(S_hat, "S_hat", "a matrix or a stack of matrices")
     m = len(Rl)
     if S_hat.ndim not in (2, 3) or S_hat.shape[-2:] != (m, m):
         raise InvalidGeometry(f"S_hat must be ({m}, {m}) or (N, {m}, {m}) to fit R, "
                               f"got shape {S_hat.shape}")
+    return _congruence(S_hat, Rl)
+
+
+def _triangular_rows(R):
+    """R's rows as Python floats, and SingularR's message for them (None if R is regular)."""
+    Rl = R.tolist()
+    diag = sorted(abs(row[i]) for i, row in enumerate(Rl))
+    if diag[0] == 0.0 or diag[0] <= TRIANGULAR_TOL * diag[-1]:
+        return Rl, f"triangular factor singular: |diag| range {diag[0]:.3e}..{diag[-1]:.3e}"
+    return Rl, None
+
+
+def _congruence(S_hat, Rl):
+    """congruence_by_inverse of the float array S_hat for the rows Rl of a checked R."""
+    m = len(Rl)
     if S_hat.size == m * m:
         St = np.array(_forward_rows(Rl, zip(*_forward_rows(Rl, S_hat.reshape(m, m).tolist()))))
         return (0.5 * (St + St.T)).reshape(S_hat.shape)  # St is S^T, and a + b is b + a

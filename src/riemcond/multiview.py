@@ -16,10 +16,10 @@ from typing import NamedTuple, Tuple
 import numpy as np
 
 from .condition import SING_TOL, ConditionReport, _sandwich, kappa_bounds
-from .curvature import _normal_errors, weingarten
+from .curvature import _normal_errors
 from .errors import AtInfinity, DegenerateKernel, InvalidGeometry, NonFinite, OutsideDomain
-from .errors import _floats, _require_finite, _vector
-from .linalg import compact_qr
+from .errors import SingularR, _floats, _require_finite, _vector
+from .linalg import _congruence, _triangular_rows, compact_qr
 from .manifold import Parametrization
 
 # Absolute floor on |c_l . y + d_l| and on the distance to the baseline.
@@ -271,8 +271,9 @@ def _dlt(rig: CameraRig, x, minimal):
     return h[:3] / h[3]
 
 
-def _stacked_hat(rig: CameraRig, a, num, E):
-    """Closed-form S_hat (N, 3, 3) of every normal in E (N, 2r), from the point's a and num."""
+def _stacked_hat(rig: CameraRig, num, a3, inv_a2, E):
+    """Closed-form S_hat (N, 3, 3) of every normal in E (N, 2r), from the point's numerators
+    and its depths' a^3 and 1 / a^2 (a depth past ~1e103 cubes to inf, and its term to 0)."""
     eta_l = E.reshape(len(E), rig.r, 2)
     e0, e1 = eta_l[:, :, 0], eta_l[:, :, 1]
     # two-term sums written out: the bits of the einsums, at a third of the cost
@@ -280,18 +281,20 @@ def _stacked_hat(rig: CameraRig, a, num, E):
     g = e0[:, :, None] * rig.A[:, 0] + e1[:, :, None] * rig.A[:, 1]
     cg = rig.c[:, :, None] * g[:, :, None, :]
     # each term is symmetric bitwise, so the sums over cameras are too
-    with np.errstate(over="ignore"):  # a depth past ~1e103 cubes to inf, and its term to 0
-        return (np.einsum("nl,lij->nij", 2.0 * beta / a**3, rig.cc)
-                - np.einsum("l,nlij->nij", 1.0 / a**2, cg + cg.transpose(0, 1, 3, 2)))
+    with np.errstate(over="ignore"):
+        return (np.einsum("nl,lij->nij", 2.0 * beta / a3, rig.cc)
+                - np.einsum("l,nlij->nij", inv_a2, cg + cg.transpose(0, 1, 3, 2)))
 
 
 def _jet(rig: CameraRig, y, n=3):
-    """The first n of (a, num, J, Q, R) at y: depths, numerators, Jacobian and its compact
-    QR. y's domain errors and the QR's NonFinite raise on every call (a non-finite J not).
+    """The first n of (a, num, J, Q, R, maps, sigma, image) at y: depths, numerators,
+    Jacobian, its compact QR, and what every normal at y shares: maps = (a^3, 1 / a^2, R's
+    rows as Python floats, their SingularR message or None), sigma = _sigma_R(R) and image
+    = (x, ||x||), x = mu(y). y's domain errors and the QR's NonFinite raise on every call.
 
     The rig remembers them for the last point it was asked about, keyed by y's shape and
-    bytes, and fills them only as far as its callers ask: a hit returns the read-only
-    arrays a miss computed. triangulate leaves its solution's first three there.
+    bytes, and fills them only as far as its callers ask: a hit returns what a miss
+    computed, the frame's arrays read-only. triangulate leaves its solution's first three.
     """
     y = _floats(y, "world point", "3 numbers")
     key = (y.shape, y.tobytes())
@@ -303,17 +306,25 @@ def _jet(rig: CameraRig, y, n=3):
             memo += (_jacobian(rig, memo[1], memo[2]),)
     if n > 3 and len(memo) == 4:
         memo += compact_qr(memo[3])
+    if n > 5 and len(memo) == 6:
+        with np.errstate(over="ignore"):  # far depths: a^3 = inf, 1 / a^2 = 0
+            memo += ((memo[1]**3, 1.0 / memo[1]**2, *_triangular_rows(memo[5])),)
+    if n > 6 and len(memo) == 7:
+        memo += (_sigma_R(memo[5]),)
+    if n > 7 and len(memo) == 8:
+        x = _projection(memo[1], memo[2])
+        memo += ((x, float(np.linalg.norm(x))),)
     if memo is not last:
         _remember(rig, y, memo[1:])
     return memo[1:n + 1]
 
 
-def _remember(rig: CameraRig, y, arrays):
-    """Make y, with the arrays (a, num, ...) of its jet, the rig's last point: read-only, one
-    tuple replaced whole, so no thread reads one point's key with another point's arrays."""
-    for arr in arrays:
+def _remember(rig: CameraRig, y, jet):
+    """Make y, with its jet (a, num, ...), the rig's last point: the frame's arrays read-only,
+    one tuple replaced whole, so no thread reads one point's key with another point's jet."""
+    for arr in jet[:5]:
         arr.setflags(write=False)  # half the cost of arr.flags.writeable = False
-    object.__setattr__(rig, "_last_point", ((y.shape, y.tobytes()), *arrays))
+    object.__setattr__(rig, "_last_point", ((y.shape, y.tobytes()), *jet))
 
 
 def _frame(rig: CameraRig, y):
@@ -321,15 +332,25 @@ def _frame(rig: CameraRig, y):
     return _jet(rig, y, 5)
 
 
-def _one_row(rig: CameraRig, frame, eta):
-    """(S_hat, S) of the one normal eta from the _frame of y; the row's error is raised."""
-    a, num, _, Q, R = frame
+def _maps(rig: CameraRig, jet, E):
+    """(S_hat, S) (N, 3, 3) of the normals E (N, 2r) from the _jet of y through maps: S is
+    weingarten(S_hat, R), with its SingularR, and R's checks read from maps."""
+    a3, inv_a2, rows, singular = jet[5]
+    if singular is not None:
+        raise SingularR(singular)
+    S_hat = _stacked_hat(rig, jet[1], a3, inv_a2, E)
+    return S_hat, _congruence(S_hat, rows)
+
+
+def _one_row(rig: CameraRig, jet, eta):
+    """(S_hat, S) of the one normal eta from the _jet of y through maps; errors are raised."""
+    Q = jet[3]
     E = _floats(eta, "normal vector eta", f"{len(Q)} numbers")[None]
     (error,), _ = _normal_errors(Q, E)
     if error is not None:
         raise error
-    S_hat = _stacked_hat(rig, a, num, E)
-    return S_hat[0], weingarten(S_hat, R)[0]
+    S_hat, S = _maps(rig, jet, E)
+    return S_hat[0], S[0]
 
 
 def mv_weingarten_hat(rig: CameraRig, y, eta):
@@ -339,14 +360,14 @@ def mv_weingarten_hat(rig: CameraRig, y, eta):
     2 (eta_l . (A_l y + b_l)) c_l c_l^T / alpha_l^3
     - (c_l (A_l^T eta_l)^T + (A_l^T eta_l) c_l^T) / alpha_l^2.
     """
-    return _one_row(rig, _frame(rig, y), eta)[0]
+    return _one_row(rig, _jet(rig, y, 6), eta)[0]
 
 
 def mv_weingarten(rig: CameraRig, y, eta):
     """Frame and Weingarten map at mu(y): returns (Q, R, S_hat, S)."""
-    frame = _frame(rig, y)
-    S_hat, S = _one_row(rig, frame, eta)
-    return np.copy(frame[3]), np.copy(frame[4]), S_hat, S
+    jet = _jet(rig, y, 6)
+    S_hat, S = _one_row(rig, jet, eta)
+    return np.copy(jet[3]), np.copy(jet[4]), S_hat, S
 
 
 def _sigma_R(R):
@@ -397,7 +418,12 @@ def mv_condition(R, S) -> ConditionRows:
     normal (S = 0) collapses the bounds to kappa_S. Every small-matrix factorization
     is one call on the whole stack.
     """
-    sigma_R, kappa_S = _sigma_R(R)
+    return _condition(R, _sigma_R(R), S)
+
+
+def _condition(R, sigma, S) -> ConditionRows:
+    """mv_condition for R's _sigma_R pair sigma."""
+    sigma_R, kappa_S = sigma
     kappa, ill, worst, s = kappa_from_factors(R, S, sigma_R)
     lo, hi = kappa_bounds(kappa_S, np.linalg.eigvalsh(S), 1.0)
     return ConditionRows(kappa, ill, worst, s, sigma_R, kappa_S, lo, hi)
@@ -416,8 +442,9 @@ def _top_eigenvalues(a00, a01, a02, a11, a12, a22):
     return q + 2.0 * p * np.cos(np.arccos(r) / 3.0), 1.0 + r
 
 
-def _ray_condition(R, S_eta, tau) -> ConditionRows:
-    """The ConditionRows, worst directions aside, of the maps tau (N,) S_eta of one ray.
+def _ray_condition(R, sigma, S_eta, tau) -> ConditionRows:
+    """ConditionRows, worst directions aside, of the maps tau (N,) S_eta of one ray; sigma =
+    _sigma_R(R).
 
     With S_eta = V diag(c) V^T, row n's (I - S) R is V diag(d) B for d = 1 - tau_n c and
     B = V^T R: sigma_1^2 and sigma_3^-2 are the top eigenvalues of D G D and D^-1 H D^-1,
@@ -426,7 +453,7 @@ def _ray_condition(R, S_eta, tau) -> ConditionRows:
     meet, 7e-15 at _NEAR_DOUBLE): rows whose sigma_2 and sigma_3 nearly meet take the SVD,
     and sigma_1 only sets the ill-posed threshold. d gives kappa_bounds' bounds exactly.
     """
-    sigma_R, kappa_S = _sigma_R(R)
+    sigma_R, kappa_S = sigma
     c, V = np.linalg.eigh(S_eta)
     B, X = V.T @ R, np.linalg.solve(R, V)
     d = 1.0 - np.multiply.outer(c, tau)
@@ -434,14 +461,15 @@ def _ray_condition(R, S_eta, tau) -> ConditionRows:
     d_max, d_min = np.maximum(np.maximum(a0, a1), a2), np.minimum(np.minimum(a0, a1), a2)
     d_mid = np.maximum(np.minimum(a0, a1), np.minimum(np.maximum(a0, a1), a2))
     # d / max|d| and min|d| / d have entries of at most 1, so no square overflows; 1 fills 0 / 0
-    zero, none, N = d == 0.0, d_max == 0.0, len(tau)
-    F = np.concatenate([(d + none) / (d_max + none), (d_min + zero) / (d + zero)], axis=1)
-    K = np.stack([(B @ B.T)[_UPPER], (X.T @ X)[_UPPER]], axis=1)  # G and H
-    lam, meet = _top_eigenvalues(*(F[_UPPER[0]] * F[_UPPER[1]] * np.repeat(K, N, axis=1)))
-    s = np.stack([d_max * np.sqrt(lam[:N]),  # s1 s2 s3 = |det M|
-                  abs(R[0, 0] * R[1, 1] * R[2, 2]) * d_mid * np.sqrt(lam[N:] / lam[:N]),
-                  d_min / np.sqrt(lam[N:])], axis=1)
-    redo = np.flatnonzero((meet[N:] < _NEAR_DOUBLE) & (d_min > 0.0))
+    zero, none = d == 0.0, d_max == 0.0
+    F = np.array([(d + none) / (d_max + none), (d_min + zero) / (d + zero)])  # (2, 3, N)
+    K = np.array([(B @ B.T)[_UPPER], (X.T @ X)[_UPPER]]).T[:, :, None]  # G's and H's, (6, 2, 1)
+    entries = (F[:, i] * F[:, j] * k for i, j, k in zip(*_UPPER, K))  # (2, N) each
+    (lam_G, lam_H), (_, meet) = _top_eigenvalues(*entries)
+    s = np.stack([d_max * np.sqrt(lam_G),  # s1 s2 s3 = |det M|
+                  abs(R[0, 0] * R[1, 1] * R[2, 2]) * d_mid * np.sqrt(lam_H / lam_G),
+                  d_min / np.sqrt(lam_H)], axis=1)
+    redo = np.flatnonzero((meet < _NEAR_DOUBLE) & (d_min > 0.0))
     if len(redo):
         s[redo] = np.linalg.svd(V @ (d[:, redo].T[:, :, None] * B), compute_uv=False)
     lo, hi = _sandwich(kappa_S, d_max, d_min)
@@ -454,9 +482,8 @@ def mv_kappa(rig: CameraRig, y, eta) -> ConditionReport:
     The worst_input_direction is in the orthonormal tangent coordinates of
     the frame Q at mu(y); the worst ambient perturbation is Q times it.
     """
-    frame = _frame(rig, y)
-    R, S = frame[4], _one_row(rig, frame, eta)[1]
-    sigma_R, kappa_S = _sigma_R(R)
+    jet = _jet(rig, y, 7)
+    R, S, (sigma_R, kappa_S) = jet[4], _one_row(rig, jet, eta)[1], jet[6]
     # mv_condition's row, bit for bit: its LAPACK calls, then Python floats, not the stack
     U, s = np.linalg.svd((np.eye(3) - S) @ R)[:2]
     (s1, _, s3), (sR1, _, sR3) = s.tolist(), sigma_R.tolist()

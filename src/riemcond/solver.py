@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainEscape, NonFinite, OutsideDomain, RiemcondError, _non_finite
+from .errors import DomainEscape, InvalidGeometry, NonFinite, OutsideDomain, RiemcondError
 from .errors import _require_finite, _require_finite_setting, _require_integer, _require_positive
-from .errors import _floats, _vector
+from .errors import _floats, _non_finite, _vector
 from .linalg import compact_qr  # noqa: F401  (a binding perfbench's tracer wraps)
 from .manifold import Parametrization
 from .multiview import (
@@ -33,7 +33,6 @@ DAMPING_DOWN = 0.1
 MIN_DAMPING = 1e-300
 MAX_DAMPING = 1e18  # a row whose damping passes this on a rejected step stalls
 LADDER_CAP = 8  # the most rungs _lm_rows gives a row after an acceptance
-LADDER_GROWTH = 4  # the factor on a row's rungs after a pass that rejected them all
 
 
 @dataclass(frozen=True)
@@ -98,7 +97,8 @@ def _lm_rows(evaluate, u, r, J, opts: SolverOptions):
     one above MAX_DAMPING. A row has one rung at the start; after an
     acceptance, one per trial it made since the acceptance before
     (LADDER_CAP at most: rows repeat their rejection streaks); after a pass
-    whose rungs were all rejected, LADDER_GROWTH times as many. A pass makes
+    whose rungs were all rejected, one more, or, if more, as many as reach the
+    first rung whose step, about ||J^T r|| / damping, stalls. A pass makes
     one stacked solve over every rung, one evaluate call on the rungs before
     each row's first step_tol stall and one jac call on the accepted ones;
     each row then replays its rungs in order, as passes of one trial each,
@@ -216,8 +216,12 @@ def _lm_rows(evaluate, u, r, J, opts: SolverOptions):
                 continue
             if stalled[p]:  # every rung before the stall was rejected
                 finish(p, Status.Stalled)
-            else:
-                rungs[p] *= LADDER_GROWTH
+                continue
+            # rung j steps about ||g|| / (lam DAMPING_UP^j): rungs up to the first stalled one
+            floor = lam[p] * opts.step_tol * (1.0 + math.sqrt(uu[p]))
+            ratio = math.sqrt(gg[p]) / floor if floor > 0.0 else 0.0  # 0: no bound
+            bound = math.ceil(math.log(ratio, DAMPING_UP)) + 1 if 1.0 < ratio < math.inf else 0
+            rungs[p] = max(rungs[p] + 1, bound)
         if accepted:
             Ja, Ua, Ra = jac(accepted), U, R
             if len(accepted) < len(trial):
@@ -246,23 +250,36 @@ def lm_minimize(evaluate, u0, opts: SolverOptions | None = None) -> SolveResult:
     grad_tol (1 + ||r||), when the step drops below step_tol, or at the
     iteration cap. A start point off the domain raises OutsideDomain, ten
     damping retries off it DomainEscape. A residual norm at u0 that is not
-    finite raises NonFinite; later trial points with one are rejected.
-    The iteration is _lm_rows on one row.
+    finite raises NonFinite; later trial points with one are rejected. Every
+    residual must have the start's shape (m,), every Jacobian (m, n), else
+    InvalidGeometry. The iteration is _lm_rows on one row.
     """
     u = _floats(u0, "start point", "a vector of numbers").copy()  # never the caller's array
     start = evaluate(u)
     if start is None:
         raise OutsideDomain(f"start point {u} rejected by domain check")
     r, jac = _floats(start[0], "residual", "a vector of numbers"), start[1]
+    if r.ndim != 1:
+        raise InvalidGeometry(f"residual at the start point must be a vector, got shape {r.shape}")
+    shapes = {"residual": (r.shape, "a vector"), "Jacobian": (r.shape + u.shape, "a matrix")}
+
+    def output(value, what):
+        """The callback's residual or Jacobian as floats, of the shape the start point's has."""
+        shape, kind = shapes[what]
+        arr = _floats(value, what, f"{kind} of numbers")
+        if arr.shape != shape:
+            raise InvalidGeometry(f"{what} has shape {arr.shape}, want {shape} "
+                                  f"(start residual {r.shape}, point {u.shape})")
+        return arr
 
     def evaluate_rows(U, _):
         trials = [evaluate(v) for v in U]
         # the start residual is the ignored placeholder of a point off the domain
-        R = _floats([r if t is None else t[0] for t in trials], "residual", "a vector of numbers")
+        R = np.array([r if t is None else output(t[0], "residual") for t in trials])
         return R, [t is not None for t in trials], lambda sel: np.array(
-            [_floats(trials[k][1](), "Jacobian", "a matrix of numbers") for k in sel])
+            [output(trials[k][1](), "Jacobian") for k in sel])
 
-    J = _floats(jac(), "Jacobian", "a matrix of numbers")
+    J = output(jac(), "Jacobian")
     (res,) = _lm_rows(evaluate_rows, u[None], r[None], J[None], opts or _DEFAULTS)
     if isinstance(res, RiemcondError):
         raise res

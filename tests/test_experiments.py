@@ -13,7 +13,7 @@ import riemcond as rc
 from riemcond.condition import SING_TOL
 from riemcond.experiments import _peak_prominences
 from riemcond.linalg import compact_qr
-from riemcond.multiview import _frame, _ray_condition
+from riemcond.multiview import _frame, _ray_condition, _sigma_R
 
 DEFAULT_Y = np.array([0.35, -0.2, 0.4])
 
@@ -360,7 +360,7 @@ def _ray_rows_against_svd(R, S_eta, tau):
     same ill-posed verdicts, sigma_1 sigma_2 sigma_3 = |det M| where det M is finite, and
     bounds bit for bit those of kappa_bounds on the ray's curvatures. Returns the rows."""
     tau = np.asarray(tau, dtype=float)
-    rows = _ray_condition(R, S_eta, tau)
+    rows = _ray_condition(R, _sigma_R(R), S_eta, tau)
     sigma_R = np.linalg.svd(R, compute_uv=False)
     for n, t in enumerate(tau):
         S = t * S_eta
@@ -480,14 +480,14 @@ def test_sweep_builds_one_weingarten_map_per_ray(monkeypatch):
     rig = _default_rig()
     eta = rc.random_unit_normal(rig, DEFAULT_Y, 0)
     grid = rc.log_grid(-2, 1, 20)
-    rows = _count_rows(monkeypatch, ("_stacked_hat", "congruence_by_inverse"))
+    rows = _count_rows(monkeypatch, ("_stacked_hat", "_congruence"))
     records = rc.experiment_sweep(rig, DEFAULT_Y, eta, grid)
-    assert rows == {"_stacked_hat": [1], "congruence_by_inverse": [1]}
+    assert rows == {"_stacked_hat": [1], "_congruence": [1]}
     assert all(rec.error is None for rec in records)
     for name in rows:
         rows[name].clear()
     records = rc.experiment_validate(rig, DEFAULT_Y, eta, grid[:10])
-    assert rows == {"_stacked_hat": [10], "congruence_by_inverse": [10]}
+    assert rows == {"_stacked_hat": [10], "_congruence": [10]}
     assert all(rec.error is None for rec in records)
 
 
@@ -601,6 +601,25 @@ def test_zero_offset_row_on_a_singular_frame_is_singular_r_on_every_grid():
             assert run(rig, y, eta, grid)[grid.index(0.0)].error == f"SingularR: {info.value}"
 
 
+def test_singular_frame_gives_every_call_its_singular_r():
+    """The rig keeps R's SingularR verdict with y's frame: every run on the frame of
+    _singular_frame_run, cold or warm, and mv_kappa between them, gives the rows at 0.5 and
+    0 the SingularR of weingarten(., R), message included, and the rows at inf and NaN
+    their own NonFinite."""
+    rig, y, eta, grid = _singular_frame_run()
+    with pytest.raises(rc.SingularR) as info:
+        rc.weingarten(np.zeros((3, 3)), _frame(_singular_frame_run()[0], y)[4])
+    singular = f"SingularR: {info.value}"
+    for _ in range(2):
+        for run in (rc.experiment_sweep, rc.experiment_validate):
+            errors = [rec.error for rec in run(rig, y, eta, grid)]
+            assert errors[0] == errors[2] == singular
+            assert errors[1].startswith("NonFinite: ") and errors[3].startswith("NonFinite: ")
+        with pytest.raises(rc.SingularR) as info:
+            rc.mv_kappa(rig, y, 0.5 * eta)
+        assert f"SingularR: {info.value}" == singular
+
+
 @pytest.mark.parametrize("protocol", ["sweep", "validate"])
 def test_nan_non_normal_and_zero_offset_rows(protocol):
     """Rows of a NaN eta, of an eta with a tangential part, and at t = 0 are what the
@@ -628,16 +647,25 @@ def test_nan_non_normal_and_zero_offset_rows(protocol):
 @pytest.mark.parametrize("protocol", ["sweep", "validate"])
 def test_experiment_checks_y_once_and_takes_one_qr_frame(protocol, monkeypatch):
     """On a cold rig, one domain check of y serves x, the theory kernel and the solves'
-    start, and one Jacobian QR the frame; a second run at y takes neither, as the rig
-    keeps y's frame. The errors of y keep their type and message."""
+    start, one Jacobian QR the frame, one SVD of R sigma(R) and one check of R the maps; a
+    second run at y takes none of them, as the rig keeps y's frame. The errors of y keep
+    their type and message."""
     import riemcond.linalg as linalg
     import riemcond.multiview as mv
 
     run = rc.experiment_sweep if protocol == "sweep" else rc.experiment_validate
     rig = _default_rig()
     eta = rc.random_unit_normal(_default_rig(), DEFAULT_Y, 0)  # a twin: rig stays cold
-    counts = {"_checked": 0, "compact_qr": 0}
-    for name, real in (("_checked", mv._checked), ("compact_qr", linalg.compact_qr)):
+    counts = {"_checked": 0, "compact_qr": 0, "_triangular_rows": 0, "svd of R": 0}
+    svd = np.linalg.svd
+
+    def svd_counted(a, *args, **kwargs):
+        counts["svd of R"] += np.shape(a) == (3, 3)  # the stacks are (N, 3, 3)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd_counted)
+    for name, real in (("_checked", mv._checked), ("compact_qr", linalg.compact_qr),
+                       ("_triangular_rows", linalg._triangular_rows)):
         def counted(*args, real=real, name=name):
             counts[name] += 1
             return real(*args)
@@ -645,16 +673,31 @@ def test_experiment_checks_y_once_and_takes_one_qr_frame(protocol, monkeypatch):
         for module_name, module in list(sys.modules.items()):
             if module_name.startswith("riemcond") and getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counted)
+    once = {"_checked": 1, "compact_qr": 1, "_triangular_rows": 1, "svd of R": 1}
     records = run(rig, DEFAULT_Y, eta, [0.01, 1.0])
-    assert counts == {"_checked": 1, "compact_qr": 1}
+    assert counts == once
     assert all(rec.error is None for rec in records)
     assert run(rig, DEFAULT_Y, eta, [0.01, 1.0]) == records
-    assert counts == {"_checked": 1, "compact_qr": 1}
+    assert counts == once
     on_plane = np.array([0.0, 0.0, -rig.d[0] / rig.c[0, 2]])
     with pytest.raises(rc.OutsideDomain, match="principal plane"):
         run(rig, on_plane, eta, [0.01, 1.0])
     with pytest.raises(rc.NonFinite, match=r"world point \[nan"):
         run(rig, [np.nan, 0.0, 0.0], eta, [0.01, 1.0])
+
+
+@pytest.mark.parametrize("protocol", ["sweep", "validate"])
+def test_runs_at_y_then_y_prime_then_y_again_give_a_cold_rigs_bits(protocol):
+    """A run at another point y' replaces y's frame on the rig, constants included: the
+    runs at y, y' and y again each give, field by field, what a freshly built rig gives."""
+    run = rc.experiment_sweep if protocol == "sweep" else rc.experiment_validate
+    rig, other = _default_rig(), DEFAULT_Y + np.array([0.05, -0.1, 0.02])
+    grid = rc.log_grid(-2, 1, 6)
+    for y in (DEFAULT_Y, other, DEFAULT_Y):
+        eta = rc.random_unit_normal(_default_rig(), y, 3)
+        got = run(rig, y, eta, grid)
+        assert all(rec.error is None for rec in got)
+        assert repr(got) == repr(run(_default_rig(), y, eta, grid))
 
 
 def test_small_offset_band_keeps_kappa_flat():

@@ -103,9 +103,22 @@ def test_cli_flags_are_listed():
 
 # Lines of src/riemcond/*.py at the last change that moved the count. Growth past it is
 # a visible decision, argued where it is made, like a new name in PUBLIC.
-LINE_BUDGET = 2650
+LINE_BUDGET = 2709
 
 
 def test_src_line_budget():
     src = Path(riemcond.__file__).parent
     assert sum(len(p.read_text().splitlines()) for p in src.glob("*.py")) <= LINE_BUDGET
+
+
+# Words in one row of the README's package tour (str.split's count): a row that grows past
+# it lists more contracts than a reader takes in, and is trimmed or split.
+TOUR_ROW_WORDS = 200
+
+
+def test_readme_package_tour_rows_stay_short():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = [line for line in readme.read_text().splitlines() if line.startswith("| `riemcond.")]
+    assert len(rows) == 9  # one per module
+    words = {row.split("|")[1].strip(): len(row.split()) for row in rows}
+    assert {name: n for name, n in words.items() if n > TOUR_ROW_WORDS} == {}

@@ -223,7 +223,8 @@ def test_kernel_matches_per_camera_oracle(k):
         # bit-equal: the validation protocol amplifies a last-bit change in J
         assert np.array_equal(rc.mv_project(rig, y), x)
         assert np.array_equal(rc.mv_jacobian(rig, y), J)
-        got = _stacked_hat(rig, *_checked(rig, y), eta[None])[0]
+        a, num = _checked(rig, y)
+        got = _stacked_hat(rig, num, a**3, 1.0 / a**2, eta[None])[0]
         assert np.linalg.norm(got - S_hat) <= 1e-13 * np.linalg.norm(S_hat)
         checked += 1
     assert checked >= 250
@@ -252,7 +253,7 @@ def test_stacked_hat_matches_einsum_bitwise(k):
         cg = rig.c[:, :, None] * g[:, :, None, :]
         want = (np.einsum("nl,lij->nij", 2.0 * beta / a**3, cc)
                 - np.einsum("l,nlij->nij", 1.0 / a**2, cg + cg.transpose(0, 1, 3, 2)))
-        assert _stacked_hat(rig, a, num, E).tobytes() == want.tobytes()
+        assert _stacked_hat(rig, num, a**3, 1.0 / a**2, E).tobytes() == want.tobytes()
         checked += 1
     assert checked >= 20
 
@@ -628,7 +629,8 @@ def test_mv_kappa_is_its_row_of_the_stacked_kernel():
         E += [t * x_norm * unit for t in rc.singular_offsets_rel(rig, y, unit)]
         E.append(np.zeros(2 * k))
         a, num, _, _, R = _frame(rig, y)
-        rows = mv_condition(R, rc.weingarten(_stacked_hat(rig, a, num, np.array(E)), R))
+        S_hat = _stacked_hat(rig, num, a**3, 1.0 / a**2, np.array(E))
+        rows = mv_condition(R, rc.weingarten(S_hat, R))
         assert rows.ill_posed.any() and not rows.ill_posed.all()
         for n, eta in enumerate(E):
             rep = rc.mv_kappa(rig, y, eta)
@@ -657,7 +659,7 @@ def test_ill_posed_scale_takes_sigma_1_of_R(monkeypatch):
     s, sigma_R = rows.sigma[0], rows.sigma_R
     assert SING_TOL * s[0] < s[2] <= SING_TOL * sigma_R[0]  # the case the sigma_1(R) term decides
     assert rows.ill_posed.tolist() == [True] and rows.kappa.tolist() == [np.inf]
-    ray = multiview._ray_condition(R, np.eye(3), np.array([1.0 - 1e-14]))
+    ray = multiview._ray_condition(R, multiview._sigma_R(R), np.eye(3), np.array([1.0 - 1e-14]))
     assert ray.ill_posed.tolist() == [True] and ray.kappa.tolist() == [np.inf]
     monkeypatch.setattr(multiview, "_one_row", lambda rig, frame, eta: (None, S))
     rep = rc.mv_kappa(rig, y, np.zeros(20))

@@ -131,7 +131,7 @@ def test_stacked_kernel_equals_one_row_calls(instance, t_rel, seed):
     unit = rc.random_unit_normal(rig, y, seed)
     E = np.vstack([eta, np.multiply.outer(np.array(t_rel) * x_norm, unit)])
     a, num, _, _, R = _frame(rig, y)
-    S_hat = _stacked_hat(rig, a, num, E)
+    S_hat = _stacked_hat(rig, num, a**3, 1.0 / a**2, E)
     S = rc.weingarten(S_hat, R)
     rows = mv_condition(R, S)
     for n, e in enumerate(E):

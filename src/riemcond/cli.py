@@ -34,7 +34,7 @@ from .experiments import (
     records_to_csv,
 )
 from .manifold import builtin, codim1_unit_normal, tangent_frame
-from .multiview import _frame, mv_kappa, mv_project, rig_from_dict, rig_to_dict
+from .multiview import _jet, mv_kappa, mv_project, rig_from_dict, rig_to_dict
 from .solver import SolverOptions, project_point, triangulate
 
 
@@ -180,7 +180,7 @@ def cmd_kappa(args) -> int:
         rig = _load_rig(args.rig)
         y = _load_vector(args.point, "y", 3)
         # the rig keeps y's frame: one domain check and QR serve eta, kappa and Q @ u
-        Q = _frame(rig, y)[3]
+        Q = _jet(rig, y, 5)[3]
         if args.eta:
             raw = _load_vector(args.eta, "eta", 2 * rig.r)
             eta = raw - Q @ (Q.T @ raw)  # project API input to the normal space

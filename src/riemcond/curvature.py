@@ -32,10 +32,12 @@ def _normal_errors(Q, E):
         raise NotNormal(f"eta must have length {len(Q)}, got rows of shape {E.shape[1:]}")
     finite = np.isfinite(E).all(axis=1)
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite rows are reported below
-        nrm = np.linalg.norm(E, axis=1)
-        tangential = np.linalg.norm(E @ Q, axis=1)
+        # the lengths by np.linalg.norm(X, axis=1)'s own arithmetic, without its wrapper
+        nrm, tangential = (np.sqrt(np.add.reduce(X * X, axis=1)) for X in (E, E @ Q))
     ok = finite & np.isfinite(nrm) & ~(tangential > NORMALITY_TOL * nrm)
     errors = [None] * len(E)
+    if ok.all():
+        return errors, nrm
     for i in np.flatnonzero(~ok).tolist():
         if not finite[i]:
             errors[i] = _non_finite(E[i], "normal vector eta")

@@ -65,8 +65,9 @@ class NonFinite(RiemcondError):
 
 
 def _finite(v) -> bool:
-    # a Python-level scan: for a handful of entries it is several times
-    # cheaper than np.isfinite(v).all()
+    # a Python-level scan costs less than np.isfinite(v).all() up to about 35 entries
+    if v.size > 32:
+        return bool(np.isfinite(v).all())
     return all(map(math.isfinite, v.ravel().tolist()))
 
 

@@ -22,7 +22,6 @@ from .multiview import (
     Camera,
     CameraRig,
     _condition,
-    _frame,
     _jet,
     _maps,
     _normal_errors,
@@ -148,7 +147,7 @@ def random_unit_normal(rig: CameraRig, y, seed: int):
     """Unit normal at mu(y) from a projected standard-normal draw, seeded by seed (an
     integer >= 0, else InvalidGeometry)."""
     _require_integer(seed, "seed", 0)
-    Q = _frame(rig, y)[3]
+    Q = _jet(rig, y, 5)[3]
     rng = np.random.default_rng(seed)
     for _ in range(100):
         v = rng.standard_normal(len(Q))

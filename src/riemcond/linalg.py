@@ -17,9 +17,12 @@ def compact_qr(J):
 
     The sign normalization makes the frame deterministic: two computations
     of the same Jacobian give bit-identical Q and R. Q is Fortran-ordered,
-    as LAPACK writes it. A NaN or an infinity in J raises NonFinite.
+    as LAPACK writes it. A J that is not a 2-D array of numbers raises InvalidGeometry, one
+    holding a NaN, an infinity or an integer past the float range NonFinite.
     """
-    J = np.asarray(J, dtype=float)
+    J = _floats(J, "matrix to factor by QR", "a matrix")
+    if J.ndim != 2:
+        raise InvalidGeometry(f"matrix to factor by QR must be 2-D, got shape {J.shape}")
     _require_finite(J, "matrix to factor by QR")
     Q, R = np.linalg.qr(J)
     d = np.sign(np.diag(R))

@@ -327,11 +327,6 @@ def _remember(rig: CameraRig, y, jet):
     object.__setattr__(rig, "_last_point", ((y.shape, y.tobytes()), *jet))
 
 
-def _frame(rig: CameraRig, y):
-    """(a, num, J, Q, R) at y: the _jet of y and the compact QR of its Jacobian."""
-    return _jet(rig, y, 5)
-
-
 def _maps(rig: CameraRig, jet, E):
     """(S_hat, S) (N, 3, 3) of the normals E (N, 2r) from the _jet of y through maps: S is
     weingarten(S_hat, R), with its SingularR, and R's checks read from maps."""
@@ -462,13 +457,13 @@ def _ray_condition(R, sigma, S_eta, tau) -> ConditionRows:
     d_mid = np.maximum(np.minimum(a0, a1), np.minimum(np.maximum(a0, a1), a2))
     # d / max|d| and min|d| / d have entries of at most 1, so no square overflows; 1 fills 0 / 0
     zero, none = d == 0.0, d_max == 0.0
-    F = np.array([(d + none) / (d_max + none), (d_min + zero) / (d + zero)])  # (2, 3, N)
+    F = np.array([(d + none) / (d_max + none), (d_min + zero) / (d + zero)]).swapaxes(0, 1)
     K = np.array([(B @ B.T)[_UPPER], (X.T @ X)[_UPPER]]).T[:, :, None]  # G's and H's, (6, 2, 1)
-    entries = (F[:, i] * F[:, j] * k for i, j, k in zip(*_UPPER, K))  # (2, N) each
-    (lam_G, lam_H), (_, meet) = _top_eigenvalues(*entries)
-    s = np.stack([d_max * np.sqrt(lam_G),  # s1 s2 s3 = |det M|
+    # F (3, 2, N): each of the six entries (2, N) is (F_i F_j) K_ij, in one broadcast
+    (lam_G, lam_H), (_, meet) = _top_eigenvalues(*(F[_UPPER[0]] * F[_UPPER[1]] * K))
+    s = np.array([d_max * np.sqrt(lam_G),  # s1 s2 s3 = |det M|
                   abs(R[0, 0] * R[1, 1] * R[2, 2]) * d_mid * np.sqrt(lam_H / lam_G),
-                  d_min / np.sqrt(lam_H)], axis=1)
+                  d_min / np.sqrt(lam_H)]).T
     redo = np.flatnonzero((meet < _NEAR_DOUBLE) & (d_min > 0.0))
     if len(redo):
         s[redo] = np.linalg.svd(V @ (d[:, redo].T[:, :, None] * B), compute_uv=False)

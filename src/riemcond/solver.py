@@ -20,7 +20,7 @@ from .errors import _floats, _non_finite, _vector
 from .linalg import compact_qr  # noqa: F401  (a binding perfbench's tracer wraps)
 from .manifold import Parametrization
 from .multiview import (
-    CameraRig, _dlt, _domain_rows, _frame, _jacobian, _jet, _projection, _remember)
+    CameraRig, _dlt, _domain_rows, _jacobian, _jet, _projection, _remember)
 
 # Fixed damping schedule of the LM iteration: start, factor on a rejected
 # step, factor on an accepted step.
@@ -377,6 +377,6 @@ def _triangulate_rows(rig: CameraRig, A, y0, opts: SolverOptions | None = None):
 
 def mv_certificate(rig: CameraRig, y, a) -> float:
     """Tangential residual norm of a - mu(y); a is checked as triangulate checks it."""
-    alpha, num, _, Q, _ = _frame(rig, y)
+    alpha, num, _, Q, _ = _jet(rig, y, 5)
     a = _vector(a, 2 * rig.r, "correspondence")
     return float(np.linalg.norm(Q.T @ (a - _projection(alpha, num))))

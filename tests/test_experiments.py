@@ -13,7 +13,7 @@ import riemcond as rc
 from riemcond.condition import SING_TOL
 from riemcond.experiments import _peak_prominences
 from riemcond.linalg import compact_qr
-from riemcond.multiview import _frame, _ray_condition, _sigma_R
+from riemcond.multiview import _jet, _ray_condition, _sigma_R
 
 DEFAULT_Y = np.array([0.35, -0.2, 0.4])
 
@@ -393,7 +393,7 @@ def test_ray_condition_matches_a_per_row_svd():
     A frame with sigma_2(R) = sigma_3(R) is the nearly double top eigenvalue the closed
     form keeps half the digits of (C ~ 1e7), so its rows take the SVD."""
     rig = rc.gen_rig(rc.RigSpec(k=3, arc_degrees=0.05))
-    R = _frame(rig, DEFAULT_Y)[4]
+    R = _jet(rig, DEFAULT_Y, 5)[4]
     assert 2e3 < np.linalg.cond(R) < 4e3
     for seed in range(8):
         S_eta = rc.mv_weingarten(rig, DEFAULT_Y, rc.random_unit_normal(rig, DEFAULT_Y, seed))[3]
@@ -401,7 +401,7 @@ def test_ray_condition_matches_a_per_row_svd():
     rng = np.random.default_rng(0)
     W = rng.standard_normal((3, 3))
     S_eta = W + W.T
-    R = _frame(_default_rig(), DEFAULT_Y)[4]
+    R = _jet(_default_rig(), DEFAULT_Y, 5)[4]
     rows = _ray_rows_against_svd(R, S_eta, [0.0, 0.0])  # tau = 0
     assert np.array_equal(rows.bounds_lo, [rows.kappa_S] * 2)
     rows = _ray_rows_against_svd(R, np.zeros((3, 3)), [0.0, -3.0, 1e150])  # S_eta = 0
@@ -415,7 +415,7 @@ def test_ray_condition_focal_and_huge_rows():
     """A row with 1 - tau c_i == 0 exactly is ill-posed with sigma_3 = 0 (one, two or all
     three factors zero); curvatures |c| > 1 at |tau| ~ 1e153, where d^2 would overflow,
     stay within the first-order bound and raise no warning."""
-    R = _frame(_default_rig(), DEFAULT_Y)[4]
+    R = _jet(_default_rig(), DEFAULT_Y, 5)[4]
     for c, tau in (([0.5, -0.25, 2.0], 2.0), ([0.5, -0.25, 2.0], 0.5), ([0.5, 0.5, 2.0], 2.0),
                    ([0.5, 0.5, 0.5], 2.0)):
         rows = _ray_rows_against_svd(R, np.diag(c), [tau, 1.0])
@@ -430,24 +430,29 @@ def test_sweep_solves_one_curvature_per_ray_and_no_vectors(monkeypatch):
     """A sweep takes the principal curvatures of a ray from one 3 x 3 eigh and no
     stacked (ndim 3) SVD or eigenvalue solve, so it computes no singular vectors; on this
     ray no row's sigma_2 and sigma_3 nearly meet, which would take the SVD. validate,
-    which perturbs along the worst directions, runs the stacked SVD with vectors."""
+    which perturbs along the worst directions, runs the stacked SVD with vectors. A ray at
+    a remembered point takes its row lengths and sigmas without np.linalg.norm or np.stack."""
     calls = []
 
-    def spy(name):
-        real = getattr(np.linalg, name)
+    def spy(module, name):
+        real = getattr(module, name)
 
         def wrapped(a, *args, **kwargs):
             calls.append((name, np.ndim(a), kwargs.get("compute_uv", True)))
             return real(a, *args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, wrapped)
+        monkeypatch.setattr(module, name, wrapped)
 
-    for name in ("svd", "eig", "eigh", "eigvals", "eigvalsh"):
-        spy(name)
     rig = _default_rig()
     eta = rc.random_unit_normal(rig, DEFAULT_Y, 0)
+    for name in ("svd", "eig", "eigh", "eigvals", "eigvalsh", "norm"):
+        spy(np.linalg, name)
+    spy(np, "stack")
     rc.experiment_sweep(rig, DEFAULT_Y, eta, rc.log_grid(-2, 1, 20))
     assert [call for call in calls if call[0] == "eigh"] == [("eigh", 2, True)]
-    assert all(ndim == 2 for _, ndim, _ in calls)
+    assert all(ndim == 2 for name, ndim, _ in calls if name != "norm")
+    calls.clear()
+    rc.experiment_sweep(rig, DEFAULT_Y, eta, rc.log_grid(-2, 1, 20))
+    assert [name for name, _, _ in calls] == ["eigh"]
     calls.clear()
     rc.experiment_validate(rig, DEFAULT_Y, eta, [0.01, 1.0])
     assert [uv for name, ndim, uv in calls if name == "svd" and ndim == 3] == [True]
@@ -608,7 +613,7 @@ def test_singular_frame_gives_every_call_its_singular_r():
     their own NonFinite."""
     rig, y, eta, grid = _singular_frame_run()
     with pytest.raises(rc.SingularR) as info:
-        rc.weingarten(np.zeros((3, 3)), _frame(_singular_frame_run()[0], y)[4])
+        rc.weingarten(np.zeros((3, 3)), _jet(_singular_frame_run()[0], y, 5)[4])
     singular = f"SingularR: {info.value}"
     for _ in range(2):
         for run in (rc.experiment_sweep, rc.experiment_validate):

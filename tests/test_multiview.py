@@ -490,12 +490,12 @@ def test_non_finite_normal_is_typed():
 
 def test_normal_errors_record_row_errors_and_runs_keep_other_rows():
     from riemcond.curvature import _normal_errors
-    from riemcond.multiview import _frame
+    from riemcond.multiview import _jet
 
     rig = _generic_rig(k=4, seed=22)
     y = np.array([0.1, 0.2, -0.1])
     eta = _random_normal_at(rig, y, 0)
-    Q = _frame(rig, y)[3]
+    Q = _jet(rig, y, 5)[3]
     E = np.array([0.3 * eta, eta + Q[:, 0], np.full(8, np.nan), np.zeros(8), 1e200 * eta, eta])
     errors, norms = _normal_errors(Q, E)
     kinds = [type(err).__name__ if err is not None else None for err in errors]
@@ -514,6 +514,48 @@ def test_normal_errors_record_row_errors_and_runs_keep_other_rows():
         assert [records[n] for n in (0, 3, 4)] == run(rig, y, eta, [0.3, 0.0, 1.0])
         with pytest.raises(rc.OutsideDomain):
             run(rig, rig.baseline_point + 0.5 * rig.baseline_dir, eta, [0.3, 1.0])
+
+
+def test_normal_errors_lengths_are_stacked_norms_bit_for_bit():
+    """_normal_errors' lengths are np.linalg.norm(E, axis=1)'s bits: on an ordinary normal,
+    a zero row, a row whose entries pass 1.3e154 (its length overflows: NonFinite), a NaN row
+    and a tangential row, and on rows scaled from 1e-300 to 1e300. Good rows alone give one
+    None each."""
+    from riemcond.curvature import _normal_errors
+    from riemcond.multiview import _jet
+
+    rig = _generic_rig(k=4, seed=22)
+    y = np.array([0.1, 0.2, -0.1])
+    eta = _random_normal_at(rig, y, 0)
+    Q = _jet(rig, y, 5)[3]
+    E = np.array([eta, np.zeros(8), np.full(8, 2e154), np.full(8, np.nan), Q[:, 1]])
+    scale = np.logspace(-300, 300, 40)[:, None]
+    scaled = np.random.default_rng(6).standard_normal((40, 8)) * scale
+    for stack in (E, scaled):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.linalg.norm(stack, axis=1)
+        errors, norms = _normal_errors(Q, stack)
+        assert norms.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    errors = _normal_errors(Q, E)[0]
+    kinds = [type(err).__name__ if err is not None else None for err in errors]
+    assert kinds == [None, None, "NonFinite", "NonFinite", "NotNormal"]
+    assert "norm of normal vector eta" in str(errors[2])
+    assert _normal_errors(Q, np.array([eta, np.zeros(8), -3.0 * eta]))[0] == [None] * 3
+
+
+def test_finite_check_names_the_entry_on_either_side_of_the_numpy_scan():
+    """_require_finite scans a small array in Python and a larger one with np.isfinite:
+    both report a NaN or -inf in the last entry as NonFinite naming that entry."""
+    from riemcond.errors import _finite, _require_finite
+
+    for size in (31, 32, 33, 34):
+        for bad in (np.nan, -np.inf):
+            v = np.arange(float(size))
+            assert _finite(v) and _finite(v.reshape(1, size))
+            v[-1] = bad
+            assert not _finite(v) and not _finite(v.reshape(1, size))
+            with pytest.raises(rc.NonFinite, match=rf"^entry test .* \(entries \[{size - 1}\]\)$"):
+                _require_finite(v, "entry test")
 
 
 _WORLD = "world point must have shape"
@@ -617,7 +659,7 @@ def test_mv_kappa_is_its_row_of_the_stacked_kernel():
     """mv_kappa takes its one critical pair on Python floats, mv_condition a stack on numpy:
     every field of mv_kappa is the stack's row, with ==, and the worst direction's bytes,
     at generic normals, at focal pairs (ill-posed) and at eta = 0."""
-    from riemcond.multiview import _frame, _stacked_hat, mv_condition
+    from riemcond.multiview import _jet, _stacked_hat, mv_condition
 
     rng = np.random.default_rng(27)
     y = np.array([0.35, -0.2, 0.4])
@@ -628,7 +670,7 @@ def test_mv_kappa_is_its_row_of_the_stacked_kernel():
         E = [rng.uniform(-3.0, 3.0) * x_norm * _random_normal_at(rig, y, s) for s in range(6)]
         E += [t * x_norm * unit for t in rc.singular_offsets_rel(rig, y, unit)]
         E.append(np.zeros(2 * k))
-        a, num, _, _, R = _frame(rig, y)
+        a, num, _, _, R = _jet(rig, y, 5)
         S_hat = _stacked_hat(rig, num, a**3, 1.0 / a**2, np.array(E))
         rows = mv_condition(R, rc.weingarten(S_hat, R))
         assert rows.ill_posed.any() and not rows.ill_posed.all()
@@ -654,7 +696,7 @@ def test_ill_posed_scale_takes_sigma_1_of_R(monkeypatch):
     from riemcond.condition import SING_TOL
 
     rig, y = rc.gen_rig(rc.RigSpec(k=10, seed=0)), np.array([0.35, -0.2, 0.4])
-    R, S = multiview._frame(rig, y)[4], (1.0 - 1e-14) * np.eye(3)
+    R, S = multiview._jet(rig, y, 5)[4], (1.0 - 1e-14) * np.eye(3)
     rows = multiview.mv_condition(R, S[None])
     s, sigma_R = rows.sigma[0], rows.sigma_R
     assert SING_TOL * s[0] < s[2] <= SING_TOL * sigma_R[0]  # the case the sigma_1(R) term decides
@@ -777,16 +819,16 @@ def test_returned_arrays_are_the_callers_own():
 
 
 def test_memo_arrays_are_read_only():
-    from riemcond.multiview import _frame
+    from riemcond.multiview import _jet
 
     rig = _generic_rig()
-    frame = _frame(rig, MEMO_Y)
+    frame = _jet(rig, MEMO_Y, 5)
     assert len(frame) == 5 and frame[3].flags.f_contiguous
     for arr in frame:
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0.0
-    assert all(got is arr for got, arr in zip(_frame(rig, MEMO_Y), frame))
+    assert all(got is arr for got, arr in zip(_jet(rig, MEMO_Y, 5), frame))
 
 
 def test_memo_misses_on_another_point_or_rig_and_fills_lazily(monkeypatch):
@@ -867,18 +909,18 @@ def test_threads_alternating_points_get_their_own_frames():
     import sys
     import threading
 
-    from riemcond.multiview import _frame
+    from riemcond.multiview import _jet
 
     rig = _generic_rig()
     points = [MEMO_Y, MEMO_Y + [0.1, 0.0, 0.0]]
-    want = [tuple(np.copy(v) for v in _frame(_generic_rig(), y)) for y in points]
+    want = [tuple(np.copy(v) for v in _jet(_generic_rig(), y, 5)) for y in points]
     bad, start = [], threading.Barrier(4, timeout=30)
 
     def work(i):
         start.wait()
         for n in range(1000):
             j = (i + n) % 2
-            got = _frame(rig, points[j])
+            got = _jet(rig, points[j], 5)
             if not all(np.array_equal(g, w) for g, w in zip(got, want[j])):
                 bad.append((i, n))
 

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import riemcond as rc
-from riemcond.multiview import _frame, _stacked_hat, mv_condition
+from riemcond.multiview import _jet, _stacked_hat, mv_condition
 
 REL_TOL = 1e-9
 KAPPA_MAX = 1e6
@@ -130,7 +130,7 @@ def test_stacked_kernel_equals_one_row_calls(instance, t_rel, seed):
     x_norm = float(np.linalg.norm(rc.mv_project(rig, y)))
     unit = rc.random_unit_normal(rig, y, seed)
     E = np.vstack([eta, np.multiply.outer(np.array(t_rel) * x_norm, unit)])
-    a, num, _, _, R = _frame(rig, y)
+    a, num, _, _, R = _jet(rig, y, 5)
     S_hat = _stacked_hat(rig, num, a**3, 1.0 / a**2, E)
     S = rc.weingarten(S_hat, R)
     rows = mv_condition(R, S)
